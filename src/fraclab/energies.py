@@ -7,6 +7,14 @@ quadratics), and the local double-well term.  Final reductions all use
 compensated summation in fixed cell order, so values are reproducible
 bit-for-bit regardless of threading.
 
+The in-box pairs form a quadratic form whose matrix T, the offset table,
+is block-Toeplitz and symmetric.  Split a field as u = o + f, with o its
+free part on omega and f the fixed rest; then the interaction needs only
+T(o) beyond T(f) and T(1 off omega), which stay put while a minimizer
+moves o.  Each new point costs one convolution and its gradient reuses
+it.  Every convolution multiplies by the table's spectrum, which the
+kernel caches per working extent.
+
 Fields with sampled exterior data are lifted onto the enclosing lattice
 once and evaluated there; the offset table extends to the larger box for
 free because the weights depend only on the index offset.
@@ -15,10 +23,9 @@ free because the weights depend only on the index offset.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, rfftn
 
 from .kernels import KernelTable, stable_sum
 from .lattice import (
@@ -43,24 +50,13 @@ __all__ = [
 ]
 
 
-# Lifted tail tables per kernel, keyed by the enclosing box.  Weak so a
-# discarded kernel does not pin its lifted copies.
-_LIFTED: "weakref.WeakKeyDictionary[KernelTable, dict]" = weakref.WeakKeyDictionary()
+def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
+    """Full linear convolution of x with the table whose rfftn at fshape is
+    ``spec`` (see ``KernelTable.spectrum``), zero-padded to fshape.
 
-
-def _lifted_kernel(kern: KernelTable, outer: Lattice) -> KernelTable:
-    per = _LIFTED.setdefault(kern, {})
-    key = (outer.lo, outer.hi)
-    if key not in per:
-        per[key] = KernelTable(
-            lattice=outer,
-            s=kern.s,
-            near_radius=kern.near_radius,
-            quad_tol=kern.quad_tol,
-            near=kern.near,
-            table=kern.table_for_extents(outer.shape),
-        )
-    return per[key]
+    Every raw in-box convolution goes through this function.
+    """
+    return irfftn(rfftn(x, fshape) * spec, fshape)
 
 
 def _check_enclosing(inner: Lattice, outer: Lattice) -> None:
@@ -75,8 +71,11 @@ class EnergyModel:
     """Workspace for repeated energy and gradient evaluation.
 
     Fixes the kernel, the potential, the exterior data and the free region
-    once; evaluation then costs a handful of FFT convolutions.  ``omega``
-    defaults to every cell in the box.
+    once.  An energy at a new point then costs one reflection-symmetrized
+    convolution, of the point's free part, and the gradient at the point
+    last evaluated costs none.  A point whose fixed cells differ from the
+    model's field pays one more.  ``omega`` defaults to every cell in the
+    box.
     """
 
     def __init__(self, kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None):
@@ -90,7 +89,7 @@ class EnergyModel:
         if isinstance(ext, SampledExterior):
             _check_enclosing(lat, ext.outer)
             work = ext.outer
-            self.kern = _lifted_kernel(kern, work)
+            self.kern = kern.lifted(work)
             self._base = np.array(ext.values, dtype=float)
             tail_ext = ConstantExterior(ext.fill)
         else:
@@ -122,13 +121,21 @@ class EnergyModel:
             raise TypeError(f"unsupported exterior descriptor {type(tail_ext).__name__}")
         self.t0, self.t1, self.t2 = t0, t1, t2
 
+        self._fshape, self._spec = self.kern.spectrum(work.shape)
+        free = mask.astype(float)
         self._c_box = self._conv(np.ones(work.shape))
-        self._c_omega = self._conv(mask.astype(float))
+        self._c_omega = self._conv(free)
+        self._c_fixed = self._conv(1.0 - free)
+        # the fixed part of u (off omega, sampled block included) and T of it
+        self._f = np.where(mask, 0.0, self.lift(u.values))
+        self._tf = self._conv(self._f)
+        # the free part of the last point evaluated, and T of it
+        self._o = self._to = None
 
     # -- plumbing -------------------------------------------------------------
 
     def _conv_raw(self, x: np.ndarray) -> np.ndarray:
-        out = fftconvolve(x, self.kern.table, mode="full")
+        out = fftconvolve(x, self._spec, self._fshape)
         return out[tuple(slice(n - 1, 2 * n - 1) for n in x.shape)]
 
     def _conv(self, x: np.ndarray) -> np.ndarray:
@@ -146,6 +153,19 @@ class EnergyModel:
             return sym(self._conv_raw, x, 0)
         return sym(lambda y: sym(self._conv_raw, y, 0), x, 1)
 
+    def _split(self, u: np.ndarray):
+        """(f, T(o), T(f)) for u = o + f, o its free part and f the rest.
+
+        T(o) is kept for the next call with the same free part, and T(f)
+        comes from the model unless u changes a fixed cell.
+        """
+        o = np.where(self.omega, u, 0.0)
+        if self._o is None or not np.array_equal(o, self._o):
+            self._o, self._to = o, self._conv(o)
+        f = np.where(self.omega, 0.0, u)
+        tf = self._tf if np.array_equal(f, self._f) else self._conv(f)
+        return f, self._to, tf
+
     def lift(self, values: np.ndarray) -> np.ndarray:
         """Box values extended by the sampled exterior block, if any."""
         if self._base is None:
@@ -158,12 +178,15 @@ class EnergyModel:
 
     def seminorm(self, lifted: np.ndarray) -> float:
         u = lifted
-        box = u * u * self._c_box - 2.0 * u * self._conv(u) + self._conv(u * u)
-        uo = np.where(self.omega, u, 0.0)
-        own = u * u * self._c_omega - 2.0 * u * self._conv(uo) + self._conv(uo * uo)
-        tail = self.t0 * u * u - 2.0 * self.t1 * u + self.t2
-        # pairs with both cells free count once, not twice
-        return float(stable_sum((box - 0.5 * own + tail)[self.omega]))
+        f, to, tf = self._split(u)
+        # free cells: pairs within omega (each once, as u_i (u_i - u_j)
+        # summed both ways), pairs with fixed cells, pairs with the exterior;
+        # fixed cells: the other half of their pairs with omega.  Each
+        # bracket is exactly zero on a constant +-1 field.
+        free = (u * (u * self._c_omega - to) + u * (u * self._c_fixed - tf)
+                + (self.t0 * u * u - 2.0 * self.t1 * u + self.t2))
+        fixed = f * (f * self._c_omega - to)
+        return float(stable_sum(np.where(self.omega, free, fixed)))
 
     def potential_term(self, lifted: np.ndarray) -> float:
         if self.pot is None:
@@ -176,7 +199,8 @@ class EnergyModel:
     def gradient(self, lifted: np.ndarray) -> np.ndarray:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
         u = lifted
-        fl = u * self._c_box - self._conv(u) + self.t0 * u - self.t1
+        _, to, tf = self._split(u)
+        fl = u * self._c_box - to - tf + self.t0 * u - self.t1
         g = 2.0 * fl
         if self.pot is not None:
             g = g + self.cell_measure * self.pot.deriv(u)
@@ -298,8 +322,7 @@ def frac_laplacian(kern: KernelTable, u: ScalarField, cells=None) -> np.ndarray:
     aligned with the input); default is the full box grid.
     """
     model = EnergyModel(kern, None, u, None)
-    lifted = model.lift(u.values)
-    fl = (lifted * model._c_box - model._conv(lifted) + model.t0 * lifted - model.t1)[model.inner]
+    fl = 0.5 * model.gradient(model.lift(u.values))[model.inner]
     if cells is None:
         return fl
     if isinstance(cells, CellSet):

@@ -34,9 +34,13 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import tempfile
+import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import next_fast_len, rfftn
 from scipy.special import betainc, roots_jacobi
 
 from .lattice import Lattice
@@ -131,7 +135,8 @@ def adaptive_rect_quad(f, rect, tol: float, max_panels: int = 200_000) -> float:
     Each panel carries a coarse (4x4) and fine (8x8) tensor Gauss value;
     the worst panel (by |fine-coarse|) is split into 4 until the summed
     error estimate drops below tol * |total|.  Deterministic: ties broken
-    by insertion order.
+    by insertion order.  Stopping at ``max_panels`` above tolerance warns
+    with the error estimate; a non-finite result raises.
     """
     x0, x1, y0, y1 = rect
 
@@ -159,6 +164,13 @@ def adaptive_rect_quad(f, rect, tol: float, max_panels: int = 200_000) -> float:
             total += child[-1]
             total_err -= child[0]
         n_panels += 3
+    if not math.isfinite(total):
+        raise FloatingPointError(f"non-finite panel quadrature {total} on {rect}")
+    if total_err > tol * max(abs(total), 1e-300):
+        warnings.warn(
+            f"panel quadrature stopped at max_panels={max_panels} with error "
+            f"estimate {total_err:.3g} (relative {total_err / max(abs(total), 1e-300):.3g},"
+            f" tol {tol:.3g}) on {rect}", RuntimeWarning, stacklevel=2)
     return total
 
 
@@ -489,6 +501,16 @@ def _hp_column_exact(width, gaps, heights, s: float):
     return width * _b_full(s) * _f2_seg(gaps, heights, s)
 
 
+def _cuts(a: float, c: float, b: float) -> bool:
+    """True when c splits [a, b] into two pieces wider than a few ulps.
+
+    A cell edge and a box bound meant to coincide can differ in the last
+    bit; splitting there would leave a sliver on which the integrand is
+    not finite."""
+    tol = 4.0 * math.ulp(max(abs(a), abs(b)))
+    return a + tol < c < b - tol
+
+
 def _strip_rect_value(h: float, s: float, rect, face: float, A: float,
                       B: float, tol: float = 1e-10) -> float:
     """Exact-singular-part integral over one rect of the tail against the
@@ -498,7 +520,7 @@ def _strip_rect_value(h: float, s: float, rect, face: float, A: float,
     corrections by Gauss or (near a footprint corner) adaptive panels."""
     x1a, x1b, x2a, x2b = rect
     for c in (A, B):
-        if np.isfinite(c) and x1a < c < x1b:
+        if _cuts(x1a, c, x1b):
             return (_strip_rect_value(h, s, (x1a, c, x2a, x2b), face, A, B, tol)
                     + _strip_rect_value(h, s, (c, x1b, x2a, x2b), face, A, B, tol))
     gap = face - x2b
@@ -590,7 +612,7 @@ def _quad_rect_value(h: float, s: float, rect, E: float, thr: float,
     """Integral over one rect (right of E) of the tail against the region
     {y1 <= E, y2 >= thr}."""
     x1a, x1b, x2a, x2b = rect
-    if x2a < thr < x2b:
+    if _cuts(x2a, thr, x2b):
         return (_quad_rect_value(h, s, (x1a, x1b, x2a, thr), E, thr, tol)
                 + _quad_rect_value(h, s, (x1a, x1b, thr, x2b), E, thr, tol))
     ua = x1a - E
@@ -794,6 +816,11 @@ class KernelTable:
 
     _tail_cache: dict = field(default_factory=dict, repr=False)
     _extent_cache: dict = field(default_factory=dict, repr=False)
+    _spectrum_cache: dict = field(default_factory=dict, repr=False)
+    _lifted_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self._extent_cache.setdefault(self.lattice.shape, self.table)
 
     # -- weights -------------------------------------------------------------
 
@@ -816,6 +843,33 @@ class KernelTable:
                            self.near_radius, self.near, extents)
         self._extent_cache[extents] = arr
         return arr
+
+    def spectrum(self, extents):
+        """(fshape, spectrum) for convolving fields of the given extents.
+
+        fshape is the padded full-convolution shape next_fast_len(3n - 2)
+        per axis, as SciPy's fftconvolve picks it, and spectrum the rfftn
+        of the offset table at that shape; irfftn(rfftn(x, fshape) *
+        spectrum, fshape) then equals fftconvolve(x, table) bit for bit
+        on its 3n - 2 leading entries.
+        """
+        extents = tuple(int(e) for e in extents)
+        if extents not in self._spectrum_cache:
+            fshape = tuple(next_fast_len(3 * e - 2, True) for e in extents)
+            spec = rfftn(self.table_for_extents(extents), fshape)
+            self._spectrum_cache[extents] = (fshape, spec)
+        return self._spectrum_cache[extents]
+
+    def lifted(self, outer: Lattice) -> "KernelTable":
+        """The same weights on an enclosing box of equal spacing; its
+        tails are taken against the complement of that box."""
+        key = (outer.lo, outer.hi)
+        if key not in self._lifted_cache:
+            self._lifted_cache[key] = KernelTable(
+                lattice=outer, s=self.s, near_radius=self.near_radius,
+                quad_tol=self.quad_tol, near=self.near,
+                table=self.table_for_extents(outer.shape))
+        return self._lifted_cache[key]
 
     def switch_gap(self) -> float:
         """Relative near/far mismatch at the switch radius (far-rule
@@ -898,8 +952,7 @@ def build_kernel(lattice: Lattice, s: float, near_radius: int = 4,
     if cache_dir is not None:
         path = kernel_cache_path(cache_dir, lattice.dim, lattice.h, s,
                                  near_radius, quad_tol)
-        if os.path.exists(path):
-            near = _load_near(path, lattice.dim, lattice.h, s, near_radius, quad_tol)
+        near = _load_near(path, lattice.dim, lattice.h, s, near_radius, quad_tol)
     if near is None:
         near = {}
         for canon in _canonical_offsets(lattice.dim, near_radius):
@@ -926,28 +979,42 @@ def kernel_cache_path(cache_dir, dim: int, h: float, s: float,
 
 
 def save_kernel_near(cache_dir, dim, h, s, near_radius, quad_tol, near) -> str:
+    """Write the near weights atomically: readers see the old file or the
+    complete new one, never a partial write."""
     os.makedirs(cache_dir, exist_ok=True)
     path = kernel_cache_path(cache_dir, dim, h, s, near_radius, quad_tol)
     offsets = np.array(sorted(near.keys()))
     weights = np.array([near[tuple(o)] for o in offsets])
-    np.savez(path,
-             format_version=np.array(CACHE_FORMAT_VERSION),
-             dim=np.array(dim), h=np.array(h), s=np.array(s),
-             near_radius=np.array(near_radius), quad_tol=np.array(quad_tol),
-             offsets=offsets, weights=weights)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel_", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh,
+                     format_version=np.array(CACHE_FORMAT_VERSION),
+                     dim=np.array(dim), h=np.array(h), s=np.array(s),
+                     near_radius=np.array(near_radius), quad_tol=np.array(quad_tol),
+                     offsets=offsets, weights=weights)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
 def _load_near(path, dim, h, s, near_radius, quad_tol) -> dict | None:
-    with np.load(path) as z:
-        if int(z["format_version"]) != CACHE_FORMAT_VERSION:
-            return None
-        if (int(z["dim"]) != dim or float(z["h"]) != h or float(z["s"]) != s
-                or int(z["near_radius"]) != near_radius
-                or float(z["quad_tol"]) != quad_tol):
-            return None
-        offsets = z["offsets"]
-        weights = z["weights"]
+    """Cached near weights, or None when the file is missing, unreadable,
+    corrupt or written for other parameters."""
+    try:
+        with np.load(path) as z:
+            if int(z["format_version"]) != CACHE_FORMAT_VERSION:
+                return None
+            if (int(z["dim"]) != dim or float(z["h"]) != h or float(z["s"]) != s
+                    or int(z["near_radius"]) != near_radius
+                    or float(z["quad_tol"]) != quad_tol):
+                return None
+            offsets = z["offsets"]
+            weights = z["weights"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
     return {tuple(int(v) for v in o): float(w) for o, w in zip(offsets, weights)}
 
 
@@ -962,8 +1029,6 @@ def load_kernel(cache_dir, lattice: Lattice, s: float, near_radius: int = 4,
     """Load a cached table for this lattice, or None on miss/mismatch."""
     path = kernel_cache_path(cache_dir, lattice.dim, lattice.h, s,
                              near_radius, quad_tol)
-    if not os.path.exists(path):
-        return None
     near = _load_near(path, lattice.dim, lattice.h, s, near_radius, quad_tol)
     if near is None:
         return None

@@ -109,17 +109,6 @@ def _build_kernel(cfg: ExperimentConfig, lat: Lattice):
     )
 
 
-def _prewarm_near_cache(cfg: ExperimentConfig) -> None:
-    """Fill the on-disk near-weight cache before any parallel builds.
-
-    Parallel tasks would otherwise race to write the same cache file.
-    """
-    if not cfg.cache_dir:
-        return
-    extent = (cfg.near_radius + 4) * cfg.h * 2
-    _build_kernel(cfg, Lattice.covering_ball(cfg.dim, cfg.h, 0.0, extent))
-
-
 def _parallel(fn, items, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -173,7 +162,6 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     pot = _potential(cfg)
     ext = _exterior(cfg)
     mcfg = _minimize_cfg(cfg)
-    _prewarm_near_cache(cfg)
 
     def solve(radius: float):
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, radius + 2.0)
@@ -315,7 +303,8 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
 
     trace2 = _volume_trace(values, lat, cfg.radii, cfg.theta2, cfg.dim)
     trace_star = _volume_trace(values, lat, cfg.radii, cfg.theta_star, cfg.dim)
-    criteria.append(Criterion("trace-monotone", True, "exact by construction"))
+    criteria.append(Criterion("trace-monotone", True, "exact by construction",
+                              vacuous=True))
 
     r_floor = cfg.density_r_floor if cfg.density_r_floor > 0 else cfg.radii[0]
     floored = [q for r, q in zip(trace_star.radii, trace_star.ratios)
@@ -376,7 +365,9 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
                     if iteration.hypotheses_hold else
                     f"{iteration.failed_hypothesis} at r={iteration.violating_r}")
                 criteria.append(Criterion(
-                    "growth-iteration", iteration.passed, detail))
+                    "growth-iteration", iteration.passed, detail,
+                    vacuous=iteration.hypotheses_hold
+                    and not iteration.conclusion_tested))
 
     columns = ["R", "volume_theta2", "ratio_theta2",
                "volume_theta_star", "ratio_theta_star"]
@@ -421,7 +412,6 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     ext = _exterior(cfg)
     mcfg = _minimize_cfg(cfg)
     has_interface = cfg.exterior == "halfspace"
-    _prewarm_near_cache(cfg)
 
     def solve(eps: float):
         box_r = cfg.levelset_radius / eps
@@ -806,7 +796,8 @@ def run_iterate(cfg: ExperimentConfig) -> ExperimentReport:
         conc_detail = f"fails at r = {rep.conclusion_violating_r}"
     criteria = [
         Criterion("hypotheses", rep.hypotheses_hold, hyp_detail),
-        Criterion("conclusion", rep.conclusion_holds is not False, conc_detail),
+        Criterion("conclusion", rep.conclusion_holds is not False, conc_detail,
+                  vacuous=rep.hypotheses_hold and not rep.conclusion_tested),
     ]
     return ExperimentReport(
         experiment="iterate", config=cfg.to_flat_dict(),

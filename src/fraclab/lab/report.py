@@ -18,14 +18,21 @@ __all__ = ["Criterion", "ExperimentReport"]
 
 @dataclass(frozen=True)
 class Criterion:
-    """One pass/fail line of a run."""
+    """One pass/fail line of a run.
+
+    ``vacuous`` marks a line that passes without testing anything, such
+    as a conclusion with no sample in its range; it does not change
+    ``passed``.
+    """
 
     name: str
     passed: bool
     detail: str
+    vacuous: bool = False
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return {"name": self.name, "passed": self.passed, "detail": self.detail,
+                "vacuous": self.vacuous}
 
 
 @dataclass

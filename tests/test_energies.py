@@ -403,3 +403,105 @@ def test_energy_report_echoes_parameters(kern1):
     import json
 
     json.dumps(energy_report(kern1, pot, u, om))
+
+
+# ------------------------------------------------------------------ quadratic form
+
+
+@pytest.mark.parametrize("lo, hi", [((-8,), (8,)), ((-8,), (9,)),
+                                    ((-4, -4), (4, 4)), ((-4, -5), (5, 4))])
+def test_cached_spectrum_convolution_is_fftconvolve(lo, hi):
+    from scipy.signal import fftconvolve as oracle
+
+    from fraclab import energies
+
+    lat = Lattice(dim=len(lo), h=0.5, lo=lo, hi=hi)
+    kern = build_kernel(lat, 0.25)
+    fshape, spec = kern.spectrum(lat.shape)
+    assert kern.spectrum(lat.shape)[1] is spec
+    full = tuple(slice(3 * n - 2) for n in lat.shape)
+    x = np.random.default_rng(lat.n_cells).uniform(-1.0, 1.0, lat.shape)
+    for arr in (x, np.flip(x, 0)):
+        got = energies.fftconvolve(arr, spec, fshape)[full]
+        assert np.array_equal(got, oracle(arr, kern.table, mode="full"))
+
+
+def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):
+    """Energy and gradient by explicit sums over every pair of box cells."""
+    lat = kern.lattice
+    idx = np.indices(lat.shape).reshape(lat.dim, -1).T
+    off = idx[:, None, :] - idx[None, :, :] + (np.array(lat.shape) - 1)
+    w = kern.table[tuple(off[..., a] for a in range(lat.dim))]
+    v, m = u.ravel(), omega.ravel()
+    diff = v[:, None] - v[None, :]
+    pairs = w * diff * diff
+    k = (math.fsum(pairs[np.ix_(m, m)].ravel()) / 2.0
+         + math.fsum(pairs[np.ix_(m, ~m)].ravel())
+         + math.fsum((t0 * u * u - 2.0 * t1 * u + t2)[omega]))
+    grad = 2.0 * ((w * diff).sum(axis=1).reshape(lat.shape) + t0 * u - t1)
+    measure = lat.h ** lat.dim
+    e = k + measure * math.fsum(pot.value(u[omega]))
+    grad = np.where(omega, grad + measure * pot.deriv(u), 0.0)
+    return k, e, grad
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "halfspace", "sampled"])
+def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
+    kern, lat = (kern1, LAT1) if dim == 1 else (kern2, LAT2)
+    rng = np.random.default_rng(17)
+    pot = Quartic()
+    om = CellSet(lat, rng.random(lat.shape) < 0.5)
+    vals = rng.uniform(-1.0, 1.0, lat.shape)
+    if kind == "sampled":
+        outer = Lattice(dim, lat.h, tuple(a - 3 for a in lat.lo),
+                        tuple(b + 2 for b in lat.hi))
+        ext = SampledExterior(outer, rng.uniform(-1.0, 1.0, outer.shape), -1.0)
+        work = build_kernel(outer, kern.s)
+        inner = tuple(slice(3, 3 + n) for n in lat.shape)
+        lifted = ext.values.copy()
+        lifted[inner] = vals
+        omega = np.zeros(outer.shape, dtype=bool)
+        omega[inner] = om.members
+        t0 = work.tail_weights
+        t1, t2 = -t0, t0
+    else:
+        work, lifted, omega = kern, vals, om.members
+        if kind == "constant":
+            ext = ConstantExterior(-0.7)
+            t0 = kern.tail_weights
+            t1, t2 = -0.7 * t0, 0.49 * t0
+        else:
+            ext = HalfspaceExterior(dim - 1, 0.2)
+            plus, minus = kern.tail_halfspace(dim - 1, 0.2)
+            t0, t1, t2 = plus + minus, plus - minus, plus + minus
+    u = ScalarField(lat, vals, ext)
+    model = EnergyModel(kern, pot, u, om)
+    x = model.lift(u.values)
+    assert np.array_equal(x, lifted)
+    k, e, grad = _pair_sum_oracle(work, pot, lifted, omega, t0, t1, t2)
+    assert model.seminorm(x) == pytest.approx(k, rel=1e-12)
+    assert model.energy(x) == pytest.approx(e, rel=1e-12)
+    np.testing.assert_allclose(model.gradient(x), grad, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(grad)))
+    # a point that also moves fixed cells is still evaluated exactly
+    y = np.where(omega, x, 0.9 * x)
+    k_y, _, grad_y = _pair_sum_oracle(work, pot, y, omega, t0, t1, t2)
+    assert model.seminorm(y) == pytest.approx(k_y, rel=1e-12)
+    np.testing.assert_allclose(model.gradient(y), grad_y, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(grad_y)))
+
+
+def test_constant_sign_field_is_exactly_zero(kern1, kern2):
+    pot = Quartic()
+    for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
+        om = ball_mask(lat, (0.0,) * lat.dim, 2.0)
+        outer = Lattice(lat.dim, lat.h, tuple(a - 2 for a in lat.lo),
+                        tuple(b + 3 for b in lat.hi))
+        for sign in (1.0, -1.0):
+            vals = np.full(lat.shape, sign)
+            for ext in (ConstantExterior(sign),
+                        SampledExterior(outer, np.full(outer.shape, sign), sign)):
+                u = ScalarField(lat, vals, ext)
+                assert gagliardo_K(kern, u, om) == 0.0
+                assert energy_E(kern, pot, u, om) == 0.0

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ def test_cache_version_guard(tmp_path, monkeypatch):
     assert K._load_near(path, 1, 1.0, 0.5, 2, 1e-6) is None
 
 
+def test_cache_corrupt_file_is_a_miss(tmp_path):
+    lat = Lattice(1, 0.5, (-4,), (4,))
+    fresh = build_kernel(lat, 0.35, near_radius=3, cache_dir=tmp_path)
+    path = kernel_cache_path(tmp_path, 1, 0.5, 0.35, 3, 1e-6)
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+    assert load_kernel(tmp_path, lat, 0.35, near_radius=3) is None
+    again = build_kernel(lat, 0.35, near_radius=3, cache_dir=tmp_path)
+    assert again.near == fresh.near  # bitwise equal floats
+    # the rebuild rewrote the file whole, with no temporary left behind
+    assert load_kernel(tmp_path, lat, 0.35, near_radius=3).near == fresh.near
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+
 # ------------------------------------------------------------- misc
 
 
@@ -362,3 +377,26 @@ def test_stable_sum_compensated():
 def test_adaptive_quad_smooth_exact():
     got = K.adaptive_rect_quad(lambda x, y: x * y, (0.0, 1.0, 0.0, 2.0), 1e-12)
     assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_adaptive_quad_truncation_warns():
+    def f(x, y):
+        return (x * x + y * y) ** -0.75
+
+    with pytest.warns(RuntimeWarning, match="max_panels=40 with error estimate"):
+        truncated = K.adaptive_rect_quad(f, (0.0, 1.0, 0.0, 1.0), 1e-10, max_panels=40)
+    assert truncated < K.adaptive_rect_quad(f, (0.0, 1.0, 0.0, 1.0), 1e-6)
+
+
+def test_adaptive_quad_non_finite_raises():
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        K.adaptive_rect_quad(lambda x, y: np.log(x - 0.5), (0.0, 1.0, 0.0, 1.0), 1e-8)
+
+
+def test_tails_finite_when_box_bound_misses_cell_edge_by_an_ulp():
+    # the box bound -15 * 0.4 and the corner cell edge differ in the last bit
+    lat = Lattice.covering_ball(2, 0.4, 0.0, 6.0)
+    tails = build_kernel(lat, 0.25).tail_weights
+    assert np.all(np.isfinite(tails))
+    assert tails[0, 0] == tails[-1, -1] == tails[0, -1] == tails[-1, 0]
+    assert tails[0, 0] > tails[0, 1]

@@ -462,3 +462,63 @@ def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# vacuous criteria, shared kernel cache, import cost
+# ---------------------------------------------------------------------------
+
+
+def test_vacuous_criteria_are_flagged():
+    cfg = ExperimentConfig(experiment="density", s=0.25, dim=1, h=0.5,
+                           radii=(4.0, 8.0, 16.0), max_iters=3000)
+    rep = run_density(cfg)
+    flags = {c["name"]: c["vacuous"] for c in rep.to_json_dict()["criteria"]}
+    assert flags["trace-monotone"] is True
+    assert flags["density-floor"] is False
+    # r_star lies past every radius: the iteration passes, having tested nothing
+    it = rep.results["iteration"]
+    assert it["hypotheses_hold"] and not it["conclusion_tested"]
+    assert flags["growth-iteration"] is True
+    untested = run_iterate(ExperimentConfig(
+        experiment="iterate", sigma=0.5, nu=2.0, gamma=2.0, growth_c=2.0,
+        r_o=2.0, mu=4.0, v_form="power", radii=(2.0, 4.0)))
+    conclusion = {c.name: c for c in untested.criteria}["conclusion"]
+    assert conclusion.passed and conclusion.vacuous
+    assert "untested" in conclusion.detail
+    tested = run_iterate(ExperimentConfig(
+        experiment="iterate", sigma=1.5, nu=2.0, gamma=2.0, growth_c=1.1,
+        r_o=2.0, mu=4.0, v_form="power", radii=tuple(r for r, _ in DYADIC)))
+    assert not any(c.vacuous for c in tested.criteria)
+
+
+def test_energy_growth_shared_cache_thread_invariant(tmp_path):
+    def run(threads):
+        cfg = ExperimentConfig(experiment="energy-growth", s=0.25, dim=1,
+                               h=0.5, radii=(4.0, 6.0, 8.0, 12.0),
+                               max_iters=3000, threads=threads,
+                               cache_dir=str(tmp_path / f"cache{threads}"))
+        doc = json.loads(open(run_energy_growth(cfg).write(
+            tmp_path / f"t{threads}")["report"]).read())
+        doc.pop("meta")
+        for key in ("threads", "cache_dir"):
+            doc["config"].pop(key)
+        return doc
+
+    assert run(2) == run(1)
+    assert len(os.listdir(tmp_path / "cache2")) == 1
+
+
+def test_importing_lab_skips_scipy_signal():
+    import subprocess
+    import sys
+
+    import fraclab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
+    code = ("import sys, fraclab.lab; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

@@ -277,3 +277,31 @@ def test_subdomain_requires_containment(kern, b40):
         subdomain_check(kern, Quartic(), res, CellSet.full(other), trials=1)
     with pytest.raises(ValueError, match="trials"):
         subdomain_check(kern, Quartic(), res, ball_mask(LAT, 0.0, 5.0), trials=0)
+
+
+def test_one_convolution_per_trial_point(kern, monkeypatch):
+    # beyond the model's fixed set-up, each energy evaluation costs at most
+    # one symmetrized convolution and the accepted point's gradient none
+    counts = {"conv": 0, "energy": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(self, x):
+            counts[name] += 1
+            return fn(self, x)
+        return wrapper
+
+    monkeypatch.setattr(EnergyModel, "_conv", counted("conv", EnergyModel._conv))
+    pot = Quartic()
+    rng = np.random.default_rng(3)
+    u0 = ScalarField(LAT, rng.uniform(-1.0, 1.0, LAT.shape), EXT)
+    om = ball_mask(LAT, 0.0, 30.0)
+    EnergyModel(kern, pot, u0, om)
+    setup = counts["conv"]
+    counts["conv"] = 0
+    monkeypatch.setattr(EnergyModel, "energy", counted("energy", EnergyModel.energy))
+    monkeypatch.setattr(EnergyModel, "gradient",
+                        counted("gradient", EnergyModel.gradient))
+    res = minimize_energy(kern, pot, u0, om, MinimizeConfig(max_iters=200))
+    assert res.iterations > 20
+    assert counts["gradient"] == res.iterations + 1
+    assert counts["conv"] <= setup + counts["energy"]
