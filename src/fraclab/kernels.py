@@ -11,7 +11,9 @@ three-way rule:
 * near offsets (sup-norm |d| <= near_radius): the exact double integral.
   In 1D this has a closed form through the double antiderivative of
   t^(-(1+2s)); in 2D it is computed by adaptive panel quadrature, with the
-  singular corner quarter of touching cells split off in closed form.
+  singular part of touching cells split off in closed form: the corner
+  quarter of corner-touching cells, and for edge-touching cells (s < 1/2)
+  the whole half next to the shared edge, through 2F1(1/2, s; 3/2; -1).
 * touching offsets whose exact integral diverges (1D offset 1 and 2D
   edge-neighbours, when s >= 1/2): the single-layer collocation value
   h^n * integral over C_j of |c_i - y|^(-(n+2s)) dy, which is finite,
@@ -23,11 +25,15 @@ u(x) - u(y) = 0 on C_i x C_i, so the singular diagonal never contributes.
 
 Everything outside the lattice box is handled by per-cell tail integrals
 of the kernel against exterior regions.  The 1D tails are elementary; the
-2D tails reduce to three exact primitives (half-plane, quadrant, strip),
-with the quadrant evaluated by a Gauss-Jacobi rule that absorbs the
-t^(2s-1) endpoint weight and the remaining factor expressed through the
-regularized incomplete beta function.  Tables are cacheable to versioned
-.npz files keyed by (dim, h, s, near_radius, quad_tol).
+2D tails reduce to three primitives (half-plane, quadrant, strip).  The
+quadrant is a Gauss-Jacobi rule that absorbs the t^(2s-1) endpoint weight,
+with the remaining factor expressed through the regularized incomplete
+beta function; being homogeneous of degree -2s, it is sampled once per s
+on the aspect ratio, and every tail evaluates that cubic-spline surrogate
+(``quadrant_fast``, ``strip_fast``).  The whole-complement tail is the
+halfspace split's plus part at threshold -inf, so both go through one path.
+Near weights are cached by one ``save_kernel``/``load_kernel`` pair to
+versioned .npz files keyed by (dim, h, s, near_radius, quad_tol).
 """
 from __future__ import annotations
 
@@ -38,10 +44,11 @@ import tempfile
 import warnings
 import zipfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len, rfftn
-from scipy.special import betainc, roots_jacobi
+from scipy.special import betainc, hyp2f1, roots_jacobi
 
 from .lattice import Lattice
 
@@ -55,7 +62,6 @@ __all__ = [
     "cell_tail_halfspace",
     "halfplane_tail",
     "quadrant_tail",
-    "strip_tail",
     "kernel_cache_path",
     "save_kernel",
     "load_kernel",
@@ -110,13 +116,20 @@ def _corner_quarter_closed(h: float, s: float) -> float:
     return (2.0 - 2.0 ** (1.0 - s)) * a ** (1.0 - s) / (4.0 * s * (1.0 - s))
 
 
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+def _edge_lower_half(h: float, s: float) -> float:
+    """int over [-h,h]x[0,h] of (h-|t1|) t2 |t|^(-(2+2s)) dt, s < 1/2.
+
+    With I = int_0^h int_0^h t2 |t|^(-(2+2s)) dt
+           = h^(1-2s) / (2s) * (1/(1-2s) - 2F1(1/2, s; 3/2; -1)),
+    the half is 2 h I minus twice the corner quarter.
+    """
+    inner = h ** (1.0 - 2.0 * s) / (2.0 * s) * (
+        1.0 / (1.0 - 2.0 * s) - hyp2f1(0.5, s, 1.5, -1.0))
+    return 2.0 * h * inner - 2.0 * _corner_quarter_closed(h, s)
 
 
-_GL4 = _gl_nodes(4)
-_GL8 = _gl_nodes(8)
+_GL4 = np.polynomial.legendre.leggauss(4)
+_GL8 = np.polynomial.legendre.leggauss(8)
 
 
 def _panel_value(f, x0, x1, y0, y1, nodes):
@@ -181,8 +194,9 @@ def _pair_exact_2d(h: float, s: float, d1: int, d2: int, tol: float) -> float:
         I = int H(t1 - d1 h) H(t2 - d2 h) |t|^(-(2+2s)) dt,
 
     H the triangular overlap of width 2h.  Edge-touching diverges iff
-    s >= 1/2 (raises); the singular quarter of corner-touching cells is
-    integrated in closed form.
+    s >= 1/2 (raises); the singular quarter of corner-touching cells and
+    the singular lower half of edge-touching ones are integrated in
+    closed form.
     """
     if (d1, d2) == (0, 1) and s >= 0.5:
         raise ValueError("edge-touching integral diverges for s >= 1/2")
@@ -195,14 +209,17 @@ def _pair_exact_2d(h: float, s: float, d1: int, d2: int, tol: float) -> float:
         r2 = t1 * t1 + t2 * t2
         return h1 * h2 * r2 ** (-alpha)
 
-    rect = (a1 - h, a1 + h, a2 - h, a2 + h)
+    if (d1, d2) == (0, 1):
+        # split off [-h,h]x[0,h] where the hats are exactly (h-|t1|)*t2
+        return (_edge_lower_half(h, s)
+                + adaptive_rect_quad(integrand, (-h, h, h, 2 * h), tol))
     if (d1, d2) == (1, 1):
         # split off [0,h]^2 where the hats are exactly t1*t2
         val = _corner_quarter_closed(h, s)
         for sub in ((h, 2 * h, 0.0, h), (0.0, h, h, 2 * h), (h, 2 * h, h, 2 * h)):
             val += adaptive_rect_quad(integrand, sub, tol)
         return val
-    return adaptive_rect_quad(integrand, rect, tol)
+    return adaptive_rect_quad(integrand, (a1 - h, a1 + h, a2 - h, a2 + h), tol)
 
 
 def pair_weight_exact(dim: int, h: float, s: float, offset, tol: float = 1e-8) -> float:
@@ -262,18 +279,11 @@ def halfplane_tail(c, s: float):
     return _b_full(s) * c ** (-2.0 * s) / (2.0 * s)
 
 
-_JACOBI_CACHE: dict = {}
-
-
-def _jacobi_rule(s: float, n: int = 48):
-    """Nodes/weights for int_0^1 tau^(2s-1) f(tau) dtau."""
-    key = (round(s, 15), n)
-    if key not in _JACOBI_CACHE:
-        x, w = roots_jacobi(n, 0.0, 2.0 * s - 1.0)
-        tau = 0.5 * (x + 1.0)
-        wt = w * 0.5 ** (2.0 * s)
-        _JACOBI_CACHE[key] = (tau, wt)
-    return _JACOBI_CACHE[key]
+@lru_cache(maxsize=None)
+def _jacobi_rule(s: float):
+    """48 nodes/weights for int_0^1 tau^(2s-1) f(tau) dtau."""
+    x, w = roots_jacobi(48, 0.0, 2.0 * s - 1.0)
+    return 0.5 * (x + 1.0), w * 0.5 ** (2.0 * s)
 
 
 def _upper_angle(z, s: float):
@@ -283,7 +293,7 @@ def _upper_angle(z, s: float):
     return 0.5 * _b_full(s) * betainc(s + 0.5, 0.5, x)
 
 
-def quadrant_tail(a, b, s: float, n: int = 48):
+def quadrant_tail(a, b, s: float):
     """int over {u >= a, v >= b} of (u^2+v^2)^(-(1+s)) du dv, a, b > 0.
 
     Symmetric in (a, b); evaluated with the larger argument as the outer
@@ -293,69 +303,18 @@ def quadrant_tail(a, b, s: float, n: int = 48):
     b = np.asarray(b, dtype=float)
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    tau, wt = _jacobi_rule(s, n)
-    ratio = (lo / hi)[..., None] * tau
-    g = _upper_angle(ratio, s)
-    return hi ** (-2.0 * s) * np.einsum("...k,k->...", g, wt)
-
-
-def strip_tail(d, a, b, s: float, n: int = 48):
-    """int over {w in [a, b], v >= d} of (w^2+v^2)^(-(1+s)) dw dv, d > 0.
-
-    a < b are signed horizontal offsets from the evaluation point.
-    """
-    d = np.asarray(d, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d, a, b = np.broadcast_arrays(d, a, b)
-    out = np.zeros(d.shape, dtype=float)
-
-    both_pos = a >= 0.0
-    both_neg = b <= 0.0
-    spanning = ~(both_pos | both_neg)
-    if np.any(both_pos):
-        out[both_pos] = (quadrant_tail(np.maximum(a[both_pos], 1e-300), d[both_pos], s, n)
-                         - quadrant_tail(b[both_pos], d[both_pos], s, n))
-    if np.any(both_neg):
-        out[both_neg] = (quadrant_tail(np.maximum(-b[both_neg], 1e-300), d[both_neg], s, n)
-                         - quadrant_tail(-a[both_neg], d[both_neg], s, n))
-    if np.any(spanning):
-        out[spanning] = (halfplane_tail(d[spanning], s)
-                         - quadrant_tail(-a[spanning], d[spanning], s, n)
-                         - quadrant_tail(b[spanning], d[spanning], s, n))
-    return out
-
-
-def point_tail_2d(cx, cy, s: float, bounds, n: int = 48):
-    """Per-point integral of the kernel over the complement of the box
-    [X0,X1]x[Y0,Y1]; (cx, cy) broadcastable arrays strictly inside."""
-    X0, X1, Y0, Y1 = bounds
-    cx = np.asarray(cx, dtype=float)
-    cy = np.asarray(cy, dtype=float)
-    cx, cy = np.broadcast_arrays(cx, cy)
-    dL, dR = cx - X0, X1 - cx
-    dB, dT = cy - Y0, Y1 - cy
-    total = halfplane_tail(dL, s) + halfplane_tail(dR, s)
-    for d in (dT, dB):
-        total = total + (halfplane_tail(d, s)
-                         - quadrant_tail(dL, d, s, n) - quadrant_tail(dR, d, s, n))
-    return total
+    tau, wt = _jacobi_rule(s)
+    g = _upper_angle((lo / hi)[..., None] * tau, s)
+    return hi ** (-2.0 * s) * (g @ wt)
 
 
 # fast spline surrogates for the quadrant/strip primitives; the quadrant is
 # homogeneous of degree -2s, so one profile on the aspect ratio suffices
-_PSI_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _psi_profile(s: float):
     from scipy.interpolate import CubicSpline
-    key = round(s, 15)
-    if key not in _PSI_CACHE:
-        tau, wt = _jacobi_rule(s)
-        rho = np.linspace(0.0, 1.0, 4097)
-        vals = _upper_angle(rho[:, None] * tau[None, :], s) @ wt
-        _PSI_CACHE[key] = CubicSpline(rho, vals)
-    return _PSI_CACHE[key]
+    rho = np.linspace(0.0, 1.0, 4097)
+    return CubicSpline(rho, quadrant_tail(rho, 1.0, s))
 
 
 def quadrant_fast(a, b, s: float):
@@ -371,7 +330,9 @@ def quadrant_fast(a, b, s: float):
 
 
 def strip_fast(d, a, b, s: float):
-    """Spline-accelerated strip_tail; accepts infinite footprint ends."""
+    """int over {w in [a, b], v >= d} of (w^2+v^2)^(-(1+s)) dw dv, d > 0,
+    from quadrant_fast; a < b are signed horizontal offsets from the
+    evaluation point and may be infinite."""
     d = np.asarray(d, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -414,14 +375,15 @@ def _f2_seg(g, width, s: float):
     out = np.zeros(g.shape, dtype=float)
     fin = ~np.isinf(g)
     gf = g[fin]
-    if s == 0.5:
-        with np.errstate(divide="ignore"):
+    # a gap an ulp below 0 (a cell edge against a box bound) yields a NaN
+    # or inf that np.where drops (s < 1/2) or face collocation replaces
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if s == 0.5:
             out[fin] = np.log1p(width / gf)
-    else:
-        p = 1.0 - 2.0 * s
-        with np.errstate(divide="ignore"):
+        else:
+            p = 1.0 - 2.0 * s
             lo = np.where(gf > 0.0, gf ** p, 0.0 if s < 0.5 else np.inf)
-        out[fin] = ((gf + width) ** p - lo) / (p * 2.0 * s)
+            out[fin] = ((gf + width) ** p - lo) / (p * 2.0 * s)
     return out
 
 
@@ -443,47 +405,10 @@ def _interval_tail_1d(xc, h: float, s: float, A: float, B: float,
     return np.where(sl_mask, sl, exact)
 
 
-def _tails_plus_1d(xc, h, s, X0, X1, thr, adj_left, adj_right):
-    """Cell tails against complement-of-box intersected with {y >= thr}."""
-    sl_left = adj_left & (s >= 0.5)
-    sl_right = adj_right & (s >= 0.5)
-    out = _interval_tail_1d(xc, h, s, max(X1, thr), np.inf, "right", sl_right)
-    if thr < X0:
-        out = out + _interval_tail_1d(xc, h, s, thr, X0, "left", sl_left)
-    return out
-
-
-def cell_tails_1d(lat: Lattice, s: float) -> np.ndarray:
-    xc = lat.axis_centers(0)
-    (x_lo,), (x_hi,) = lat.box_bounds()
-    n = lat.shape[0]
-    adj_l = np.arange(n) == 0
-    adj_r = np.arange(n) == n - 1
-    h = lat.h
-    left = _interval_tail_1d(xc, h, s, -np.inf, x_lo, "left", adj_l & (s >= 0.5))
-    right = _interval_tail_1d(xc, h, s, x_hi, np.inf, "right", adj_r & (s >= 0.5))
-    return left + right
-
-
-def cell_tails_1d_halfspace(lat: Lattice, s: float, thr: float):
-    xc = lat.axis_centers(0)
-    (x_lo,), (x_hi,) = lat.box_bounds()
-    n = lat.shape[0]
-    adj_l = np.arange(n) == 0
-    adj_r = np.arange(n) == n - 1
-    plus = _tails_plus_1d(xc, lat.h, s, x_lo, x_hi, thr, adj_l, adj_r)
-    # the minus part is the plus part of the mirrored geometry
-    minus = _tails_plus_1d(-xc, lat.h, s, -x_hi, -x_lo, -thr, adj_r, adj_l)
-    return plus, minus
-
-
-_GL8_CELL = _gl_nodes(8)
-
-
 def _gauss_cells(F, cx_sel, cy_sel, h: float) -> np.ndarray:
     """Tensor-Gauss cell integrals of a smooth pointwise function at the
     selected cell centers."""
-    gx, gw = _GL8_CELL
+    gx, gw = _GL8
     xs = cx_sel[:, None, None] + 0.5 * h * gx[None, :, None]
     ys = cy_sel[:, None, None] + 0.5 * h * gx[None, None, :]
     W = (gw[:, None] * gw[None, :]) * 0.25
@@ -511,13 +436,43 @@ def _cuts(a: float, c: float, b: float) -> bool:
     return a + tol < c < b - tol
 
 
+def _corner_quad(f, rect, d_corner: float, h: float, tol: float) -> float:
+    """Integral of f over rect: adaptive panels when a footprint corner
+    lies within h of it, one 8x8 Gauss panel otherwise."""
+    if d_corner < h:
+        return adaptive_rect_quad(f, rect, tol, max_panels=60_000)
+    return _panel_value(f, *rect, _GL8)
+
+
+def _strip_integrands(face: float, A: float, B: float, s: float):
+    """Pointwise integrands for the strip {y1 in [A,B], y2 >= face}: G, the
+    two quadrant corrections a spanning footprint subtracts from the
+    half-plane, and F, the strip tail of a one-sided footprint."""
+    def G(X, Y):
+        d = face - Y
+        return quadrant_fast(X - A, d, s) + quadrant_fast(B - X, d, s)
+
+    def F(X, Y):
+        return strip_fast(face - Y, A - X, B - X, s)
+
+    return G, F
+
+
+def _far_quadrant(E: float, thr: float, s: float, above: bool):
+    """Pointwise tail against the quadrant {y1 <= E} on the other side of
+    y2 = thr, for points above (or below) the threshold."""
+    if above:
+        return lambda X, Y: quadrant_fast(X - E, Y - thr, s)
+    return lambda X, Y: quadrant_fast(X - E, thr - Y, s)
+
+
 def _strip_rect_value(h: float, s: float, rect, face: float, A: float,
                       B: float, tol: float = 1e-10) -> float:
     """Exact-singular-part integral over one rect of the tail against the
     strip {y1 in [A,B], y2 >= face}; the face may touch the rect's top edge
     (only valid for s < 1/2 there).  Splits at footprint ends, integrates
     the half-plane part in closed form, and treats the bounded quadrant
-    corrections by Gauss or (near a footprint corner) adaptive panels."""
+    corrections with _corner_quad."""
     x1a, x1b, x2a, x2b = rect
     for c in (A, B):
         if _cuts(x1a, c, x1b):
@@ -525,30 +480,16 @@ def _strip_rect_value(h: float, s: float, rect, face: float, A: float,
                     + _strip_rect_value(h, s, (c, x1b, x2a, x2b), face, A, B, tol))
     gap = face - x2b
     mid = 0.5 * (x1a + x1b)
+    G, F = _strip_integrands(face, A, B, s)
     if A <= mid <= B:
         # spanning: exact half-plane part, smooth quadrant corrections
         hp = float(_hp_column_exact(x1b - x1a, np.array(gap), x2b - x2a, s))
-
-        def G(X, Y):
-            d = face - Y
-            return quadrant_fast(X - A, d, s) + quadrant_fast(B - X, d, s)
-
         d_corner = min(math.hypot(max(x1a - A, 0.0), gap) if np.isfinite(A) else np.inf,
                        math.hypot(max(B - x1b, 0.0), gap) if np.isfinite(B) else np.inf)
-        if d_corner < h:
-            q = adaptive_rect_quad(G, (x1a, x1b, x2a, x2b), tol, max_panels=60_000)
-        else:
-            q = _panel_value(G, x1a, x1b, x2a, x2b, _GL8)
-        return hp - q
-
-    def F(X, Y):
-        return strip_fast(face - Y, A - X, B - X, s)
-
+        return hp - _corner_quad(G, rect, d_corner, h, tol)
     end = A if mid < A else B
     d_corner = math.hypot(abs(mid - end) - 0.5 * (x1b - x1a), gap)
-    if d_corner < h:
-        return adaptive_rect_quad(F, (x1a, x1b, x2a, x2b), tol, max_panels=60_000)
-    return _panel_value(F, x1a, x1b, x2a, x2b, _GL8)
+    return _corner_quad(F, rect, d_corner, h, tol)
 
 
 def _strip_face_grid(h: float, s: float, CX, CY, face: float, A: float,
@@ -563,21 +504,14 @@ def _strip_face_grid(h: float, s: float, CX, CY, face: float, A: float,
     inside = (dA >= 0.0) & (dB >= 0.0)
     corner = np.minimum(np.hypot(np.maximum(dA, 0.0), gaps),
                         np.hypot(np.maximum(dB, 0.0), gaps))
+    G, F = _strip_integrands(face, A, B, s)
     bulk = mask & inside & (corner >= h)
     if np.any(bulk):
-        hp = _hp_column_exact(h, gaps[bulk], h, s)
-
-        def G(X, Y):
-            d = face - Y
-            return quadrant_fast(X - A, d, s) + quadrant_fast(B - X, d, s)
-
-        out[bulk] = hp - _gauss_cells(G, CX[bulk], CY[bulk], h)
+        out[bulk] = (_hp_column_exact(h, gaps[bulk], h, s)
+                     - _gauss_cells(G, CX[bulk], CY[bulk], h))
     one_sided = mask & ((x1b <= A) | (x1a >= B))
     far_one = one_sided & (corner >= h)
     if np.any(far_one):
-        def F(X, Y):
-            return strip_fast(face - Y, A - X, B - X, s)
-
         out[far_one] = _gauss_cells(F, CX[far_one], CY[far_one], h)
     special = mask & ~bulk & ~far_one
     for i, j in zip(*np.nonzero(special)):
@@ -586,10 +520,9 @@ def _strip_face_grid(h: float, s: float, CX, CY, face: float, A: float,
     return out
 
 
-def _strip_piece_2d(lat, s, cx, cy, vface, A, B, adj_rows, vend=None):
+def _strip_piece_2d(h, s, cx, cy, vface, A, B, adj_rows, vend=None):
     """Tails against the strip {y1 in [A,B], y2 >= vface} (optionally ended
     at vend); adj_rows flags the rows whose parent face touches the cells."""
-    h = lat.h
     CX, CY = np.broadcast_arrays(np.asarray(cx, float), np.asarray(cy, float))
     sl = np.broadcast_to(np.asarray(adj_rows, bool), CX.shape) & (s >= 0.5)
     out = np.zeros(CX.shape, dtype=float)
@@ -616,34 +549,18 @@ def _quad_rect_value(h: float, s: float, rect, E: float, thr: float,
         return (_quad_rect_value(h, s, (x1a, x1b, x2a, thr), E, thr, tol)
                 + _quad_rect_value(h, s, (x1a, x1b, thr, x2b), E, thr, tol))
     ua = x1a - E
-
     if x2a >= thr:
         # region covers the full height: exact half-plane part minus the
         # below-threshold quadrant
         hp = float(_hp_column_exact(x2b - x2a, np.array(ua), x1b - x1a, s))
-
-        def G(X, Y):
-            return quadrant_fast(X - E, Y - thr, s)
-
-        d_corner = math.hypot(ua, x2a - thr)
-        if d_corner < h:
-            q = adaptive_rect_quad(G, rect, tol, max_panels=60_000)
-        else:
-            q = _panel_value(G, x1a, x1b, x2a, x2b, _GL8)
-        return hp - q
-
-    def G(X, Y):
-        return quadrant_fast(X - E, thr - Y, s)
-
-    d_corner = math.hypot(ua, thr - x2b)
-    if d_corner < h:
-        return adaptive_rect_quad(G, rect, tol, max_panels=60_000)
-    return _panel_value(G, x1a, x1b, x2a, x2b, _GL8)
+        G = _far_quadrant(E, thr, s, above=True)
+        return hp - _corner_quad(G, rect, math.hypot(ua, x2a - thr), h, tol)
+    G = _far_quadrant(E, thr, s, above=False)
+    return _corner_quad(G, rect, math.hypot(ua, thr - x2b), h, tol)
 
 
-def _quad_piece_2d(lat, s, cx, cy, x1edge, thr, adj_cols):
+def _quad_piece_2d(h, s, cx, cy, x1edge, thr, adj_cols):
     """Tails against {y1 <= x1edge, y2 >= thr} for cells right of x1edge."""
-    h = lat.h
     CX, CY = np.broadcast_arrays(np.asarray(cx, float), np.asarray(cy, float))
     sl = np.broadcast_to(np.asarray(adj_cols, bool), CX.shape) & (s >= 0.5)
     out = np.zeros(CX.shape, dtype=float)
@@ -662,17 +579,12 @@ def _quad_piece_2d(lat, s, cx, cy, x1edge, thr, adj_cols):
     d_below = np.hypot(ua, thr - (CY + 0.5 * h))
     bulk_above = ~sl & above & (d_above >= h)
     if np.any(bulk_above):
-        hp = _hp_column_exact(h, ua[bulk_above], h, s)
-
-        def Ga(X, Y):
-            return quadrant_fast(X - x1edge, Y - thr, s)
-
-        out[bulk_above] = hp - _gauss_cells(Ga, CX[bulk_above], CY[bulk_above], h)
+        Ga = _far_quadrant(x1edge, thr, s, above=True)
+        out[bulk_above] = (_hp_column_exact(h, ua[bulk_above], h, s)
+                           - _gauss_cells(Ga, CX[bulk_above], CY[bulk_above], h))
     bulk_below = ~sl & below & (d_below >= h)
     if np.any(bulk_below):
-        def Gb(X, Y):
-            return quadrant_fast(X - x1edge, thr - Y, s)
-
+        Gb = _far_quadrant(x1edge, thr, s, above=False)
         out[bulk_below] = _gauss_cells(Gb, CX[bulk_below], CY[bulk_below], h)
     special = ~sl & ~bulk_above & ~bulk_below
     for i, j in zip(*np.nonzero(special)):
@@ -682,91 +594,82 @@ def _quad_piece_2d(lat, s, cx, cy, x1edge, thr, adj_cols):
     return out
 
 
-def _hp_interval_2d(lat, s, cx, A, B, side, adj_cols):
+def _hp_interval_2d(h, s, cx, A, B, side, adj_cols):
     """Tails against the full-height slab {y1 in [A,B]} on one side."""
-    vals = _interval_tail_1d(cx.ravel(), lat.h, s, A, B, side,
+    vals = _interval_tail_1d(cx.ravel(), h, s, A, B, side,
                              (adj_cols & (s >= 0.5)).ravel())
-    return lat.h * _b_full(s) * vals.reshape(cx.shape)
+    return h * _b_full(s) * vals.reshape(cx.shape)
 
 
-def _grid_2d(lat: Lattice):
-    cx = lat.axis_centers(0)[:, None]
-    cy = lat.axis_centers(1)[None, :]
-    n0, n1 = lat.shape
-    adj = {
-        "left": (np.arange(n0) == 0)[:, None],
-        "right": (np.arange(n0) == n0 - 1)[:, None],
-        "bottom": (np.arange(n1) == 0)[None, :],
-        "top": (np.arange(n1) == n1 - 1)[None, :],
-    }
-    return cx, cy, adj
+def _frame(lat: Lattice):
+    """Per-axis cell centers (shaped to broadcast over the grid), box
+    (lo, hi) and (first, last) masks of the cells that touch a box face."""
+    lo, hi = lat.box_bounds()
+    centers, bounds, adj = [], [], []
+    for axis, n in enumerate(lat.shape):
+        shape = [1] * lat.dim
+        shape[axis] = n
+        idx = np.arange(n).reshape(shape)
+        centers.append(lat.axis_centers(axis).reshape(shape))
+        bounds.append((lo[axis], hi[axis]))
+        adj.append((idx == 0, idx == n - 1))
+    return centers, bounds, adj
 
 
-def cell_tails_2d(lat: Lattice, s: float) -> np.ndarray:
-    (X0, Y0), (X1, Y1) = lat.box_bounds()
-    cx, cy, adj = _grid_2d(lat)
-    total = _hp_interval_2d(lat, s, cx, -np.inf, X0, "left", adj["left"])
-    total = total + _hp_interval_2d(lat, s, cx, X1, np.inf, "right", adj["right"])
-    total = total + _strip_piece_2d(lat, s, cx, cy, Y1, X0, X1, adj["top"])
-    total = total + _strip_piece_2d(lat, s, cx, -cy, -Y0, X0, X1, adj["bottom"])
-    return total
+def _mirror(frame, axis: int):
+    """The frame reflected through 0 along axis."""
+    centers, bounds, adj = (list(part) for part in frame)
+    centers[axis] = -centers[axis]
+    bounds[axis] = (-bounds[axis][1], -bounds[axis][0])
+    adj[axis] = adj[axis][::-1]
+    return centers, bounds, adj
 
 
-def _halfspace_plus_2d(lat, s, cx, cy, bounds, axis, thr, adj):
-    """Tails against complement-of-box intersected with {y[axis] >= thr}."""
-    X0, X1, Y0, Y1 = bounds
-    if axis == 0:
-        out = _hp_interval_2d(lat, s, cx, max(X1, thr), np.inf, "right",
-                              adj["right"])
+def _tails_plus(h: float, s: float, frame, axis: int, thr: float):
+    """Tails against the box complement intersected with {y[axis] >= thr};
+    thr = -inf gives the whole complement."""
+    if len(frame[0]) == 1:
+        (xc,), ((X0, X1),), ((left, right),) = frame
+        out = _interval_tail_1d(xc, h, s, max(X1, thr), np.inf, "right",
+                                right & (s >= 0.5))
         if thr < X0:
-            out = out + _hp_interval_2d(lat, s, cx, thr, X0, "left", adj["left"])
+            out = out + _interval_tail_1d(xc, h, s, thr, X0, "left",
+                                          left & (s >= 0.5))
+        return out
+    (cx, cy), ((X0, X1), (Y0, Y1)), ((left, right), (bottom, top)) = frame
+    if axis == 0:
+        out = _hp_interval_2d(h, s, cx, max(X1, thr), np.inf, "right", right)
+        if thr < X0:
+            out = out + _hp_interval_2d(h, s, cx, thr, X0, "left", left)
         if thr < X1:
             A = max(X0, thr)
-            out = out + _strip_piece_2d(lat, s, cx, cy, Y1, A, X1, adj["top"])
-            out = out + _strip_piece_2d(lat, s, cx, -cy, -Y0, A, X1, adj["bottom"])
+            out = out + _strip_piece_2d(h, s, cx, cy, Y1, A, X1, top)
+            out = out + _strip_piece_2d(h, s, cx, -cy, -Y0, A, X1, bottom)
         return out
     # axis == 1: threshold cuts the strip direction
-    out = _strip_piece_2d(lat, s, cx, cy, max(Y1, thr), X0, X1, adj["top"])
+    out = _strip_piece_2d(h, s, cx, cy, max(Y1, thr), X0, X1, top)
     if thr < Y0:
-        out = out + _strip_piece_2d(lat, s, cx, -cy, -Y0, X0, X1, adj["bottom"],
-                                    vend=-thr)
-    out = out + _quad_piece_2d(lat, s, cx, cy, X0, thr, adj["left"])
-    out = out + _quad_piece_2d(lat, s, -cx, cy, -X1, thr, adj["right"])
+        out = out + _strip_piece_2d(h, s, cx, -cy, -Y0, X0, X1, bottom, vend=-thr)
+    out = out + _quad_piece_2d(h, s, cx, cy, X0, thr, left)
+    out = out + _quad_piece_2d(h, s, -cx, cy, -X1, thr, right)
     return out
-
-
-def cell_tails_2d_halfspace(lat: Lattice, s: float, axis: int, thr: float):
-    (X0, Y0), (X1, Y1) = lat.box_bounds()
-    cx, cy, adj = _grid_2d(lat)
-    plus = _halfspace_plus_2d(lat, s, cx, cy, (X0, X1, Y0, Y1), axis, thr, adj)
-    # mirror the split axis; the minus part is the mirrored plus part
-    if axis == 0:
-        madj = dict(adj, left=adj["right"], right=adj["left"])
-        minus = _halfspace_plus_2d(lat, s, -cx, cy, (-X1, -X0, Y0, Y1),
-                                   axis, -thr, madj)
-    else:
-        madj = dict(adj, top=adj["bottom"], bottom=adj["top"])
-        minus = _halfspace_plus_2d(lat, s, cx, -cy, (X0, X1, -Y1, -Y0),
-                                   axis, -thr, madj)
-    plus = np.broadcast_to(plus, lat.shape).copy()
-    minus = np.broadcast_to(minus, lat.shape).copy()
-    return plus, minus
 
 
 def cell_tail_weights(lat: Lattice, s: float) -> np.ndarray:
     """Per-cell tail weight against the whole box complement."""
-    if lat.dim == 1:
-        return cell_tails_1d(lat, s)
-    return cell_tails_2d(lat, s)
+    return _tails_plus(lat.h, s, _frame(lat), 0, -np.inf)
 
 
 def cell_tail_halfspace(lat: Lattice, s: float, axis: int, thr: float):
-    """(plus, minus) tail weights split by the halfspace {y[axis] >= thr}."""
-    if lat.dim == 1:
-        if axis != 0:
-            raise ValueError("1D halfspace axis must be 0")
-        return cell_tails_1d_halfspace(lat, s, thr)
-    return cell_tails_2d_halfspace(lat, s, axis, thr)
+    """(plus, minus) tail weights split by the halfspace {y[axis] >= thr},
+    each broadcastable to the lattice shape."""
+    if not 0 <= axis < lat.dim:
+        raise ValueError(f"{lat.dim}D halfspace axis must lie in "
+                         f"[0, {lat.dim}), got {axis}")
+    frame = _frame(lat)
+    # the minus part is the plus part of the geometry mirrored along axis
+    return (_tails_plus(lat.h, s, frame, axis, thr),
+            _tails_plus(lat.h, s, _mirror(frame, axis), axis, -thr))
 
 
 # ---------------------------------------------------------------------------
@@ -787,15 +690,10 @@ def _canonical_offsets(dim: int, near_radius: int):
 
 
 def _near_weight(dim: int, h: float, s: float, canon, quad_tol: float) -> float:
-    if dim == 1:
-        d = canon[0]
-        if d == 1 and s >= 0.5:
-            return pair_weight_collocation(1, h, s, canon)
-        return _pair_exact_1d(h, s, d)
-    d1, d2 = canon
-    if (d1, d2) == (0, 1) and s >= 0.5:
-        return pair_weight_collocation(2, h, s, canon)
-    return _pair_exact_2d(h, s, d1, d2, quad_tol)
+    """Exact pair weight; collocation where the touching integral diverges."""
+    if sum(canon) == 1 and s >= 0.5:
+        return pair_weight_collocation(dim, h, s, canon)
+    return pair_weight_exact(dim, h, s, canon, quad_tol)
 
 
 @dataclass(eq=False)
@@ -939,6 +837,14 @@ def _dense_table(dim: int, h: float, s: float, near_radius: int, near: dict,
     return arr
 
 
+def _with_table(lattice: Lattice, s: float, near_radius: int, quad_tol: float,
+                near: dict) -> KernelTable:
+    table = _dense_table(lattice.dim, lattice.h, s, near_radius, near,
+                         lattice.shape)
+    return KernelTable(lattice=lattice, s=s, near_radius=near_radius,
+                       quad_tol=quad_tol, near=near, table=table)
+
+
 def build_kernel(lattice: Lattice, s: float, near_radius: int = 4,
                  quad_tol: float = 1e-6, cache_dir=None) -> KernelTable:
     """Compute (or load from cache) the weight table for a lattice."""
@@ -947,24 +853,16 @@ def build_kernel(lattice: Lattice, s: float, near_radius: int = 4,
         raise ValueError(f"near_radius must be >= 2, got {near_radius}")
     if not quad_tol > 0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
-
-    near = None
     if cache_dir is not None:
-        path = kernel_cache_path(cache_dir, lattice.dim, lattice.h, s,
-                                 near_radius, quad_tol)
-        near = _load_near(path, lattice.dim, lattice.h, s, near_radius, quad_tol)
-    if near is None:
-        near = {}
-        for canon in _canonical_offsets(lattice.dim, near_radius):
-            near[canon] = _near_weight(lattice.dim, lattice.h, s, canon, quad_tol)
-        if cache_dir is not None:
-            save_kernel_near(cache_dir, lattice.dim, lattice.h, s, near_radius,
-                             quad_tol, near)
-
-    table = _dense_table(lattice.dim, lattice.h, s, near_radius, near,
-                         lattice.shape)
-    return KernelTable(lattice=lattice, s=s, near_radius=near_radius,
-                       quad_tol=quad_tol, near=near, table=table)
+        kern = load_kernel(cache_dir, lattice, s, near_radius, quad_tol)
+        if kern is not None:
+            return kern
+    near = {canon: _near_weight(lattice.dim, lattice.h, s, canon, quad_tol)
+            for canon in _canonical_offsets(lattice.dim, near_radius)}
+    kern = _with_table(lattice, s, near_radius, quad_tol, near)
+    if cache_dir is not None:
+        save_kernel(cache_dir, kern)
+    return kern
 
 
 # ---------------------------------------------------------------------------
@@ -978,20 +876,22 @@ def kernel_cache_path(cache_dir, dim: int, h: float, s: float,
     return os.path.join(cache_dir, f"kernel_{tag}.npz")
 
 
-def save_kernel_near(cache_dir, dim, h, s, near_radius, quad_tol, near) -> str:
-    """Write the near weights atomically: readers see the old file or the
-    complete new one, never a partial write."""
+def save_kernel(cache_dir, kern: KernelTable) -> str:
+    """Persist a built table's near weights atomically: readers see the old
+    file or the complete new one, never a partial write."""
     os.makedirs(cache_dir, exist_ok=True)
-    path = kernel_cache_path(cache_dir, dim, h, s, near_radius, quad_tol)
-    offsets = np.array(sorted(near.keys()))
-    weights = np.array([near[tuple(o)] for o in offsets])
+    dim, h = kern.lattice.dim, kern.lattice.h
+    path = kernel_cache_path(cache_dir, dim, h, kern.s, kern.near_radius, kern.quad_tol)
+    offsets = np.array(sorted(kern.near.keys()))
+    weights = np.array([kern.near[tuple(o)] for o in offsets])
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel_", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh,
                      format_version=np.array(CACHE_FORMAT_VERSION),
-                     dim=np.array(dim), h=np.array(h), s=np.array(s),
-                     near_radius=np.array(near_radius), quad_tol=np.array(quad_tol),
+                     dim=np.array(dim), h=np.array(h), s=np.array(kern.s),
+                     near_radius=np.array(kern.near_radius),
+                     quad_tol=np.array(kern.quad_tol),
                      offsets=offsets, weights=weights)
         os.replace(tmp, path)
     except BaseException:
@@ -1018,12 +918,6 @@ def _load_near(path, dim, h, s, near_radius, quad_tol) -> dict | None:
     return {tuple(int(v) for v in o): float(w) for o, w in zip(offsets, weights)}
 
 
-def save_kernel(cache_dir, kern: KernelTable) -> str:
-    """Persist a built table's near weights."""
-    return save_kernel_near(cache_dir, kern.lattice.dim, kern.lattice.h,
-                            kern.s, kern.near_radius, kern.quad_tol, kern.near)
-
-
 def load_kernel(cache_dir, lattice: Lattice, s: float, near_radius: int = 4,
                 quad_tol: float = 1e-6) -> KernelTable | None:
     """Load a cached table for this lattice, or None on miss/mismatch."""
@@ -1032,7 +926,4 @@ def load_kernel(cache_dir, lattice: Lattice, s: float, near_radius: int = 4,
     near = _load_near(path, lattice.dim, lattice.h, s, near_radius, quad_tol)
     if near is None:
         return None
-    table = _dense_table(lattice.dim, lattice.h, s, near_radius, near,
-                         lattice.shape)
-    return KernelTable(lattice=lattice, s=s, near_radius=near_radius,
-                       quad_tol=quad_tol, near=near, table=table)
+    return _with_table(lattice, s, near_radius, quad_tol, near)

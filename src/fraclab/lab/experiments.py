@@ -98,14 +98,10 @@ def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
     )
 
 
-def _cache_dir(cfg: ExperimentConfig):
-    return cfg.cache_dir or None
-
-
-def _build_kernel(cfg: ExperimentConfig, lat: Lattice):
+def _build_kernel(cfg: ExperimentConfig, lat: Lattice, s: float):
     return build_kernel(
-        lat, cfg.s, near_radius=cfg.near_radius, quad_tol=cfg.quad_tol,
-        cache_dir=_cache_dir(cfg),
+        lat, s, near_radius=cfg.near_radius, quad_tol=cfg.quad_tol,
+        cache_dir=cfg.cache_dir or None,
     )
 
 
@@ -165,7 +161,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
 
     def solve(radius: float):
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, radius + 2.0)
-        kern = _build_kernel(cfg, lat)
+        kern = _build_kernel(cfg, lat, cfg.s)
         omega = ball_mask(lat, 0.0, radius + 2.0)
         res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
                               omega, mcfg)
@@ -283,7 +279,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     r_max = cfg.radii[-1]
     lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, r_max + 2.0)
-    kern = _build_kernel(cfg, lat)
+    kern = _build_kernel(cfg, lat, cfg.s)
     pot = _potential(cfg)
     ext = _exterior(cfg)
     res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
@@ -416,7 +412,7 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     def solve(eps: float):
         box_r = cfg.levelset_radius / eps
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, box_r + 2.0)
-        kern = _build_kernel(cfg, lat)
+        kern = _build_kernel(cfg, lat, cfg.s)
         res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
                               None, mcfg)
         band = (np.abs(res.field.values) <= cfg.levelset_theta) \
@@ -532,9 +528,7 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     minima: dict[str, float] = {}
     kernels = {}
     for s in s_values:
-        kern = build_kernel(lat, s, near_radius=cfg.near_radius,
-                            quad_tol=cfg.quad_tol, cache_dir=_cache_dir(cfg))
-        kern.table_for_extents(lat.shape)  # warm before sharing across threads
+        kern = _build_kernel(cfg, lat, s)
         kernels[s] = kern
 
         def case_rows(item, s=s, kern=kern):
@@ -569,10 +563,7 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
                 "refinement-stable", True, "no exponent below 1/2 to refine"))
         else:
             fine = _refine_lattice(lat)
-            fkern = build_kernel(fine, refine_s, near_radius=cfg.near_radius,
-                                 quad_tol=cfg.quad_tol,
-                                 cache_dir=_cache_dir(cfg))
-            fkern.table_for_extents(fine.shape)
+            fkern = _build_kernel(cfg, fine, refine_s)
             probe = cfg.c_probes[len(cfg.c_probes) // 2]
 
             def refined_dev(item):
@@ -641,9 +632,7 @@ def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     center = np.full(cfg.dim, cfg.sobolev_center)
     lat = Lattice.covering_ball(cfg.dim, cfg.h, center, cfg.sobolev_extent)
-    kern = build_kernel(lat, cfg.s, near_radius=cfg.near_radius,
-                        quad_tol=cfg.quad_tol, cache_dir=_cache_dir(cfg))
-    kern.table_for_extents(lat.shape)
+    kern = _build_kernel(cfg, lat, cfg.s)
 
     ball = ball_mask(lat, center, cfg.sobolev_radius)
     x_idx = tuple(int(v) for v in lat.point_to_index(center))

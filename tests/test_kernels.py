@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,20 @@ def test_pair_2d_matches_brute_force(key):
     got = pair_weight_exact(2, 1.0, s, off, tol=1e-9)
     rel = 5e-8 if off == (0, 1) else 1e-12
     assert got == pytest.approx(PAIR_2D[key], rel=rel)
+
+
+def test_pair_2d_edge_touching_closed_half_matches_brute_force():
+    got = pair_weight_exact(2, 1.0, 0.25, (0, 1), tol=1e-9)
+    assert got == pytest.approx(PAIR_2D[(0.25, (0, 1))], rel=1e-12)
+
+
+def test_pair_2d_edge_touching_just_below_half():
+    # the singular half is closed-form, so the panel quadrature that is
+    # left converges without reaching max_panels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pair_weight_exact(2, 0.7, 0.45, (0, 1))
+    assert got == pytest.approx(13.090341733874, rel=1e-9)
 
 
 def test_pair_2d_offset_canonicalization():
@@ -229,10 +244,24 @@ def test_tail_primitives_match_brute_force():
         assert K.quadrant_fast(1.0, 2.0, s) == pytest.approx(ref, rel=1e-9)
         assert K.quadrant_fast(2.0, 1.0, s) == pytest.approx(ref, rel=1e-9)
     for s, ref in STRIP_073.items():
-        assert K.strip_tail(0.7, -0.3, 1.1, s) == pytest.approx(ref, rel=1e-9)
         assert K.strip_fast(0.7, -0.3, 1.1, s) == pytest.approx(ref, rel=1e-9)
     for s, ref in BFULL.items():
         assert K._b_full(s) == pytest.approx(ref, rel=1e-14)
+
+
+def _point_tail_2d(cx, cy, s, bounds):
+    """Per-point integral of the kernel over the complement of the box
+    [X0,X1]x[Y0,Y1] from the Gauss-Jacobi quadrant; (cx, cy) strictly
+    inside."""
+    X0, X1, Y0, Y1 = bounds
+    cx, cy = np.broadcast_arrays(np.asarray(cx, float), np.asarray(cy, float))
+    dL, dR = cx - X0, X1 - cx
+    dB, dT = cy - Y0, Y1 - cy
+    total = K.halfplane_tail(dL, s) + K.halfplane_tail(dR, s)
+    for d in (dT, dB):
+        total = total + (K.halfplane_tail(d, s)
+                         - K.quadrant_tail(dL, d, s) - K.quadrant_tail(dR, d, s))
+    return total
 
 
 def test_tail_2d_interior_cell_against_quadrature():
@@ -241,7 +270,7 @@ def test_tail_2d_interior_cell_against_quadrature():
     for s in (0.25, 0.75):
         tails = build_kernel(lat, s).tail_weights
         ref = K.adaptive_rect_quad(
-            lambda X, Y: K.point_tail_2d(X, Y, s, bounds),
+            lambda X, Y: _point_tail_2d(X, Y, s, bounds),
             (1.0, 2.0, 1.0, 2.0), 1e-10, max_panels=40_000)
         assert tails[1, 1] == pytest.approx(ref, rel=1e-9)
 
@@ -297,6 +326,12 @@ def test_tail_halfspace_axis_validation():
     lat = Lattice(1, 1.0, (0,), (4,))
     with pytest.raises(ValueError, match="axis"):
         K.cell_tail_halfspace(lat, 0.5, 1, 0.0)
+
+
+def test_tail_halfspace_axis_validation_2d():
+    lat = Lattice(2, 1.0, (0, 0), (3, 3))
+    with pytest.raises(ValueError, match="axis"):
+        K.cell_tail_halfspace(lat, 0.5, 2, 0.0)
 
 
 def test_kernel_table_tail_memoization(kern2d):
@@ -364,6 +399,20 @@ def test_cache_corrupt_file_is_a_miss(tmp_path):
     assert os.listdir(tmp_path) == [os.path.basename(path)]
 
 
+def test_cache_hit_computes_no_near_weight(tmp_path, monkeypatch):
+    lat = Lattice(2, 1.0, (0, 0), (5, 4))
+    build_kernel(lat, 0.25, near_radius=2, cache_dir=tmp_path)
+
+    def no_weight(*args):
+        raise AssertionError("near weight computed on a cache hit")
+
+    monkeypatch.setattr(K, "_near_weight", no_weight)
+    hit = build_kernel(lat, 0.25, near_radius=2, cache_dir=tmp_path)
+    ref = load_kernel(tmp_path, lat, 0.25, near_radius=2)
+    assert hit.near == ref.near  # bitwise equal floats
+    assert hit.table.tobytes() == ref.table.tobytes()
+
+
 # ------------------------------------------------------------- misc
 
 
@@ -400,3 +449,13 @@ def test_tails_finite_when_box_bound_misses_cell_edge_by_an_ulp():
     assert np.all(np.isfinite(tails))
     assert tails[0, 0] == tails[-1, -1] == tails[0, -1] == tails[-1, 0]
     assert tails[0, 0] > tails[0, 1]
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_tails_near_ulp_box_bound_warn_nothing(s):
+    # a gap one ulp below zero is discarded without an invalid-value warning
+    lat = Lattice.covering_ball(2, 0.4, 0.0, 6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tails = build_kernel(lat, s).tail_weights
+    assert np.all(np.isfinite(tails))

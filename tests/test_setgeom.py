@@ -173,7 +173,7 @@ def test_gmt_empty_b_subhalf(kern2):
     assert rep.regime == "small_b" and rep.s_branch == "subhalf"
     assert not rep.b_floored
     assert rep.bound == pytest.approx(64.0 ** 0.75, rel=1e-12)
-    assert rep.ratio == pytest.approx(27.15996055834501, rel=1e-9)
+    assert rep.ratio == pytest.approx(27.15996153238592, rel=1e-9)
     assert rep.ratio > 0.0
     blob = rep.to_json()
     assert blob["measure_a"] == 64.0 and blob["measure_d"] == 960.0
