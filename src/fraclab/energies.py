@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
 
-from .kernels import KernelTable, stable_sum
+from .kernels import KernelTable, fftconvolve, stable_sum
 from .lattice import (
     CellSet,
     ConstantExterior,
@@ -48,15 +47,6 @@ __all__ = [
     "frac_laplacian",
     "energy_report",
 ]
-
-
-def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
-    """Full linear convolution of x with the table whose rfftn at fshape is
-    ``spec`` (see ``KernelTable.spectrum``), zero-padded to fshape.
-
-    Every raw in-box convolution goes through this function.
-    """
-    return irfftn(rfftn(x, fshape) * spec, fshape)
 
 
 def _check_enclosing(inner: Lattice, outer: Lattice) -> None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len, rfftn
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.special import betainc, hyp2f1, roots_jacobi
 
 from .lattice import Lattice
@@ -74,6 +74,15 @@ CACHE_FORMAT_VERSION = 1
 def stable_sum(arr) -> float:
     """Compensated sum in fixed C order; bit-reproducible across runs."""
     return math.fsum(np.asarray(arr, dtype=float).ravel(order="C"))
+
+
+def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
+    """Full linear convolution of x with the array whose rfftn at fshape is
+    ``spec`` (see ``KernelTable.spectrum``), zero-padded to fshape.
+
+    Every raw in-box convolution goes through this function.
+    """
+    return irfftn(rfftn(x, fshape) * spec, fshape)
 
 
 def _check_s(s: float) -> float:
@@ -549,7 +558,7 @@ def _quad_rect_value(h: float, s: float, rect, E: float, thr: float,
         return (_quad_rect_value(h, s, (x1a, x1b, x2a, thr), E, thr, tol)
                 + _quad_rect_value(h, s, (x1a, x1b, thr, x2b), E, thr, tol))
     ua = x1a - E
-    if x2a >= thr:
+    if 0.5 * (x2a + x2b) >= thr:
         # region covers the full height: exact half-plane part minus the
         # below-threshold quadrant
         hp = float(_hp_column_exact(x2b - x2a, np.array(ua), x1b - x1a, s))

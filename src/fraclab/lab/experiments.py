@@ -606,17 +606,13 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _sharp_constant(kern, cells: CellSet) -> tuple[float, tuple]:
-    """Smallest per-cell constant over the set and its attaining cell."""
+    """Smallest per-cell constant over the set and its first attaining cell."""
     lat = cells.lattice
-    best = math.inf
-    best_idx: tuple = ()
-    for pos in np.argwhere(cells.members):
-        idx = tuple(int(pos[a]) + lat.lo[a] for a in range(lat.dim))
-        c = setgeom.sobolev_set_bound(kern, cells, idx).constant
-        if c < best:
-            best = c
-            best_idx = idx
-    return best, best_idx
+    pos = np.argwhere(cells.members)
+    lhs = setgeom._complement_mass(kern, cells, pos) / lat.cell_volume
+    consts = lhs * cells.measure ** (2.0 * kern.s / lat.dim)
+    i = int(np.argmin(consts))
+    return float(consts[i]), tuple(int(pos[i, a]) + lat.lo[a] for a in range(lat.dim))
 
 
 def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:

@@ -3,8 +3,11 @@
 Kernel mass between disjoint sets, axis projections with the
 Loomis-Whitney inequality, interaction lower-bound regime checks (global
 and cube-localized), the complement-integral bound for sets, and the
-regime scale factor ell.  Pair sums gather exact table weights and reduce
-with compensated summation, so values do not depend on iteration order.
+regime scale factor ell.  A pair sum needs only how many pairs share each
+index offset: the cross-correlation of the two indicators, one FFT
+convolution rounded to exact integers.  Exact count-times-weight products
+reduce with compensated summation, so each sum is the correctly rounded
+sum of its pair weights, whatever the order of the sets.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len, rfftn
 
-from .kernels import KernelTable, stable_sum
+from .kernels import KernelTable, fftconvolve, stable_sum
 from .lattice import CellSet, Lattice
 
 __all__ = [
@@ -35,8 +39,6 @@ __all__ = [
     "random_equal_count_set",
 ]
 
-_BATCH = 512  # source cells per gather, caps the pair-matrix footprint
-
 
 def _check_kernel_lattice(kern: KernelTable, cells: CellSet) -> None:
     if cells.lattice != kern.lattice:
@@ -44,22 +46,30 @@ def _check_kernel_lattice(kern: KernelTable, cells: CellSet) -> None:
 
 
 def _pair_mass(kern: KernelTable, A: CellSet, D: CellSet) -> float:
-    """Sum of pair weights between two in-box sets, compensated."""
-    table = kern.table_for_extents(A.lattice.shape)
-    ia = np.argwhere(A.members)
-    jd = np.argwhere(D.members)
-    if ia.size == 0 or jd.size == 0:
+    """Sum of pair weights between two in-box sets, from offset counts.
+
+    N[k] = #{(i, j) in A x D : i - j + n - 1 = k}, the full convolution of
+    1_A with 1_D reversed, shares its index with the offset table.  Each
+    weight splits into halves of at most 26 significant bits, so while
+    N < 2^27 both count-times-half products are exact.
+    """
+    if A.count == 0 or D.count == 0:
         return 0.0
-    center = np.array(A.lattice.shape) - 1
-    parts = []
-    for k in range(0, len(ia), _BATCH):
-        block = ia[k : k + _BATCH]
-        off = block[:, None, :] - jd[None, :, :] + center
-        if A.lattice.dim == 1:
-            parts.append(table[off[..., 0]])
-        else:
-            parts.append(table[off[..., 0], off[..., 1]])
-    return stable_sum(np.concatenate([p.ravel() for p in parts]))
+    shape = A.lattice.shape
+    fshape = tuple(next_fast_len(2 * n - 1, True) for n in shape)
+    spec = rfftn(np.flip(D.members).astype(float), fshape)
+    raw = fftconvolve(A.members.astype(float), spec, fshape)
+    raw = raw[tuple(slice(0, 2 * n - 1) for n in shape)]
+    counts = np.rint(raw)
+    if (np.max(np.abs(raw - counts)) >= 0.25 or counts.sum() != A.count * D.count
+            or counts.max() >= 2.0**27):
+        raise FloatingPointError("offset histogram is not an exact pair count")
+    hit = counts > 0
+    n = counts[hit]
+    w = kern.table_for_extents(shape)[hit]
+    c = 134217729.0 * w  # Veltkamp split w = hi + (w - hi)
+    hi = c - (c - w)
+    return math.fsum(np.concatenate([n * hi, n * (w - hi)]).tolist())
 
 
 def L_interaction(kern: KernelTable, A: CellSet, D: CellSet) -> float:
@@ -368,6 +378,20 @@ def _cell_position(lattice: Lattice, x) -> tuple:
     return pos
 
 
+def _complement_mass(kern: KernelTable, E: CellSet, positions: np.ndarray) -> np.ndarray:
+    """Kernel mass from each cell at ``positions`` (box indices, one row per
+    cell) against everything outside E, in the box and beyond it."""
+    _check_kernel_lattice(kern, E)
+    if E.count == 0:
+        raise ValueError("E must have positive measure")
+    shape = E.lattice.shape
+    off = (positions[:, None, :] - np.argwhere(~E.members)[None, :, :]
+           + (np.array(shape) - 1))
+    vals = kern.table_for_extents(shape)[tuple(np.moveaxis(off, -1, 0))]
+    inbox = np.array([math.fsum(row) for row in vals.tolist()], dtype=float)
+    return inbox + kern.tail_weights[tuple(positions.T)]
+
+
 def sobolev_set_bound(kern: KernelTable, E: CellSet, x) -> SobolevReport:
     """Complement integral of the kernel seen from one cell.
 
@@ -377,23 +401,8 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x) -> SobolevReport:
     divided out.  The reported constant lhs * |E|^(2s/n) is the empirical
     version of the complement integral bound.
     """
-    _check_kernel_lattice(kern, E)
-    if E.count == 0:
-        raise ValueError("E must have positive measure")
-    pos = _cell_position(E.lattice, x)
-    table = kern.table_for_extents(E.lattice.shape)
-    center = np.array(E.lattice.shape) - 1
-    jd = np.argwhere(~E.members)
-    if jd.size:
-        off = np.asarray(pos) - jd + center
-        if E.lattice.dim == 1:
-            vals = table[off[:, 0]]
-        else:
-            vals = table[off[:, 0], off[:, 1]]
-        mass = stable_sum(vals) + float(kern.tail_weights[pos])
-    else:
-        mass = float(kern.tail_weights[pos])
-    lhs = mass / E.lattice.cell_volume
+    pos = np.array([_cell_position(E.lattice, x)])
+    lhs = float(_complement_mass(kern, E, pos)[0]) / E.lattice.cell_volume
     n = E.lattice.dim
     constant = lhs * E.measure ** (2.0 * kern.s / n)
     return SobolevReport(lhs=lhs, constant=constant, measure_e=E.measure)
@@ -410,11 +419,7 @@ def sobolev_integrated(kern: KernelTable, E: CellSet, F: CellSet) -> SobolevRepo
     if F.count == 0:
         raise ValueError("F must have positive measure")
     cell = F.lattice.cell_volume
-    parts = [
-        sobolev_set_bound(kern, E, tuple(idx + np.array(F.lattice.lo))).lhs
-        for idx in np.argwhere(F.members)
-    ]
-    lhs = stable_sum(parts) * cell
+    lhs = stable_sum(_complement_mass(kern, E, np.argwhere(F.members)) / cell) * cell
     n = E.lattice.dim
     constant = lhs * E.measure ** (2.0 * kern.s / n) / F.measure
     return SobolevReport(lhs=lhs, constant=constant, measure_e=E.measure)

@@ -452,6 +452,20 @@ def test_tails_finite_when_box_bound_misses_cell_edge_by_an_ulp():
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_halfspace_split_on_ulp_box_face_sums_to_total(s):
+    # the bottom row's lower edge lies an ulp below -6: no split is made
+    # there, and the row must still count as above the threshold
+    lat = Lattice.covering_ball(2, 0.4, 0.0, 6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kern = build_kernel(lat, s)
+        total = kern.tail_weights
+        for thr in (-6.0, 6.0):
+            plus, minus = kern.tail_halfspace(1, thr)
+            assert np.max(np.abs(plus + minus - total) / total) < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_tails_near_ulp_box_bound_warn_nothing(s):
     # a gap one ulp below zero is discarded without an invalid-value warning
     lat = Lattice.covering_ball(2, 0.4, 0.0, 6.0)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fraclab
+from fraclab import setgeom
 from fraclab.kernels import build_kernel, stable_sum
+from fraclab.lab.experiments import _sharp_constant
 from fraclab.lattice import CellSet, Lattice, ball_mask
 from fraclab.setgeom import (
     L_interaction,
@@ -44,7 +50,79 @@ def qkern50():
     return build_kernel(QLAT, 0.5)
 
 
+def _gather_pair_mass(kern, A, D):
+    """Oracle: gather every one of the |A| |D| pair weights and fsum them."""
+    table = kern.table_for_extents(A.lattice.shape)
+    ia = np.argwhere(A.members)
+    jd = np.argwhere(D.members)
+    if ia.size == 0 or jd.size == 0:
+        return 0.0
+    center = np.array(A.lattice.shape) - 1
+    parts = []
+    for k in range(0, len(ia), 512):  # caps the pair-matrix footprint
+        off = ia[k : k + 512, None, :] - jd[None, :, :] + center
+        parts.append(table[tuple(np.moveaxis(off, -1, 0))].ravel())
+    return stable_sum(np.concatenate(parts))
+
+
+def _histogram_cases():
+    """Seeded (lattice, A, D) pairs: D the complement of A and a small B,
+    or a random set disjoint from A; 1D, 2D, and one refined 64x64 pair."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for lat in (Lattice(1, 0.5, (-20,), (17,)), Lattice(2, 1.0, (0, 0), (32, 32))):
+        for _ in range(3):
+            A, B = random_disjoint_pair(lat, rng, 0.05)
+            cases.append((lat, A, A.union(B).complement()))
+            cases.append((lat, A, random_cellset(lat, rng).difference(A)))
+    fine = Lattice(2, 0.5, (0, 0), (64, 64))
+    A, B = random_disjoint_pair(Lattice(2, 1.0, (0, 0), (32, 32)), rng, 0.02)
+    up = [np.repeat(np.repeat(m.members, 2, 0), 2, 1) for m in (A, B)]
+    A = CellSet(fine, up[0])
+    cases.append((fine, A, A.union(CellSet(fine, up[1])).complement()))
+    return cases
+
+
 # -- interaction mass ------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_histogram_pair_mass_matches_gather(s):
+    # exact counts times split weights: the same correctly rounded sum
+    cases = _histogram_cases()
+    kernels = {lat: build_kernel(lat, s) for lat, _, _ in cases}
+    for lat, A, D in cases:
+        kern = kernels[lat]
+        assert A.count > 0 and D.count > 0 and A.disjoint(D)
+        got = L_interaction(kern, A, D)
+        assert got == _gather_pair_mass(kern, A, D)
+        assert got == L_interaction(kern, D, A)
+
+
+def test_histogram_empty_set_is_zero(kern2):
+    A = CellSet.from_indices(LAT2, [(3, 4), (10, 2)])
+    empty = CellSet.empty(LAT2)
+    assert setgeom._pair_mass(kern2, A, empty) == 0.0
+    assert setgeom._pair_mass(kern2, empty, A) == 0.0
+
+
+def test_histogram_integrality_guard(kern2, monkeypatch):
+    A = CellSet.from_indices(LAT2, [(3, 4), (10, 2)])
+    D = CellSet.from_indices(LAT2, [(20, 20), (0, 31)])
+    conv = setgeom.fftconvolve
+    monkeypatch.setattr(setgeom, "fftconvolve", lambda *a: conv(*a) + 0.3)
+    with pytest.raises(FloatingPointError, match="pair count"):
+        L_interaction(kern2, A, D)
+
+
+def test_importing_setgeom_skips_scipy_signal():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
+    code = ("import sys, fraclab.setgeom; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_pair_cells_match_closed_form(kern1):
@@ -347,6 +425,21 @@ def test_sobolev_ball_beats_random_sets(sob):
             c = sobolev_set_bound(kern, S, (int(i) + lat.lo[0],)).constant
             best = min(best, c)
     assert ball_const <= 1.05 * best
+
+
+def test_sharp_constant_matches_per_cell_loop(sob):
+    # first minimal cell in C order, as a loop over single-cell bounds finds it
+    lat, kern = sob
+    rng = np.random.default_rng(5)
+    for S in [ball_mask(lat, (0.2,), 1.0)] + [
+            random_equal_count_set(lat, rng, 6) for _ in range(10)]:
+        best, best_idx = math.inf, ()
+        for i in np.argwhere(S.members)[:, 0]:
+            idx = (int(i) + lat.lo[0],)
+            c = sobolev_set_bound(kern, S, idx).constant
+            if c < best:
+                best, best_idx = c, idx
+        assert _sharp_constant(kern, S) == (best, best_idx)
 
 
 def test_sobolev_errors(sob):
