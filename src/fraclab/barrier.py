@@ -14,7 +14,6 @@ value integrals place quadrature breakpoints there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,33 +22,20 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .lattice import Lattice
-
 __all__ = [
     "R_MIN",
     "BarrierSpec",
     "Al1Report",
     "Al2Report",
-    "eval_g",
     "eval_h",
     "eval_v",
     "eval_w",
     "estimate_C5",
     "verify_al1",
     "verify_al2",
-    "profile_csv",
 ]
 
 R_MIN = 50.0  # below this the large-r construction steps are not honest
-
-
-def eval_g(t, s: float):
-    """g(t) = t^(-2s), the convex decreasing profile the barrier is built on."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("g is defined for t > 0")
-    out = arr ** (-2.0 * s)
-    return float(out) if np.isscalar(t) else out
 
 
 @lru_cache(maxsize=None)
@@ -247,14 +233,6 @@ class BarrierSpec:
         c5 = estimate_C5(s, r, sample_count, dim)
         return cls(s=s, tau=tau, r=r, c5=c5, dim=dim)
 
-    @classmethod
-    def from_outer_radius(
-        cls, s: float, tau: float, big_r: float, c5: float, dim: int = 1
-    ) -> "BarrierSpec":
-        """Build from a prescribed outer radius and an already known c5."""
-        c_o = (c5 / tau) ** (1.0 / (2.0 * s))
-        return cls(s=s, tau=tau, r=big_r / c_o, c5=c5, dim=dim)
-
     def to_json(self) -> dict:
         return {
             "s": self.s,
@@ -284,19 +262,6 @@ def _pv_w(spec: BarrierSpec, x: float) -> float:
         * spec.c_o ** (-2.0 * spec.s)
         * _pv_v(x / spec.c_o, spec.r, spec.s, spec.dim)
     )
-
-
-def _check_lattice(spec: BarrierSpec, lattice: Lattice) -> None:
-    if lattice.dim != spec.dim:
-        raise ValueError(
-            f"lattice dimension {lattice.dim} does not match the barrier dimension {spec.dim}"
-        )
-    lo, hi = lattice.box_bounds()
-    need = spec.big_r
-    if any(l > -need for l in lo) or any(h < need for h in hi):
-        raise ValueError(
-            f"lattice box {lo}..{hi} does not contain the ball of radius {need}"
-        )
 
 
 def _sample_radii(big_r: float, sample_count: int) -> np.ndarray:
@@ -356,7 +321,6 @@ class Al2Report:
 
 def verify_al1(
     spec: BarrierSpec,
-    lattice: Lattice,
     sample_count: int = 512,
     slack: float = 0.05,
     min_fraction: float = 0.99,
@@ -367,7 +331,6 @@ def verify_al1(
     side inflated by the relative slack.  The report histograms the relative
     excess of the violating points.
     """
-    _check_lattice(spec, lattice)
     radii = _sample_radii(spec.big_r, sample_count)
     excesses = []
     worst = -math.inf
@@ -395,15 +358,12 @@ def verify_al1(
     )
 
 
-def verify_al2(
-    spec: BarrierSpec, lattice: Lattice, sample_count: int = 512
-) -> Al2Report:
+def verify_al2(spec: BarrierSpec, sample_count: int = 512) -> Al2Report:
     """Fit C in C^-1 (R + 1 - |x|)^(-2s) <= 1 + w(x) <= C (R + 1 - |x|)^(-2s).
 
     Reports the sampled sup and inf of (1 + w(x)) (R + 1 - |x|)^(2s) and
     their ratio; a tight barrier keeps the ratio bounded.
     """
-    _check_lattice(spec, lattice)
     radii = _sample_radii(spec.big_r, sample_count)
     q = (1.0 + eval_w(spec, radii)) * (spec.big_r + 1.0 - radii) ** (2.0 * spec.s)
     return Al2Report(
@@ -413,16 +373,3 @@ def verify_al2(
         lower_constant=float(np.min(q)),
         ratio=float(np.max(q) / np.min(q)),
     )
-
-
-def profile_csv(spec: BarrierSpec, path, sample_count: int = 512) -> None:
-    """Write the radial profile of the barrier as radius, v, w rows."""
-    radii = _sample_radii(spec.big_r, sample_count)
-    v = eval_v(radii / spec.c_o, spec.r, spec.s)
-    w = eval_w(spec, radii)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "v", "w"])
-        for row in zip(radii, v, w):
-            writer.writerow([repr(float(c)) for c in row])
-

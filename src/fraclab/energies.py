@@ -22,8 +22,6 @@ free because the weights depend only on the index offset.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .kernels import KernelTable, fftconvolve, stable_sum
@@ -36,17 +34,7 @@ from .lattice import (
     ScalarField,
 )
 
-__all__ = [
-    "EnergyModel",
-    "gagliardo_K",
-    "energy_E",
-    "energy_J_eps",
-    "energy_F_eps",
-    "scaling_factor",
-    "interaction_u",
-    "frac_laplacian",
-    "energy_report",
-]
+__all__ = ["EnergyModel", "energy_E"]
 
 
 def _check_enclosing(inner: Lattice, outer: Lattice) -> None:
@@ -200,179 +188,7 @@ class EnergyModel:
 # -- functional forms ---------------------------------------------------------
 
 
-def gagliardo_K(kern: KernelTable, u: ScalarField, omega: CellSet | None = None) -> float:
-    """Quadratic interaction of the field over omega.
-
-    Pairs with both cells in omega count once; pairs coupling omega to the
-    rest of the box, or to the exterior, count in full.  Zero exactly when
-    the field is constant across every interacting pair.
-    """
-    model = EnergyModel(kern, None, u, omega)
-    return model.seminorm(model.lift(u.values))
-
-
 def energy_E(kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None) -> float:
     """Interaction plus the cell-measure-weighted double-well term."""
     model = EnergyModel(kern, pot, u, omega)
     return model.energy(model.lift(u.values))
-
-
-def energy_J_eps(
-    kern: KernelTable, pot, u: ScalarField, omega: CellSet | None, eps: float
-) -> float:
-    """Rescaled functional: eps^(2s) times the interaction, plus the well."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be a positive number, got {eps}")
-    model = EnergyModel(kern, pot, u, omega)
-    lifted = model.lift(u.values)
-    return eps ** (2.0 * kern.s) * model.seminorm(lifted) + model.potential_term(lifted)
-
-
-def scaling_factor(s: float, eps: float) -> float:
-    """Normalization that keeps minimal interface energy order one.
-
-    Below s=1/2 the interaction dominates and the factor is eps^(-2s); at
-    s=1/2 it is 1/|eps log eps|, which vanishes at eps=1 (no admissible
-    normalization there); above s=1/2 the scaling is the classical 1/eps.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be a positive number, got {eps}")
-    if s < 0.5:
-        return eps ** (-2.0 * s)
-    if s == 0.5:
-        if eps == 1.0:
-            raise ValueError("scaling is degenerate at eps=1 for s=1/2: |eps log eps| vanishes")
-        return 1.0 / abs(eps * math.log(eps))
-    return 1.0 / eps
-
-
-def energy_F_eps(
-    kern: KernelTable,
-    pot,
-    u: ScalarField,
-    omega: CellSet | None,
-    eps: float,
-    s: float | None = None,
-) -> float:
-    """Normalized rescaled energy; the minimal value stays order one as eps -> 0."""
-    if s is None:
-        s = kern.s
-    elif s != kern.s:
-        raise ValueError(f"exponent {s} does not match the kernel exponent {kern.s}")
-    return scaling_factor(s, eps) * energy_J_eps(kern, pot, u, omega, eps)
-
-
-def interaction_u(
-    kern: KernelTable,
-    u: ScalarField,
-    a: CellSet,
-    b: CellSet | None = None,
-    include_exterior: bool = False,
-) -> float:
-    """Weighted sum of (u_i - u_j)^2 over pairs i in a, j in b.
-
-    ``b=None`` means the complement of ``a`` in the box (the enclosing box
-    when the exterior is sampled).  ``include_exterior`` additionally pairs
-    ``a`` against the analytic exterior, so
-
-        interaction_u(u, om, om) / 2 + interaction_u(u, om, None, include_exterior=True)
-
-    recovers ``gagliardo_K(u, om)``.  Symmetric in (a, b) for explicit sets.
-    """
-    if a.lattice != kern.lattice:
-        raise ValueError("cell set lattice does not match the kernel lattice")
-    if b is not None and b.lattice != kern.lattice:
-        raise ValueError("cell set lattice does not match the kernel lattice")
-    model = EnergyModel(kern, None, u, a)
-    lifted = model.lift(u.values)
-    mask_a = model.omega
-    if b is None:
-        mask_b = ~mask_a
-    else:
-        mask_b = np.zeros(model.lat.shape, dtype=bool)
-        mask_b[model.inner] = b.members
-    ub = np.where(mask_b, lifted, 0.0)
-    per_cell = (
-        lifted * lifted * model._conv(mask_b.astype(float))
-        - 2.0 * lifted * model._conv(ub)
-        + model._conv(ub * ub)
-    )
-    if include_exterior:
-        per_cell = per_cell + model.t0 * lifted * lifted - 2.0 * model.t1 * lifted + model.t2
-    return float(stable_sum(per_cell[mask_a]))
-
-
-def frac_laplacian(kern: KernelTable, u: ScalarField, cells=None) -> np.ndarray:
-    """Discrete fractional Laplacian: fl_i = sum_j w_ij (u_i - u_j), exterior included.
-
-    Scaled so that the derivative of ``gagliardo_K`` in ``u_k`` is exactly
-    ``2 * fl_k``; dividing by the cell measure recovers the principal-value
-    operator at cell centers.  ``cells`` may be a CellSet (values returned
-    in row-major member order) or a sequence of index tuples (values
-    aligned with the input); default is the full box grid.
-    """
-    model = EnergyModel(kern, None, u, None)
-    fl = 0.5 * model.gradient(model.lift(u.values))[model.inner]
-    if cells is None:
-        return fl
-    if isinstance(cells, CellSet):
-        if cells.lattice != kern.lattice:
-            raise ValueError("cell set lattice does not match the kernel lattice")
-        return fl[cells.members]
-    lat = kern.lattice
-    idx = np.atleast_2d(np.asarray(cells, dtype=int))
-    if idx.shape[-1] != lat.dim:
-        raise ValueError(f"expected index tuples of length {lat.dim}")
-    pos = tuple(idx[:, a] - lat.lo[a] for a in range(lat.dim))
-    for a in range(lat.dim):
-        if np.any(pos[a] < 0) or np.any(pos[a] >= lat.shape[a]):
-            raise ValueError("cell index outside the box")
-    return fl[pos]
-
-
-def _exterior_json(ext) -> dict:
-    if isinstance(ext, ConstantExterior):
-        return {"kind": "constant", "value": ext.value}
-    if isinstance(ext, HalfspaceExterior):
-        return {"kind": "halfspace", "axis": ext.axis, "threshold": ext.threshold}
-    return {"kind": "sampled", "outer_lo": list(ext.outer.lo), "outer_hi": list(ext.outer.hi), "fill": ext.fill}
-
-
-def energy_report(
-    kern: KernelTable,
-    pot,
-    u: ScalarField,
-    omega: CellSet | None = None,
-    eps: float | None = None,
-) -> dict:
-    """All energy values for one field, with every parameter echoed."""
-    lat = kern.lattice
-    model = EnergyModel(kern, pot, u, omega)
-    lifted = model.lift(u.values)
-    k_val = model.seminorm(lifted)
-    w_val = model.potential_term(lifted)
-    out = {
-        "dim": lat.dim,
-        "h": lat.h,
-        "box_lo": list(lat.lo),
-        "box_hi": list(lat.hi),
-        "s": kern.s,
-        "near_radius": kern.near_radius,
-        "quad_tol": kern.quad_tol,
-        "exterior": _exterior_json(u.exterior),
-        "omega_cells": int(np.count_nonzero(model.omega)),
-        "eps": eps,
-        "K": k_val,
-        "potential": w_val,
-        "E": k_val + w_val,
-    }
-    if eps is not None:
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be a positive number, got {eps}")
-        j_val = eps ** (2.0 * kern.s) * k_val + w_val
-        out["J_eps"] = j_val
-        try:
-            out["F_eps"] = scaling_factor(kern.s, eps) * j_val
-        except ValueError:
-            out["F_eps"] = None
-    return out

@@ -731,16 +731,6 @@ class KernelTable:
 
     # -- weights -------------------------------------------------------------
 
-    def weight(self, offset) -> float:
-        """Pair weight at an integer index offset."""
-        off = tuple(int(v) for v in np.atleast_1d(offset))
-        canon = tuple(sorted(abs(v) for v in off))
-        if all(v == 0 for v in canon):
-            return 0.0
-        if max(canon) <= self.near_radius:
-            return self.near[canon]
-        return far_weight(self.lattice.dim, self.lattice.h, self.s, off)
-
     def table_for_extents(self, extents) -> np.ndarray:
         """Dense offset array covering offsets up to extents-1 per axis."""
         extents = tuple(int(e) for e in extents)

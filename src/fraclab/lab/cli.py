@@ -33,7 +33,8 @@ _COMMANDS = {
     "levelset": (run_levelset_convergence,
                  "level-band collapse across an eps sweep"),
     "gmt": (run_gmt_suite,
-            "disjoint-pair interaction bounds over a random corpus"),
+            "disjoint-pair interaction bounds and the projection "
+            "inequality over a random corpus"),
     "sobolev": (run_sobolev_suite,
                 "complement-integral bound: ball identity and corpus minimum"),
     "barrier": (run_barrier,

@@ -6,10 +6,12 @@ are rejected by name so a typo cannot silently fall back to a default.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["ExperimentConfig", "config_from_sources", "read_config_file"]
+__all__ = ["ExperimentConfig", "config_from_sources", "read_config_file",
+           "read_pairs_csv"]
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -182,6 +184,44 @@ def read_config_file(path) -> dict:
             key, _, val = stripped.partition("=")
             raw[key.strip()] = val.strip()
     return raw
+
+
+def _numbers(row: list[str]) -> list[float] | None:
+    try:
+        return [float(cell) for cell in row]
+    except ValueError:
+        return None
+
+
+def read_pairs_csv(path) -> list[tuple[float, float]]:
+    """Rows of a two-column (x, y) CSV file, in file order.
+
+    Blank lines are skipped, and so is the first row if it is not numeric
+    (a header).  Every other row must hold exactly two numbers.
+    """
+    out: list[tuple[float, float]] = []
+    first = True
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+    with fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            vals = _numbers(row)
+            if vals is None and first:
+                first = False
+                continue
+            first = False
+            if vals is None or len(vals) != 2:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected two numbers, got {row!r}")
+            out.append((vals[0], vals[1]))
+    if not out:
+        raise ValueError(f"{path}: no data rows")
+    return out
 
 
 def config_from_sources(

@@ -30,8 +30,8 @@ from ..lattice import (
     psi_field,
 )
 from ..minimize import MinimizeConfig, initial_field, minimize_energy
-from ..potential import Quartic, Tabulated
-from .config import ExperimentConfig
+from ..potential import Quartic, Tabulated, check_wcond
+from .config import ExperimentConfig, read_pairs_csv
 from .iterate import check_iteration_lemma
 from .report import Criterion, ExperimentReport
 
@@ -80,7 +80,13 @@ class DensityTrace:
 def _potential(cfg: ExperimentConfig):
     if cfg.potential == "quartic":
         return Quartic(cfg.amplitude)
-    return Tabulated.from_csv(cfg.potential_csv)
+    ts, ws = zip(*read_pairs_csv(cfg.potential_csv))
+    pot = Tabulated(ts, ws)
+    well = check_wcond(pot)
+    if not well:
+        raise ValueError(f"{cfg.potential_csv}: not a double well, "
+                         f"{' and '.join(well.failed)} fails")
+    return pot
 
 
 def _exterior(cfg: ExperimentConfig):
@@ -505,7 +511,8 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     Every case is checked at each probe fraction and exponent; the report
     aggregates the minimum ratio per regime.  Optionally the first cases
     are re-run at half the lattice spacing to confirm the ratios are
-    resolution-stable.
+    resolution-stable.  Every nonempty set of the corpus is also checked
+    against the Loomis-Whitney projection inequality.
     """
     if cfg.corpus_size < 1:
         raise ValueError(f"corpus_size must be >= 1, got {cfg.corpus_size}")
@@ -586,6 +593,16 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
                 f"max ratio drift {worst:.4%} over {len(devs)} cases "
                 f"at s={refine_s}, probe={probe}"))
             results["refinement_max_dev"] = worst
+
+    # every corpus set against the projection inequality, exact in integers;
+    # in 1D both sides are 1 and nothing is tested
+    shadows = [setgeom.check_loomis_whitney(cells) for _, a_set, b_set in pairs
+               for cells in (a_set, b_set) if cells.count]
+    holding = sum(1 for rep in shadows if rep)
+    criteria.append(Criterion(
+        "projection-inequality", holding == len(shadows),
+        f"{holding}/{len(shadows)} nonempty corpus sets meet count^(n-1) <= "
+        f"shadow product and the largest-shadow bound", vacuous=cfg.dim == 1))
 
     return ExperimentReport(
         experiment="gmt", config=cfg.to_flat_dict(), results=results,
@@ -691,11 +708,10 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     spec = bar.BarrierSpec.from_scale(
         cfg.s, cfg.tau, cfg.barrier_r,
         sample_count=cfg.barrier_samples, dim=cfg.dim)
-    lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, spec.big_r + cfg.h)
-    al1 = bar.verify_al1(spec, lat, sample_count=cfg.check_samples,
+    al1 = bar.verify_al1(spec, sample_count=cfg.check_samples,
                          slack=cfg.al1_slack,
                          min_fraction=cfg.al1_min_fraction)
-    al2 = bar.verify_al2(spec, lat, sample_count=cfg.check_samples)
+    al2 = bar.verify_al2(spec, sample_count=cfg.check_samples)
 
     outside = spec.big_r * (1.0 + np.arange(1, 33) / 16.0)
     w_out = bar.eval_w(spec, outside)
@@ -734,26 +750,11 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_v_csv(path) -> list[tuple[float, float]]:
-    import csv as _csv
-
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if len(header) < 2:
-            raise ValueError(f"{path}: need two columns, got {header}")
-        for row in reader:
-            if row:
-                out.append((float(row[0]), float(row[1])))
-    return out
-
-
 def run_iterate(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the growth-iteration checker on a measured or synthetic trace."""
     t0 = time.perf_counter()
     if cfg.v_csv:
-        samples = _read_v_csv(cfg.v_csv)
+        samples = read_pairs_csv(cfg.v_csv)
         source = cfg.v_csv
     elif cfg.v_form == "power":
         samples = [(r, cfg.mu * r ** cfg.nu) for r in cfg.radii]

@@ -15,8 +15,6 @@ Conventions
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +28,6 @@ __all__ = [
     "HalfspaceExterior",
     "SampledExterior",
     "ball_mask",
-    "measure",
     "psi_field",
 ]
 
@@ -107,12 +104,6 @@ class Lattice:
             outs.append(c.reshape(sh))
         return outs
 
-    def centers(self) -> np.ndarray:
-        """All cell centers, shape ``(*shape, dim)``."""
-        grids = np.meshgrid(*[self.axis_centers(a) for a in range(self.dim)],
-                            indexing="ij")
-        return np.stack(grids, axis=-1)
-
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical lower/upper corner of the box."""
         lo = np.array([self.lo[a] * self.h for a in range(self.dim)])
@@ -125,13 +116,6 @@ class Lattice:
         if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
             pts = pts[..., None]
         return np.floor(pts / self.h).astype(np.int64)
-
-    def contains_points(self, points: np.ndarray) -> np.ndarray:
-        idx = self.point_to_index(points)
-        ok = np.ones(idx.shape[:-1], dtype=bool)
-        for a in range(self.dim):
-            ok &= (idx[..., a] >= self.lo[a]) & (idx[..., a] < self.hi[a])
-        return ok
 
 
 def _check_same_lattice(a: Lattice, b: Lattice) -> None:
@@ -190,10 +174,6 @@ class CellSet:
         _check_same_lattice(self.lattice, other.lattice)
         return CellSet(self.lattice, self.members | other.members)
 
-    def intersection(self, other: "CellSet") -> "CellSet":
-        _check_same_lattice(self.lattice, other.lattice)
-        return CellSet(self.lattice, self.members & other.members)
-
     def difference(self, other: "CellSet") -> "CellSet":
         _check_same_lattice(self.lattice, other.lattice)
         return CellSet(self.lattice, self.members & ~other.members)
@@ -205,38 +185,6 @@ class CellSet:
     def disjoint(self, other: "CellSet") -> bool:
         _check_same_lattice(self.lattice, other.lattice)
         return not bool(np.any(self.members & other.members))
-
-    # -- plain-text and JSON interchange ------------------------------------
-
-    def to_text_grid(self) -> str:
-        """Rows of 0/1 characters; 2D rows follow axis 0, columns axis 1."""
-        m = self.members if self.lattice.dim == 2 else self.members[None, :]
-        return "\n".join("".join("1" if v else "0" for v in row) for row in m)
-
-    @classmethod
-    def from_text_grid(cls, lattice: Lattice, text: str) -> "CellSet":
-        rows = [line for line in text.strip().splitlines() if line.strip()]
-        m = np.array([[c == "1" for c in row.strip()] for row in rows], dtype=bool)
-        if lattice.dim == 1:
-            m = m[0]
-        return cls(lattice, m)
-
-    def to_json(self) -> str:
-        idx = np.argwhere(self.members)
-        cells = (idx + np.array(self.lattice.lo)).tolist()
-        return json.dumps({
-            "dim": self.lattice.dim,
-            "h": self.lattice.h,
-            "lo": list(self.lattice.lo),
-            "hi": list(self.lattice.hi),
-            "cells": cells,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CellSet":
-        obj = json.loads(text)
-        lat = Lattice(obj["dim"], obj["h"], tuple(obj["lo"]), tuple(obj["hi"]))
-        return cls.from_indices(lat, obj["cells"])
 
 
 # -- exterior data ----------------------------------------------------------
@@ -252,11 +200,6 @@ class ConstantExterior:
         if not -1.0 <= self.value <= 1.0:
             raise ValueError(f"exterior value must lie in [-1, 1], got {self.value}")
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        shape = pts.shape[:-1] if pts.ndim > 1 else pts.shape
-        return np.full(shape, self.value)
-
 
 @dataclass(frozen=True)
 class HalfspaceExterior:
@@ -264,11 +207,6 @@ class HalfspaceExterior:
 
     axis: int
     threshold: float
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        coord = pts[..., self.axis] if pts.ndim > 1 else pts
-        return np.where(coord >= self.threshold, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -296,18 +234,6 @@ class SampledExterior:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.outer.dim == 1 and pts.ndim <= 1:
-            pts = np.atleast_1d(pts)[..., None]
-        idx = self.outer.point_to_index(pts)
-        inside = self.outer.contains_points(pts)
-        out = np.full(inside.shape, self.fill)
-        if np.any(inside):
-            pos = tuple(idx[inside, a] - self.outer.lo[a] for a in range(self.outer.dim))
-            out[inside] = self.values[pos]
-        return out
-
 
 Exterior = ConstantExterior | HalfspaceExterior | SampledExterior
 
@@ -316,8 +242,8 @@ Exterior = ConstantExterior | HalfspaceExterior | SampledExterior
 class ScalarField:
     """Cell values in [-1, 1] on a lattice plus an exterior descriptor.
 
-    Evaluation is defined on all of space: cell lookup inside the box,
-    descriptor outside.
+    The values give the field inside the box and the descriptor gives it
+    outside.
     """
 
     lattice: Lattice
@@ -333,49 +259,6 @@ class ScalarField:
         v = np.clip(v, -1.0, 1.0)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.lattice, values, self.exterior)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if self.lattice.dim == 1 and pts.ndim <= 1:
-            pts = np.atleast_1d(pts)[..., None]
-        idx = self.lattice.point_to_index(pts)
-        inside = self.lattice.contains_points(pts)
-        out = np.asarray(self.exterior.evaluate(pts), dtype=float).copy()
-        if np.any(inside):
-            pos = tuple(idx[inside, a] - self.lattice.lo[a] for a in range(self.lattice.dim))
-            out[inside] = self.values[pos]
-        return out
-
-    # -- CSV interchange: index per axis, coordinates, value ----------------
-
-    def to_csv(self, path) -> None:
-        lat = self.lattice
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            hdr = [f"i{a}" for a in range(lat.dim)] + [f"x{a}" for a in range(lat.dim)] + ["value"]
-            w.writerow(hdr)
-            for flat, val in enumerate(self.values.ravel(order="C")):
-                pos = np.unravel_index(flat, lat.shape)
-                idx = [pos[a] + lat.lo[a] for a in range(lat.dim)]
-                xy = [(idx[a] + 0.5) * lat.h for a in range(lat.dim)]
-                w.writerow(idx + xy + [repr(float(val))])
-
-    @classmethod
-    def from_csv(cls, path, lattice: Lattice, exterior: Exterior) -> "ScalarField":
-        vals = np.zeros(lattice.shape, dtype=float)
-        seen = np.zeros(lattice.shape, dtype=bool)
-        with open(path, newline="") as f:
-            rd = csv.DictReader(f)
-            for row in rd:
-                idx = tuple(int(row[f"i{a}"]) - lattice.lo[a] for a in range(lattice.dim))
-                vals[idx] = float(row["value"])
-                seen[idx] = True
-        if not seen.all():
-            raise ValueError(f"field file covers {int(seen.sum())}/{seen.size} cells")
-        return cls(lattice, vals, exterior)
 
 
 # -- operations ---------------------------------------------------------------
@@ -407,11 +290,6 @@ def ball_mask(lattice: Lattice, center, radius: float) -> CellSet:
     grids = lattice.center_grids()
     d2 = sum((grids[a] - c[a]) ** 2 for a in range(lattice.dim))
     return CellSet(lattice, np.broadcast_to(d2 < radius ** 2, lattice.shape))
-
-
-def measure(cells: CellSet) -> float:
-    """Lebesgue measure: member count times cell volume."""
-    return cells.measure
 
 
 def psi_field(lattice: Lattice, R: float) -> ScalarField:

@@ -13,9 +13,8 @@ mirrors the iterates bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,12 @@ from .lattice import (
 )
 
 __all__ = [
-    "ACTIVE_TOL",
     "MinimizeConfig",
     "MinimizeResult",
-    "ResidualReport",
-    "SubdomainReport",
-    "el_residual",
     "initial_field",
     "minimize_energy",
-    "subdomain_check",
 ]
 
-ACTIVE_TOL = 1e-9  # |u| >= 1 - ACTIVE_TOL counts as pinned at the constraint
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 ENERGY_WINDOW = 10
@@ -90,13 +83,6 @@ class MinimizeResult:
     @property
     def energy_trace(self) -> np.ndarray:
         return self.trace[:, 1]
-
-    def trace_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["iteration", "energy", "grad_norm", "step"])
-            for row in self.trace:
-                w.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
 
 
 def initial_field(lattice: Lattice, exterior, kind: str = "exterior-sign") -> ScalarField:
@@ -223,101 +209,4 @@ def minimize_energy(
         grad_norm=pg_sup,
         trace=np.array(rows, dtype=float),
         message=message,
-    )
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Stationarity residual where the constraint is inactive.
-
-    ``residual`` is NaN at cells that are pinned at |u| = 1 or outside the
-    requested interior; ``sup`` is the largest reported magnitude.
-    """
-
-    residual: np.ndarray
-    reported: np.ndarray
-    sup: float
-
-
-def el_residual(kern: KernelTable, pot, u: ScalarField, interior: CellSet) -> ResidualReport:
-    """Residual of the stationarity equation 2*fl_i + W'(u_i)*h^dim = 0.
-
-    Uses the exact gradient convention of the discrete energy, so a zero
-    residual on the inactive set is precisely unconstrained stationarity.
-    """
-    if interior.lattice != kern.lattice:
-        raise ValueError("interior lattice does not match the kernel lattice")
-    model = EnergyModel(kern, pot, u, interior)
-    lifted = model.lift(u.values)
-    r_full = model.gradient(lifted)[model.inner]
-    inactive = np.abs(u.values) < 1.0 - ACTIVE_TOL
-    reported = interior.members & inactive
-    vals = np.where(reported, r_full, np.nan)
-    sup = float(np.max(np.abs(r_full[reported]))) if reported.any() else 0.0
-    return ResidualReport(residual=vals, reported=reported, sup=sup)
-
-
-@dataclass(frozen=True)
-class SubdomainReport:
-    """Outcome of random minimality trials on a subdomain."""
-
-    trials: int
-    scale: float
-    margins: np.ndarray = field(repr=False)
-    worst_margin: float
-    passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def subdomain_check(
-    kern: KernelTable,
-    pot,
-    result: MinimizeResult,
-    omega_sub: CellSet,
-    trials: int = 200,
-    scale: float = 0.05,
-    seed: int = 0,
-) -> SubdomainReport:
-    """Probe minimality on a subdomain of the original run.
-
-    A minimizer on omega is one on any subdomain: each trial perturbs the
-    field by admissible noise supported in omega_sub and measures the
-    energy change of E(.; omega_sub).  The margin is that change; a trial
-    fails if the energy drops by more than grad_tol times the perturbation
-    sup-norm.  Size-zero perturbations give margin exactly 0.
-    """
-    if omega_sub.lattice != result.field.lattice:
-        raise ValueError("subdomain lattice does not match the field lattice")
-    if np.any(omega_sub.members & ~result.omega.members):
-        raise ValueError("subdomain is not contained in the minimized region")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-    u = result.field
-    model = EnergyModel(kern, pot, u, omega_sub)
-    base = model.lift(u.values)
-    e0 = model.energy(base)
-    sub_mask = np.zeros(model.lat.shape, dtype=bool)
-    sub_mask[model.inner] = omega_sub.members
-
-    rng = np.random.default_rng(seed)
-    tol = result.config.grad_tol
-    margins = np.empty(trials)
-    passed = True
-    for t in range(trials):
-        delta = np.where(sub_mask, scale * rng.uniform(-1.0, 1.0, model.lat.shape), 0.0)
-        trial = np.clip(base + delta, -1.0, 1.0)
-        trial = np.where(sub_mask, trial, base)
-        margins[t] = model.energy(trial) - e0
-        norm = float(np.max(np.abs(trial - base)))
-        if margins[t] < -tol * norm:
-            passed = False
-    return SubdomainReport(
-        trials=trials,
-        scale=scale,
-        margins=margins,
-        worst_margin=float(margins.min()),
-        passed=passed,
     )

@@ -1,20 +1,14 @@
-"""Double-well potentials on [-1, 1] with derivative and structure checks.
+"""Double-well potentials on [-1, 1] with derivatives and a structure check.
 
 The default well is W(t) = (1/4)(1-t^2)^2, vanishing exactly at the pure
 phases t = +-1 with W''(+-1) = 2.  A tabulated variant (cubic interpolation of
 sampled values) covers less smooth wells; both expose value, first and second
-derivative, a structural check (zeros, positivity, nondegenerate minima), and
-a sampled verifier for the quadratic growth condition near t = -1:
-
-    W(t) >= W(r) + c(1+r)(t-r) + c(t-r)^2   for -1 <= r <= t <= -1+c,
-    W(r) - W(t) <= (1+r)/c                  for -1 <= r <= t <= 1.
-
-The admissible constant c is potential-specific and is found empirically by
-bisection on the sampled check; nothing here derives it symbolically.
+derivative.  check_wcond samples the conditions a double well must meet:
+zeros at the pure phases, flat nondegenerate minima there, and W > 0 between
+them.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,13 +19,7 @@ __all__ = [
     "Quartic",
     "Tabulated",
     "DoubleWell",
-    "w_eval",
-    "w_deriv",
-    "w_second",
     "check_wcond",
-    "check_grow",
-    "find_growth_constant",
-    "GrowthReport",
     "WellReport",
 ]
 
@@ -92,22 +80,6 @@ class Tabulated:
         object.__setattr__(self, "_d1", spline.derivative(1))
         object.__setattr__(self, "_d2", spline.derivative(2))
 
-    @classmethod
-    def from_csv(cls, path) -> "Tabulated":
-        """Two-column CSV (t, W); a header row is skipped if non-numeric."""
-        ts, ws = [], []
-        with open(path, newline="") as f:
-            for row in csv.reader(f):
-                if not row:
-                    continue
-                try:
-                    t, w = float(row[0]), float(row[1])
-                except ValueError:
-                    continue
-                ts.append(t)
-                ws.append(w)
-        return cls(tuple(ts), tuple(ws))
-
     def value(self, t):
         return self._spline(_check_domain(t))
 
@@ -121,107 +93,33 @@ class Tabulated:
 DoubleWell = Union[Quartic, Tabulated]
 
 
-def w_eval(pot: DoubleWell, t):
-    return pot.value(t)
-
-
-def w_deriv(pot: DoubleWell, t):
-    return pot.deriv(t)
-
-
-def w_second(pot: DoubleWell, t):
-    return pot.second(t)
-
-
 @dataclass(frozen=True)
 class WellReport:
-    ok: bool
     end_values: tuple[float, float]
     end_slopes: tuple[float, float]
     end_curvatures: tuple[float, float]
     interior_min: float
+    failed: tuple[str, ...]  # the conditions that do not hold
+
+    @property
+    def ok(self) -> bool:
+        return not self.failed
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def check_wcond(pot: DoubleWell, samples: int = 1000, tol: float = 1e-9) -> WellReport:
-    """Sampled check of W(+-1)=0, W>0 on (-1,1), W'(+-1)=0, W''(+-1)>0."""
+    """Sampled check of W(+-1)=0, W'(+-1)=0, W''(+-1)>0, W>0 on (-1,1)."""
     ends = (float(pot.value(-1.0)), float(pot.value(1.0)))
     slopes = (float(pot.deriv(-1.0)), float(pot.deriv(1.0)))
     curv = (float(pot.second(-1.0)), float(pot.second(1.0)))
     grid = np.linspace(-1.0, 1.0, samples + 2)[1:-1]
     interior = float(np.min(pot.value(grid)))
-    ok = (
-        max(abs(e) for e in ends) <= tol
-        and max(abs(sl) for sl in slopes) <= tol
-        and min(curv) > 0
-        and interior > 0
-    )
-    return WellReport(ok, ends, slopes, curv, interior)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    passes: bool
-    margin: float            # smallest slack across all sampled pairs; < 0 fails
-    worst_pair: tuple[float, float]
-    c: float
-    samples: int
-
-    def __bool__(self) -> bool:
-        return self.passes
-
-
-def check_grow(pot: DoubleWell, c: float, samples: int = 100) -> GrowthReport:
-    """Sampled verification of the two-part growth condition for a given c.
-
-    Samples an r-t grid (r <= t) with `samples` points per axis on each
-    condition's domain and reports the worst margin; failure is an outcome,
-    not an error.  Margins within a few ulps of zero count as passing:
-    degenerate pairs with t == r sit exactly on the boundary and land there.
-    """
-    if not c > 0:
-        raise ValueError(f"growth constant must be positive, got {c}")
-    margin = np.inf
-    worst = (-1.0, -1.0)
-
-    # condition 1 on the corner -1 <= r <= t <= -1+c
-    rs = np.linspace(-1.0, -1.0 + c, samples)
-    for r in rs:
-        ts = np.linspace(r, -1.0 + c, samples)
-        slack = pot.value(ts) - (pot.value(r) + c * (1.0 + r) * (ts - r) + c * (ts - r) ** 2)
-        k = int(np.argmin(slack))
-        if slack[k] < margin:
-            margin, worst = float(slack[k]), (float(r), float(ts[k]))
-
-    # condition 2 on the full triangle -1 <= r <= t <= 1
-    rs = np.linspace(-1.0, 1.0, samples)
-    for r in rs:
-        ts = np.linspace(r, 1.0, samples)
-        slack = (1.0 + r) / c - (pot.value(r) - pot.value(ts))
-        k = int(np.argmin(slack))
-        if slack[k] < margin:
-            margin, worst = float(slack[k]), (float(r), float(ts[k]))
-
-    return GrowthReport(bool(margin >= -64.0 * np.finfo(float).eps), margin,
-                        worst, c, samples)
-
-
-def find_growth_constant(pot: DoubleWell, samples: int = 100,
-                         iters: int = 40) -> float:
-    """Largest c in (0, 1] passing check_grow, located by bisection."""
-    lo, hi = 0.0, 1.0
-    if check_grow(pot, hi, samples):
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0:
-            break
-        if check_grow(pot, mid, samples):
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise ValueError("no admissible growth constant found down to 0")
-    return lo
+    failed = tuple(name for name, holds in (
+        ("W(+-1) = 0", max(abs(e) for e in ends) <= tol),
+        ("W'(+-1) = 0", max(abs(sl) for sl in slopes) <= tol),
+        ("W''(+-1) > 0", min(curv) > 0),
+        ("W > 0 on (-1, 1)", interior > 0),
+    ) if not holds)
+    return WellReport(ends, slopes, curv, interior, failed)

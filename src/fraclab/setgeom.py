@@ -1,9 +1,9 @@
 """Geometric measure diagnostics on voxel sets.
 
-Kernel mass between disjoint sets, axis projections with the
-Loomis-Whitney inequality, interaction lower-bound regime checks (global
-and cube-localized), the complement-integral bound for sets, and the
-regime scale factor ell.  A pair sum needs only how many pairs share each
+Kernel mass between disjoint sets, the Loomis-Whitney projection
+inequality, the interaction lower-bound regime check, the
+complement-integral bound seen from one cell, and seeded random set
+generators.  A pair sum needs only how many pairs share each
 index offset: the cross-correlation of the two indicators, one FFT
 convolution rounded to exact integers.  Exact count-times-weight products
 reduce with compensated summation, so each sum is the correctly rounded
@@ -23,16 +23,11 @@ from .lattice import CellSet, Lattice
 
 __all__ = [
     "L_interaction",
-    "project_measure",
     "check_loomis_whitney",
     "check_gmt",
-    "check_gmt_local",
     "sobolev_set_bound",
-    "sobolev_integrated",
-    "ell_scale",
     "LoomisWhitneyReport",
     "GmtReport",
-    "GmtLocalReport",
     "SobolevReport",
     "random_cellset",
     "random_disjoint_pair",
@@ -87,17 +82,6 @@ def L_interaction(kern: KernelTable, A: CellSet, D: CellSet) -> float:
 
 
 # -- projections and Loomis-Whitney -------------------------------------------
-
-
-def project_measure(cells: CellSet, axis: int) -> float:
-    """(dim-1)-measure of the axis shadow: occupied columns times h^(dim-1)."""
-    dim = cells.lattice.dim
-    if not 0 <= axis < dim:
-        raise ValueError(f"axis {axis} out of range for dimension {dim}")
-    if dim == 1:
-        return 1.0 if cells.count else 0.0
-    shadow = np.any(cells.members, axis=axis)
-    return float(np.count_nonzero(shadow)) * cells.lattice.h ** (dim - 1)
 
 
 def _shadow_counts(cells: CellSet) -> list[int]:
@@ -156,21 +140,6 @@ def check_loomis_whitney(cells: CellSet) -> LoomisWhitneyReport:
 
 
 # -- interaction lower-bound regimes ------------------------------------------
-
-
-def ell_scale(measure_a: float, s: float, dim: int) -> float:
-    """Regime scale factor: measure^((1-2s)/n), log measure, or 1."""
-    if measure_a <= 0.0:
-        raise ValueError(f"measure must be positive, got {measure_a}")
-    if s < 0.5:
-        return measure_a ** ((1.0 - 2.0 * s) / dim)
-    if s == 0.5:
-        if measure_a <= 1.0:
-            raise ValueError(
-                f"log scale needs measure > 1, got {measure_a}"
-            )
-        return math.log(measure_a)
-    return 1.0
 
 
 @dataclass(frozen=True)
@@ -267,93 +236,6 @@ def check_gmt(kern: KernelTable, A: CellSet, B: CellSet, c_probe: float = 0.05) 
     )
 
 
-@dataclass(frozen=True)
-class GmtLocalReport:
-    s_branch: str
-    measure_q: float
-    measure_a: float
-    measure_d: float
-    measure_b: float
-    sigma: float
-    interaction: float
-    bound: float
-    ratio: float
-    b_floored: bool
-
-    def to_json(self) -> dict:
-        return {
-            "s_branch": self.s_branch,
-            "measure_q": self.measure_q,
-            "measure_a": self.measure_a,
-            "measure_d": self.measure_d,
-            "measure_b": self.measure_b,
-            "sigma": self.sigma,
-            "interaction": self.interaction,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "b_floored": self.b_floored,
-        }
-
-
-def check_gmt_local(
-    kern: KernelTable, A: CellSet, D: CellSet, Q: CellSet, sigma: float
-) -> GmtLocalReport:
-    """Cube-localized interaction bound for s >= 1/2.
-
-    A and D live inside the cube Q, each carrying at least a sigma
-    fraction of its measure; B is the gap Q minus (A union D).  Only
-    in-cube pairs contribute.  An empty gap is floored at one cell
-    measure so the bound stays finite, and the report flags it.
-    """
-    _check_kernel_lattice(kern, A)
-    _check_kernel_lattice(kern, D)
-    _check_kernel_lattice(kern, Q)
-    s = kern.s
-    if s < 0.5:
-        raise ValueError(f"localized bound needs s in [1/2, 1), got s = {s}")
-    if not 0.0 < sigma <= 0.5:
-        raise ValueError(f"sigma must lie in (0, 1/2], got {sigma}")
-    if not A.is_subset(Q):
-        raise ValueError("A is not contained in the cube")
-    if not D.is_subset(Q):
-        raise ValueError("D is not contained in the cube")
-    if not A.disjoint(D):
-        raise ValueError("sets overlap; A and D must be disjoint")
-    q = Q.measure
-    if A.measure < sigma * q:
-        raise ValueError(
-            f"set A carries measure {A.measure} < sigma |Q| = {sigma * q}"
-        )
-    if D.measure < sigma * q:
-        raise ValueError(
-            f"set D carries measure {D.measure} < sigma |Q| = {sigma * q}"
-        )
-    B = Q.difference(A.union(D))
-    b = B.measure
-    floored = False
-    if b <= 0.0:
-        b = A.lattice.cell_volume
-        floored = True
-    interaction = _pair_mass(kern, A, D)
-    n = A.lattice.dim
-    if s == 0.5:
-        bound = q ** ((n - 1.0) / n) * math.log(q / b)
-    else:
-        bound = q ** ((n - 2.0 * s) / n) * (q / b) ** (2.0 * s - 1.0)
-    return GmtLocalReport(
-        s_branch=_s_branch(s),
-        measure_q=q,
-        measure_a=A.measure,
-        measure_d=D.measure,
-        measure_b=B.measure,
-        sigma=sigma,
-        interaction=interaction,
-        bound=bound,
-        ratio=interaction / bound,
-        b_floored=floored,
-    )
-
-
 # -- complement integral bound -------------------------------------------------
 
 
@@ -405,23 +287,6 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x) -> SobolevReport:
     lhs = float(_complement_mass(kern, E, pos)[0]) / E.lattice.cell_volume
     n = E.lattice.dim
     constant = lhs * E.measure ** (2.0 * kern.s / n)
-    return SobolevReport(lhs=lhs, constant=constant, measure_e=E.measure)
-
-
-def sobolev_integrated(kern: KernelTable, E: CellSet, F: CellSet) -> SobolevReport:
-    """Complement integral accumulated over a source set F.
-
-    lhs integrates the per-cell complement value over F (cell measure
-    weights); the constant divides out |F| so it is comparable to the
-    single-cell version.
-    """
-    _check_kernel_lattice(kern, F)
-    if F.count == 0:
-        raise ValueError("F must have positive measure")
-    cell = F.lattice.cell_volume
-    lhs = stable_sum(_complement_mass(kern, E, np.argwhere(F.members)) / cell) * cell
-    n = E.lattice.dim
-    constant = lhs * E.measure ** (2.0 * kern.s / n) / F.measure
     return SobolevReport(lhs=lhs, constant=constant, measure_e=E.measure)
 
 

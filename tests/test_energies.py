@@ -6,17 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from fraclab.energies import (
-    EnergyModel,
-    energy_E,
-    energy_F_eps,
-    energy_J_eps,
-    energy_report,
-    frac_laplacian,
-    gagliardo_K,
-    interaction_u,
-    scaling_factor,
-)
+from fraclab.energies import EnergyModel, energy_E
 from fraclab.kernels import build_kernel
 from fraclab.lattice import (
     CellSet,
@@ -56,6 +46,18 @@ def sign_field():
     return ScalarField(LATS, vals, HalfspaceExterior(0, 0.0))
 
 
+def _seminorm(kern, u, omega=None):
+    model = EnergyModel(kern, None, u, omega)
+    return model.seminorm(model.lift(u.values))
+
+
+def _frac_laplacian(kern, u):
+    """fl_i = sum_j w_ij (u_i - u_j), exterior included, on the box cells:
+    half the seminorm's gradient over the full box."""
+    model = EnergyModel(kern, None, u)
+    return 0.5 * model.gradient(model.lift(u.values))[model.inner]
+
+
 def random_field(lat, seed, exterior=None):
     rng = np.random.default_rng(seed)
     ext = ConstantExterior(-1.0) if exterior is None else exterior
@@ -71,39 +73,39 @@ def test_two_cell_value():
     lat = Lattice(dim=1, h=1.0, lo=(0,), hi=(2,))
     kern = build_kernel(lat, 0.25)
     u = ScalarField(lat, np.array([-1.0, 1.0]), ConstantExterior(1.0))
-    k = gagliardo_K(kern, u, CellSet.full(lat))
+    k = _seminorm(kern, u, CellSet.full(lat))
     assert k == pytest.approx(32.0, rel=1e-12)
 
 
 def test_constant_field_is_zero(kern1, kern2):
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
         u = ScalarField(lat, np.ones(lat.shape), ConstantExterior(1.0))
-        assert gagliardo_K(kern, u) == 0.0
+        assert _seminorm(kern, u) == 0.0
         assert energy_E(kern, Quartic(), u) == 0.0
     # interior constant, exterior matching but not a minimum of the well
     u = ScalarField(LAT1, np.full(LAT1.shape, 0.3), ConstantExterior(0.3))
-    assert abs(gagliardo_K(kern1, u)) < 1e-10
+    assert abs(_seminorm(kern1, u)) < 1e-10
 
 
 def test_negation_symmetry(kern1):
     u = random_field(LAT1, 0)
     un = ScalarField(LAT1, -u.values, ConstantExterior(1.0))
     om = ball_mask(LAT1, 0.0, 2.0)
-    assert gagliardo_K(kern1, un, om) == pytest.approx(gagliardo_K(kern1, u, om), rel=1e-13)
+    assert _seminorm(kern1, un, om) == pytest.approx(_seminorm(kern1, u, om), rel=1e-13)
 
 
 def test_omega_defaults_to_full_box(kern1):
     u = random_field(LAT1, 1)
-    assert gagliardo_K(kern1, u) == gagliardo_K(kern1, u, CellSet.full(LAT1))
+    assert _seminorm(kern1, u) == _seminorm(kern1, u, CellSet.full(LAT1))
 
 
 def test_mismatched_lattice_errors(kern1):
     other = Lattice(dim=1, h=0.5, lo=(-10,), hi=(10,))
     u_other = ScalarField(other, np.zeros(other.shape), ConstantExterior(0.0))
     with pytest.raises(ValueError, match="lattice"):
-        gagliardo_K(kern1, u_other)
+        _seminorm(kern1, u_other)
     with pytest.raises(ValueError, match="lattice"):
-        gagliardo_K(kern1, random_field(LAT1, 2), CellSet.full(other))
+        _seminorm(kern1, random_field(LAT1, 2), CellSet.full(other))
 
 
 def test_domain_monotonicity(kern1, kern2):
@@ -114,8 +116,8 @@ def test_domain_monotonicity(kern1, kern2):
             rng = np.random.default_rng(seed)
             small = rng.random(lat.shape) < 0.4
             big = small | (rng.random(lat.shape) < 0.4)
-            k_small = gagliardo_K(kern, u, CellSet(lat, small))
-            k_big = gagliardo_K(kern, u, CellSet(lat, big))
+            k_small = _seminorm(kern, u, CellSet(lat, small))
+            k_big = _seminorm(kern, u, CellSet(lat, big))
             assert k_small <= k_big * (1 + 1e-12) + 1e-12
 
 
@@ -124,9 +126,9 @@ def test_domain_monotonicity(kern1, kern2):
 def test_quadratic_scaling(kern1, lam):
     base = random_field(LAT1, 4, ConstantExterior(0.0))
     om = ball_mask(LAT1, 0.0, 3.0)
-    k1 = gagliardo_K(kern1, base, om)
+    k1 = _seminorm(kern1, base, om)
     scaled = ScalarField(LAT1, lam * base.values, ConstantExterior(0.0))
-    assert gagliardo_K(kern1, scaled, om) == pytest.approx(lam * lam * k1, rel=1e-12, abs=1e-13)
+    assert _seminorm(kern1, scaled, om) == pytest.approx(lam * lam * k1, rel=1e-12, abs=1e-13)
 
 
 def test_refinement_convergence():
@@ -136,11 +138,11 @@ def test_refinement_convergence():
         lat = Lattice(dim=1, h=h, lo=(int(-8 / h),), hi=(int(8 / h),))
         kern = build_kernel(lat, 0.5)
         u = ScalarField(lat, np.tanh(lat.axis_centers(0)), HalfspaceExterior(0, 0.0))
-        vals[h] = gagliardo_K(kern, u, ball_mask(lat, 0.0, 4.0))
+        vals[h] = _seminorm(kern, u, ball_mask(lat, 0.0, 4.0))
     assert abs(vals[0.25] - vals[0.5]) / vals[0.25] < 0.05
 
 
-# ------------------------------------------------------------------ E, J, F
+# ------------------------------------------------------------------ E
 
 
 def test_energy_E_dominates_each_term(kern1):
@@ -170,112 +172,12 @@ def test_psi_sweep_growth_rate():
     assert 0.35 <= fit.slope <= 0.65
 
 
-def test_J_eps_definition(kern1):
-    pot = Quartic()
-    u = random_field(LAT1, 6)
-    om = ball_mask(LAT1, 0.0, 3.0)
-    eps = 0.3
-    model = EnergyModel(kern1, pot, u, om)
-    lifted = model.lift(u.values)
-    expect = eps ** (2 * kern1.s) * model.seminorm(lifted) + model.potential_term(lifted)
-    assert energy_J_eps(kern1, pot, u, om, eps) == pytest.approx(expect, rel=1e-14)
-    for bad in (0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="eps"):
-            energy_J_eps(kern1, pot, u, om, bad)
-
-
-def test_F_eps_regime_factors():
-    pot = Quartic()
-    u_of = {}
-    kerns = {}
-    for s in (0.25, 0.5, 0.75):
-        kerns[s] = build_kernel(LAT1, s)
-        u_of[s] = ScalarField(LAT1, np.tanh(LAT1.axis_centers(0)), HalfspaceExterior(0, 0.0))
-    om = CellSet.full(LAT1)
-
-    j = energy_J_eps(kerns[0.25], pot, u_of[0.25], om, 0.5)
-    f = energy_F_eps(kerns[0.25], pot, u_of[0.25], om, 0.5)
-    assert f == pytest.approx(math.sqrt(2.0) * j, rel=1e-14)
-
-    j = energy_J_eps(kerns[0.5], pot, u_of[0.5], om, 0.5)
-    f = energy_F_eps(kerns[0.5], pot, u_of[0.5], om, 0.5)
-    assert scaling_factor(0.5, 0.5) == pytest.approx(2.8854, rel=1e-4)
-    assert f == pytest.approx(j / abs(0.5 * math.log(0.5)), rel=1e-14)
-
-    # at eps=1 every factor is 1 and F = J = E (s != 1/2)
-    for s in (0.25, 0.75):
-        f1 = energy_F_eps(kerns[s], pot, u_of[s], om, 1.0)
-        assert f1 == energy_J_eps(kerns[s], pot, u_of[s], om, 1.0)
-        assert f1 == energy_E(kerns[s], pot, u_of[s], om)
-
-    with pytest.raises(ValueError, match="degenerate"):
-        energy_F_eps(kerns[0.5], pot, u_of[0.5], om, 1.0)
-    with pytest.raises(ValueError, match="does not match"):
-        energy_F_eps(kerns[0.25], pot, u_of[0.25], om, 0.5, s=0.75)
-    with pytest.raises(ValueError, match="eps"):
-        energy_F_eps(kerns[0.25], pot, u_of[0.25], om, -1.0)
-    # explicitly passing the kernel's own exponent is fine
-    f2 = energy_F_eps(kerns[0.25], pot, u_of[0.25], om, 0.5, s=0.25)
-    assert f2 == energy_F_eps(kerns[0.25], pot, u_of[0.25], om, 0.5)
-
-
-# ------------------------------------------------------------------ u(A, B)
-
-
-def test_interaction_symmetry(kern1):
-    u = random_field(LAT1, 7, HalfspaceExterior(0, 0.0))
-    a = ball_mask(LAT1, -1.0, 1.0)
-    b = ball_mask(LAT1, 2.0, 1.2)
-    sab = interaction_u(kern1, u, a, b)
-    assert sab >= 0.0
-    assert sab == pytest.approx(interaction_u(kern1, u, b, a), rel=1e-13)
-
-
-def test_interaction_constant_on_both_sets(kern1):
-    vals = np.where(np.abs(LAT1.axis_centers(0)) < 2.5, 0.7, -0.4)
-    u = ScalarField(LAT1, vals, ConstantExterior(-1.0))
-    a = ball_mask(LAT1, -1.0, 0.9)
-    b = ball_mask(LAT1, 1.0, 0.9)
-    # u is 0.7 across a and b: every pair difference vanishes
-    assert abs(interaction_u(kern1, u, a, b)) < 1e-10
-
-
-def test_interaction_complement_default(kern1):
-    u = random_field(LAT1, 8)
-    a = ball_mask(LAT1, 0.0, 2.0)
-    comp = CellSet(LAT1, ~a.members)
-    assert interaction_u(kern1, u, a, None) \
-        == pytest.approx(interaction_u(kern1, u, a, comp), rel=1e-12)
-
-
-def test_decomposition_identity(kern1, kern2):
-    # K(u; om) = u(om, om)/2 + u(om, complement incl. exterior)
-    cases = [
-        (kern1, random_field(LAT1, 9, HalfspaceExterior(0, 0.0)), ball_mask(LAT1, 0.0, 2.0)),
-        (kern2, random_field(LAT2, 10, HalfspaceExterior(1, 0.3)), ball_mask(LAT2, (0.0, 0.0), 2.0)),
-    ]
-    for kern, u, om in cases:
-        k = gagliardo_K(kern, u, om)
-        lhs = interaction_u(kern, u, om, om) / 2.0 \
-            + interaction_u(kern, u, om, None, include_exterior=True)
-        assert lhs == pytest.approx(k, rel=1e-12)
-
-
-def test_interaction_lattice_mismatch(kern1):
-    other = Lattice(dim=1, h=0.5, lo=(-10,), hi=(10,))
-    u = random_field(LAT1, 11)
-    with pytest.raises(ValueError, match="lattice"):
-        interaction_u(kern1, u, CellSet.full(other))
-    with pytest.raises(ValueError, match="lattice"):
-        interaction_u(kern1, u, ball_mask(LAT1, 0.0, 1.0), CellSet.full(other))
-
-
 # ------------------------------------------------------------------ operator
 
 
 def test_fl_constant_field_zero(sign_kernels):
     u = ScalarField(LATS, np.full(LATS.shape, 0.4), ConstantExterior(0.4))
-    assert np.max(np.abs(frac_laplacian(sign_kernels[0.5], u))) < 1e-13
+    assert np.max(np.abs(_frac_laplacian(sign_kernels[0.5], u))) < 1e-13
 
 
 def test_fl_sign_field_matches_pv(sign_kernels):
@@ -284,7 +186,7 @@ def test_fl_sign_field_matches_pv(sign_kernels):
     # compared a few cells from the jump, where cell averaging is O(h^2)
     u = sign_field()
     for s, kern in sign_kernels.items():
-        got = frac_laplacian(kern, u, [(3,)])[0]
+        got = _frac_laplacian(kern, u)[3 - LATS.lo[0]]
         pv = 2.0 * 3.5 ** (-2.0 * s) / (2.0 * s)
         assert got == pytest.approx(pv, rel=0.01)
 
@@ -293,14 +195,14 @@ def test_fl_sign_field_jump_cell_average(sign_kernels):
     # at the jump cell [0,1) with s=1/4 the brute-force double integral
     # (averaging x across the cell) is int_0^1 4 x^(-1/2) dx = 8
     u = sign_field()
-    got = frac_laplacian(sign_kernels[0.25], u, [(0,)])[0]
+    got = _frac_laplacian(sign_kernels[0.25], u)[0 - LATS.lo[0]]
     assert got == pytest.approx(8.0, rel=0.01)
 
 
 def test_fl_odd_field_antisymmetry(sign_kernels):
     u = sign_field()
     for kern in sign_kernels.values():
-        pair = frac_laplacian(kern, u, [(-1,), (0,)])
+        pair = _frac_laplacian(kern, u)[[-1 - LATS.lo[0], 0 - LATS.lo[0]]]
         assert pair[0] == pytest.approx(-pair[1], rel=1e-13)
 
 
@@ -311,35 +213,16 @@ def test_fl_is_half_gradient_of_K(kern1, kern2):
         u = random_field(lat, 12, HalfspaceExterior(0, 0.1))
         om = ball_mask(lat, 0.0 if lat.dim == 1 else (0.0, 0.0), 2.0)
         scaled = ScalarField(lat, 0.5 * u.values, u.exterior)
-        fl = frac_laplacian(kern, scaled)
+        fl = _frac_laplacian(kern, scaled)
         rng = np.random.default_rng(13)
         t = 1e-6
         for _ in range(6):
             delta = np.where(om.members, rng.normal(size=lat.shape), 0.0)
             up = ScalarField(lat, scaled.values + t * delta, u.exterior)
             dn = ScalarField(lat, scaled.values - t * delta, u.exterior)
-            fd = (gagliardo_K(kern, up, om) - gagliardo_K(kern, dn, om)) / (2 * t)
+            fd = (_seminorm(kern, up, om) - _seminorm(kern, dn, om)) / (2 * t)
             analytic = 2.0 * float(np.sum(delta * fl))
             assert fd == pytest.approx(analytic, rel=1e-8)
-
-
-def test_fl_cells_argument_forms(kern1):
-    u = random_field(LAT1, 14)
-    full = frac_laplacian(kern1, u)
-    assert full.shape == LAT1.shape
-    sel = ball_mask(LAT1, 0.0, 1.0)
-    by_set = frac_laplacian(kern1, u, sel)
-    assert np.array_equal(by_set, full[sel.members])
-    idx = [(-2,), (0,), (5,)]
-    by_list = frac_laplacian(kern1, u, idx)
-    assert np.array_equal(by_list, full[[6, 8, 13]])
-    with pytest.raises(ValueError, match="outside the box"):
-        frac_laplacian(kern1, u, [(99,)])
-    with pytest.raises(ValueError, match="length"):
-        frac_laplacian(kern1, u, [(0, 0)])
-    other = Lattice(dim=1, h=0.5, lo=(-10,), hi=(10,))
-    with pytest.raises(ValueError, match="lattice"):
-        frac_laplacian(kern1, u, CellSet.full(other))
 
 
 # ------------------------------------------------------------------ sampled exterior
@@ -358,10 +241,10 @@ def test_sampled_exterior_matches_direct():
     kern_out = build_kernel(outer, 0.5)
     om_in = ball_mask(LAT1, 0.0, 1.4)
     om_out = CellSet(outer, np.pad(om_in.members, pad))
-    assert gagliardo_K(kern_in, u_inner, om_in) \
-        == pytest.approx(gagliardo_K(kern_out, u_outer, om_out), rel=1e-13)
-    fl_in = frac_laplacian(kern_in, u_inner)
-    fl_out = frac_laplacian(kern_out, u_outer)[pad[0]:outer.shape[0] - pad[1]]
+    assert _seminorm(kern_in, u_inner, om_in) \
+        == pytest.approx(_seminorm(kern_out, u_outer, om_out), rel=1e-13)
+    fl_in = _frac_laplacian(kern_in, u_inner)
+    fl_out = _frac_laplacian(kern_out, u_outer)[pad[0]:outer.shape[0] - pad[1]]
     np.testing.assert_allclose(fl_in, fl_out, rtol=1e-13)
 
 
@@ -370,39 +253,12 @@ def test_sampled_exterior_must_enclose(kern1):
     ext = SampledExterior(smaller, np.zeros(smaller.shape), 1.0)
     u = ScalarField(LAT1, np.zeros(LAT1.shape), ext)
     with pytest.raises(ValueError, match="enclose"):
-        gagliardo_K(kern1, u)
+        _seminorm(kern1, u)
     coarse = Lattice(dim=1, h=1.0, lo=(-12,), hi=(12,))
     ext2 = SampledExterior(coarse, np.zeros(coarse.shape), 1.0)
     u2 = ScalarField(LAT1, np.zeros(LAT1.shape), ext2)
     with pytest.raises(ValueError, match="spacing"):
-        gagliardo_K(kern1, u2)
-
-
-# ------------------------------------------------------------------ report
-
-
-def test_energy_report_echoes_parameters(kern1):
-    pot = Quartic()
-    u = random_field(LAT1, 16, HalfspaceExterior(0, 0.0))
-    om = ball_mask(LAT1, 0.0, 2.0)
-    rep = energy_report(kern1, pot, u, om, eps=0.5)
-    assert rep["dim"] == 1 and rep["h"] == 0.5 and rep["s"] == 0.5
-    assert rep["near_radius"] == kern1.near_radius
-    assert rep["quad_tol"] == kern1.quad_tol
-    assert rep["exterior"] == {"kind": "halfspace", "axis": 0, "threshold": 0.0}
-    assert rep["omega_cells"] == om.count
-    assert rep["K"] == pytest.approx(gagliardo_K(kern1, u, om), rel=1e-14)
-    assert rep["E"] == pytest.approx(energy_E(kern1, pot, u, om), rel=1e-14)
-    assert rep["J_eps"] == pytest.approx(energy_J_eps(kern1, pot, u, om, 0.5), rel=1e-14)
-    assert rep["F_eps"] == pytest.approx(energy_F_eps(kern1, pot, u, om, 0.5), rel=1e-14)
-    # degenerate normalization is reported as missing, not raised
-    rep1 = energy_report(kern1, pot, u, om, eps=1.0)
-    assert rep1["F_eps"] is None and rep1["J_eps"] == pytest.approx(rep1["E"], rel=1e-12)
-    with pytest.raises(ValueError, match="eps"):
-        energy_report(kern1, pot, u, om, eps=0.0)
-    import json
-
-    json.dumps(energy_report(kern1, pot, u, om))
+        _seminorm(kern1, u2)
 
 
 # ------------------------------------------------------------------ quadratic form
@@ -503,5 +359,5 @@ def test_constant_sign_field_is_exactly_zero(kern1, kern2):
             for ext in (ConstantExterior(sign),
                         SampledExterior(outer, np.full(outer.shape, sign), sign)):
                 u = ScalarField(lat, vals, ext)
-                assert gagliardo_K(kern, u, om) == 0.0
+                assert _seminorm(kern, u, om) == 0.0
                 assert energy_E(kern, pot, u, om) == 0.0

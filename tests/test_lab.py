@@ -1,8 +1,11 @@
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
+from fraclab.barrier import BarrierSpec, eval_w
 from fraclab.lab import (
     Criterion,
     ExperimentConfig,
@@ -20,6 +23,7 @@ from fraclab.lab import (
     run_sobolev_suite,
 )
 from fraclab.lab.cli import main
+from fraclab.lab.config import read_pairs_csv
 
 DYADIC = [(2.0 ** k, (2.0 ** k) ** 2) for k in range(1, 8)]
 
@@ -160,6 +164,45 @@ def test_config_bad_line_reports_location(tmp_path):
     path.write_text("s 0.25\n")
     with pytest.raises(ValueError, match="key=value"):
         read_config_file(path)
+
+
+def test_pairs_csv_header_and_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("r,V\n\n1,2\n2, 4\n\n")
+    assert read_pairs_csv(path) == [(1.0, 2.0), (2.0, 4.0)]
+
+
+def test_pairs_csv_rejects_malformed_row(tmp_path):
+    # a bad middle row used to vanish from a tabulated well without a word
+    path = tmp_path / "well.csv"
+    path.write_text("t,W\n-1,0\n-0.5,0.5\n0,oops\n0.5,0.5\n1,0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4")):
+        read_pairs_csv(path)
+    for bad in ("1,2\n2\n", "1,2\n2,3,4\n", "t,W\n", ""):
+        path.write_text(bad)
+        with pytest.raises(ValueError):
+            read_pairs_csv(path)
+    with pytest.raises(ValueError, match="missing.csv"):
+        read_pairs_csv(tmp_path / "missing.csv")
+
+
+def test_iterate_runner_keeps_first_sample_of_headerless_csv(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("1,2\n2,4\n4,8\n")
+    rep = run_iterate(ExperimentConfig(experiment="iterate", v_csv=str(path)))
+    assert rep.series_rows == [[1.0, 2.0], [2.0, 4.0], [4.0, 8.0]]
+
+
+def test_cli_rejects_tabulated_non_well(tmp_path, capsys):
+    # W(+-1) = 1: sampled on [-1, 1] but not a double well
+    well = tmp_path / "well.csv"
+    well.write_text("t,W\n-1,1\n-0.5,0.5\n0,0.2\n0.5,0.5\n1,1\n")
+    code = main(["--out", str(tmp_path / "out"), "energy-growth",
+                 "--set", "potential=tabulated",
+                 "--set", f"potential_csv={well}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not a double well" in err and "W(+-1) = 0" in err
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +372,8 @@ def test_gmt_suite_small_corpus():
     assert rep.passed
     assert len(rep.series_rows) == 6 * 3  # cases times probe fractions
     assert rep.results["min_ratio"] > 0.0
+    shadows = next(c for c in rep.criteria if c.name == "projection-inequality")
+    assert shadows.passed and not shadows.vacuous
     manifest = rep.extra_files["corpus_manifest.json"]
     assert manifest["seed"] == 11
     assert len(manifest["cases"]) == 6
@@ -374,6 +419,14 @@ def test_barrier_runner_small_scale():
     assert rep.results["al2"]["ratio"] < 50.0
     assert rep.results["w_exact_outside"] is True
     assert len(rep.series_rows) == 64
+    # the series is the barrier's radial profile at increasing radii
+    assert rep.series_columns == ["radius", "v", "w"]
+    radii = np.array([row[0] for row in rep.series_rows])
+    assert np.all(np.diff(radii) > 0)
+    spec = BarrierSpec(**{k: rep.results["spec"][k]
+                          for k in ("s", "tau", "r", "c5", "dim")})
+    assert np.array_equal([row[2] for row in rep.series_rows],
+                          eval_w(spec, radii))
 
 
 def test_kernel_cache_roundtrip(tmp_path):

@@ -1,42 +1,32 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fraclab.potential import (
-    Quartic,
-    Tabulated,
-    check_grow,
-    check_wcond,
-    find_growth_constant,
-    w_deriv,
-    w_eval,
-    w_second,
-)
+from fraclab.lab.config import read_pairs_csv
+from fraclab.potential import Quartic, Tabulated, check_wcond
 
 
 def test_quartic_closed_forms():
     w = Quartic()  # amplitude 1/4
-    assert w_eval(w, 0.0) == pytest.approx(0.25)
-    assert w_eval(w, 1.0) == 0.0 and w_eval(w, -1.0) == 0.0
-    assert w_deriv(w, 1.0) == 0.0 and w_deriv(w, -1.0) == 0.0
-    assert w_second(w, 1.0) == pytest.approx(2.0)
-    assert w_second(w, -1.0) == pytest.approx(2.0)
+    assert w.value(0.0) == pytest.approx(0.25)
+    assert w.value(1.0) == 0.0 and w.value(-1.0) == 0.0
+    assert w.deriv(1.0) == 0.0 and w.deriv(-1.0) == 0.0
+    assert w.second(1.0) == pytest.approx(2.0)
+    assert w.second(-1.0) == pytest.approx(2.0)
     t = np.linspace(-1, 1, 101)
-    assert np.allclose(w_eval(w, t), 0.25 * (1 - t**2) ** 2)
+    assert np.allclose(w.value(t), 0.25 * (1 - t**2) ** 2)
     # derivative consistency, central differences
     eps = 1e-6
     mid = t[1:-1]
-    num = (w_eval(w, mid + eps) - w_eval(w, mid - eps)) / (2 * eps)
-    assert np.allclose(w_deriv(w, mid), num, atol=1e-8)
+    num = (w.value(mid + eps) - w.value(mid - eps)) / (2 * eps)
+    assert np.allclose(w.deriv(mid), num, atol=1e-8)
 
 
 def test_quartic_rejects_out_of_domain_and_bad_amplitude():
     w = Quartic()
     with pytest.raises(ValueError):
-        w_eval(w, 1.0001)
+        w.value(1.0001)
     with pytest.raises(ValueError):
-        w_deriv(w, np.array([0.0, -2.0]))
+        w.deriv(np.array([0.0, -2.0]))
     with pytest.raises(ValueError):
         Quartic(amplitude=0.0)
 
@@ -73,37 +63,6 @@ def test_tabulated_validation_and_csv(tmp_path):
         f.write("t,W\n")
         for t in ts:
             f.write(f"{float(t)!r},{float(w.value(t))!r}\n")
-    tab = Tabulated.from_csv(path)
+    tab = Tabulated(*zip(*read_pairs_csv(path)))
     assert tab.ts[0] == -1.0 and tab.ts[-1] == 1.0
     assert tab.value(0.0) == pytest.approx(0.25, abs=1e-6)
-
-
-# growth constants located by bisection on the sampled check; frozen values
-# re-verified here
-def test_growth_constant_quartic_quarter():
-    c = find_growth_constant(Quartic())
-    assert c == pytest.approx(0.5358983848618664, rel=1e-9)
-    assert check_grow(Quartic(), c).passes
-    assert not check_grow(Quartic(), 1.0).passes
-
-
-def test_growth_constant_quartic_unit():
-    c = find_growth_constant(Quartic(amplitude=1.0))
-    assert c == pytest.approx(0.8274787146801827, rel=1e-9)
-    assert check_grow(Quartic(amplitude=1.0), c).passes
-
-
-def test_check_grow_reports_failure_not_exception():
-    rep = check_grow(Quartic(), 0.99)
-    assert not rep.passes and rep.margin < 0
-    r, t = rep.worst_pair
-    assert -1.0 <= r <= t <= 1.0
-    with pytest.raises(ValueError):
-        check_grow(Quartic(), 0.0)
-
-
-@settings(deadline=None, max_examples=25)
-@given(c=st.floats(min_value=0.05, max_value=0.5))
-def test_growth_margin_nonnegative_below_found_constant(c):
-    # any c below the located constant also passes for the default well
-    assert check_grow(Quartic(), c, samples=40).passes

@@ -14,14 +14,10 @@ from fraclab.lattice import CellSet, Lattice, ball_mask
 from fraclab.setgeom import (
     L_interaction,
     check_gmt,
-    check_gmt_local,
     check_loomis_whitney,
-    ell_scale,
-    project_measure,
     random_cellset,
     random_disjoint_pair,
     random_equal_count_set,
-    sobolev_integrated,
     sobolev_set_bound,
 )
 
@@ -158,31 +154,7 @@ def test_interaction_empty_and_errors(kern1, kern2):
         L_interaction(kern2, A, D)
 
 
-# -- projections and Loomis-Whitney ----------------------------------------
-
-
-def test_project_measure_box():
-    lat = Lattice(2, 1.0, (0, 0), (8, 8))
-    box = CellSet.from_indices(lat, [(i, j) for i in range(2) for j in range(3)])
-    assert project_measure(box, 0) == 3.0
-    assert project_measure(box, 1) == 2.0
-    half = Lattice(2, 0.5, (0, 0), (8, 8))
-    boxh = CellSet.from_indices(half, [(i, j) for i in range(2) for j in range(3)])
-    assert project_measure(boxh, 0) == 1.5
-    assert project_measure(CellSet.empty(lat), 0) == 0.0
-    with pytest.raises(ValueError, match="axis"):
-        project_measure(box, 2)
-
-
-def test_project_measure_monotone_and_1d():
-    lat = Lattice(2, 1.0, (0, 0), (8, 8))
-    small = CellSet.from_indices(lat, [(0, 0), (1, 1)])
-    big = small.union(CellSet.from_indices(lat, [(4, 5)]))
-    for axis in (0, 1):
-        assert project_measure(small, axis) <= project_measure(big, axis)
-    line = Lattice(1, 0.25, (0,), (8,))
-    assert project_measure(CellSet.from_indices(line, [(2,), (5,)]), 0) == 1.0
-    assert project_measure(CellSet.empty(line), 0) == 0.0
+# -- Loomis-Whitney ------------------------------------------------------------
 
 
 def test_loomis_whitney_box_equality():
@@ -221,23 +193,6 @@ def test_loomis_whitney_random_sets():
 def test_loomis_whitney_empty_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         check_loomis_whitney(CellSet.empty(LAT2))
-
-
-# -- scale factor -----------------------------------------------------------
-
-
-def test_ell_scale_values():
-    assert ell_scale(16.0, 0.25, 2) == pytest.approx(2.0, rel=1e-15)
-    assert ell_scale(math.e, 0.5, 1) == pytest.approx(1.0, rel=1e-15)
-    assert ell_scale(123.0, 0.75, 2) == 1.0
-    assert ell_scale(0.5, 0.75, 1) == 1.0
-
-
-def test_ell_scale_domain():
-    with pytest.raises(ValueError, match="positive"):
-        ell_scale(0.0, 0.25, 1)
-    with pytest.raises(ValueError, match="measure > 1"):
-        ell_scale(1.0, 0.5, 1)
 
 
 # -- global regime check ------------------------------------------------------
@@ -307,74 +262,6 @@ def test_gmt_errors(kern2):
         check_gmt(kern2, A, CellSet.empty(LAT2), 1.5)
 
 
-# -- localized regime check ---------------------------------------------------
-
-
-def test_gmt_local_column_case(qkern75):
-    Q = CellSet.full(QLAT)
-    amask = np.zeros((16, 16), dtype=bool)
-    amask[:7, :] = True
-    dmask = np.zeros((16, 16), dtype=bool)
-    dmask[9:, :] = True
-    A, D = CellSet(QLAT, amask), CellSet(QLAT, dmask)
-    rep = check_gmt_local(qkern75, A, D, Q, 0.25)
-    assert rep.measure_b == 32.0 and not rep.b_floored
-    assert rep.ratio == pytest.approx(0.70435607520567, rel=1e-9)
-    # same multiset of weights as an explicit pair loop
-    brute = stable_sum(
-        [qkern75.weight(tuple(i - j)) for i in np.argwhere(amask) for j in np.argwhere(dmask)]
-    )
-    assert rep.interaction == brute
-
-
-def test_gmt_local_empty_gap_floored(qkern75):
-    Q = CellSet.full(QLAT)
-    amask = np.zeros((16, 16), dtype=bool)
-    amask[:8, :] = True
-    A = CellSet(QLAT, amask)
-    D = CellSet(QLAT, ~amask)
-    rep = check_gmt_local(qkern75, A, D, Q, 0.5)
-    assert rep.b_floored and rep.measure_b == 0.0
-    assert math.isfinite(rep.bound) and rep.ratio > 0.0
-
-
-def test_gmt_local_narrow_gap_bound_grows(qkern75):
-    Q = CellSet.full(QLAT)
-    ratios = []
-    for gap in (4, 2, 1):
-        amask = np.zeros((16, 16), dtype=bool)
-        amask[: (16 - gap) // 2, :] = True
-        dmask = np.zeros((16, 16), dtype=bool)
-        dmask[(16 - gap) // 2 + gap :, :] = True
-        rep = check_gmt_local(qkern75, CellSet(QLAT, amask), CellSet(QLAT, dmask), Q, 0.3)
-        assert rep.ratio > 0.0
-        ratios.append(rep.ratio)
-    assert all(math.isfinite(r) for r in ratios)
-
-
-def test_gmt_local_errors(qkern75, qkern50, kern2):
-    Q = CellSet.full(QLAT)
-    amask = np.zeros((16, 16), dtype=bool)
-    amask[:7, :] = True
-    dmask = np.zeros((16, 16), dtype=bool)
-    dmask[9:, :] = True
-    A, D = CellSet(QLAT, amask), CellSet(QLAT, dmask)
-    lowkern = build_kernel(QLAT, 0.25)
-    with pytest.raises(ValueError, match="s in"):
-        check_gmt_local(lowkern, A, D, Q, 0.25)
-    with pytest.raises(ValueError, match="sigma"):
-        check_gmt_local(qkern75, A, D, Q, 0.8)
-    with pytest.raises(ValueError, match="set D"):
-        check_gmt_local(qkern75, A, CellSet.from_indices(QLAT, [(9, 0)]), Q, 0.25)
-    with pytest.raises(ValueError, match="set A"):
-        check_gmt_local(qkern75, CellSet.from_indices(QLAT, [(0, 0)]), D, Q, 0.25)
-    with pytest.raises(ValueError, match="overlap"):
-        check_gmt_local(qkern75, A, A, Q, 0.25)
-    corner = CellSet.from_indices(QLAT, [(0, 0)])
-    with pytest.raises(ValueError, match="contained"):
-        check_gmt_local(qkern75, A, D, A.union(D).difference(corner), 0.25)
-
-
 # -- complement integral bound -------------------------------------------------
 
 
@@ -400,17 +287,6 @@ def test_sobolev_complement_monotone(sob):
     E = ball_mask(lat, (0.2,), 1.0)
     bigger = ball_mask(lat, (0.2,), 2.0)
     assert sobolev_set_bound(kern, E, (0,)).lhs >= sobolev_set_bound(kern, bigger, (0,)).lhs
-
-
-def test_sobolev_integrated_consistent(sob):
-    lat, kern = sob
-    E = ball_mask(lat, (0.2,), 1.0)
-    F = CellSet.from_indices(lat, [(0,), (1,)])
-    rep = sobolev_integrated(kern, E, F)
-    a = sobolev_set_bound(kern, E, (0,)).lhs
-    b = sobolev_set_bound(kern, E, (1,)).lhs
-    assert rep.lhs == stable_sum([a, b]) * 0.4
-    assert rep.constant == pytest.approx(rep.lhs * 2.0 ** 0.5 / 0.8, rel=1e-12)
 
 
 def test_sobolev_ball_beats_random_sets(sob):
@@ -449,8 +325,6 @@ def test_sobolev_errors(sob):
         sobolev_set_bound(kern, CellSet.empty(lat), (0,))
     with pytest.raises(ValueError, match="outside"):
         sobolev_set_bound(kern, E, (10_000,))
-    with pytest.raises(ValueError, match="positive measure"):
-        sobolev_integrated(kern, E, CellSet.empty(lat))
 
 
 # -- corpora -------------------------------------------------------------------
