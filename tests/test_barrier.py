@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fraclab.barrier import (
     verify_al1,
     verify_al2,
 )
+from fraclab.lab import ExperimentConfig, run_barrier
 
 
 # -- profile functions ---------------------------------------------------
@@ -173,3 +176,19 @@ def test_al2_small_scale(small_spec):
 def test_verify_rejects_too_few_samples(small_spec):
     with pytest.raises(ValueError, match="sample_count"):
         verify_al1(small_spec, sample_count=1)
+
+
+def test_profile_csv_roundtrip(small_spec, tmp_path):
+    # the barrier runner writes the radial profile as its series.csv
+    cfg = ExperimentConfig(experiment="barrier", s=0.5, dim=1, h=1.0,
+                           tau=0.1, barrier_r=100.0, barrier_samples=32,
+                           check_samples=32)
+    run_barrier(cfg).write(tmp_path)
+    with open(tmp_path / "series.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["radius", "v", "w"]
+    assert len(rows) == 33
+    radii = np.array([float(r[0]) for r in rows[1:]])
+    w = np.array([float(r[2]) for r in rows[1:]])
+    assert np.array_equal(w, eval_w(small_spec, radii))
+    assert np.all(np.diff(radii) > 0)

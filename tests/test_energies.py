@@ -172,6 +172,87 @@ def test_psi_sweep_growth_rate():
     assert 0.35 <= fit.slope <= 0.65
 
 
+# ------------------------------------------------------------------ u(A, B)
+
+
+def _interaction(kern, u, a, b=None):
+    """u(A, B) for disjoint A and B (default: the rest of the box), by
+    inclusion-exclusion: K(A) and K(B) both count the pairs across."""
+    whole = None if b is None else a.union(b)
+    b = a.complement() if b is None else b
+    return _seminorm(kern, u, a) + _seminorm(kern, u, b) - _seminorm(kern, u, whole)
+
+
+def _pair_mass(kern, u, a, b):
+    """sum over i in A, j in B of w_ij (u_i - u_j)^2, box cells only."""
+    lat = kern.lattice
+    ia, ib = np.argwhere(a.members), np.argwhere(b.members)
+    off = ia[:, None, :] - ib[None, :, :] + (np.array(lat.shape) - 1)
+    w = kern.table[tuple(off[..., k] for k in range(lat.dim))]
+    d = u.values[a.members][:, None] - u.values[b.members][None, :]
+    return math.fsum((w * d * d).ravel())
+
+
+def _exterior_mass(kern, u, a):
+    """sum over i in A of the pairs with a halfspace exterior (+1 on y >= t)."""
+    plus, minus = kern.tail_halfspace(u.exterior.axis, u.exterior.threshold)
+    v = u.values
+    return math.fsum((plus * (v - 1.0) ** 2 + minus * (v + 1.0) ** 2)[a.members])
+
+
+def test_interaction_symmetry(kern1):
+    u = random_field(LAT1, 7, HalfspaceExterior(0, 0.0))
+    a = ball_mask(LAT1, -1.0, 1.0)
+    b = ball_mask(LAT1, 2.0, 1.2)
+    sab = _interaction(kern1, u, a, b)
+    assert sab >= 0.0
+    assert _pair_mass(kern1, u, a, b) == pytest.approx(_pair_mass(kern1, u, b, a), rel=1e-13)
+    assert sab == pytest.approx(_pair_mass(kern1, u, b, a), rel=1e-13)
+
+
+def test_interaction_constant_on_both_sets(kern1):
+    vals = np.where(np.abs(LAT1.axis_centers(0)) < 2.5, 0.7, -0.4)
+    u = ScalarField(LAT1, vals, ConstantExterior(-1.0))
+    a = ball_mask(LAT1, -1.0, 0.9)
+    b = ball_mask(LAT1, 1.0, 0.9)
+    # u is 0.7 across a and b: every pair difference vanishes
+    assert abs(_interaction(kern1, u, a, b)) < 1e-10
+
+
+def test_interaction_complement_default(kern1):
+    # omega=None is the whole box: K(a) + K(rest) - K(box) is the pair
+    # mass across the two
+    u = random_field(LAT1, 8)
+    a = ball_mask(LAT1, 0.0, 2.0)
+    comp = CellSet(LAT1, ~a.members)
+    assert _interaction(kern1, u, a, None) \
+        == pytest.approx(_interaction(kern1, u, a, comp), rel=1e-12)
+    assert _interaction(kern1, u, a, None) \
+        == pytest.approx(_pair_mass(kern1, u, a, comp), rel=1e-12)
+
+
+def test_decomposition_identity(kern1, kern2):
+    # K(u; om) = u(om, om)/2 + u(om, complement incl. exterior)
+    cases = [
+        (kern1, random_field(LAT1, 9, HalfspaceExterior(0, 0.0)), ball_mask(LAT1, 0.0, 2.0)),
+        (kern2, random_field(LAT2, 10, HalfspaceExterior(1, 0.3)), ball_mask(LAT2, (0.0, 0.0), 2.0)),
+    ]
+    for kern, u, om in cases:
+        k = _seminorm(kern, u, om)
+        lhs = _pair_mass(kern, u, om, om) / 2.0 \
+            + _pair_mass(kern, u, om, om.complement()) + _exterior_mass(kern, u, om)
+        assert lhs == pytest.approx(k, rel=1e-12)
+
+
+def test_interaction_lattice_mismatch(kern1):
+    other = Lattice(dim=1, h=0.5, lo=(-10,), hi=(10,))
+    u = random_field(LAT1, 11)
+    with pytest.raises(ValueError, match="lattice"):
+        _interaction(kern1, u, CellSet.full(other))
+    with pytest.raises(ValueError, match="lattice"):
+        _interaction(kern1, u, ball_mask(LAT1, 0.0, 1.0), CellSet.full(other))
+
+
 # ------------------------------------------------------------------ operator
 
 

@@ -2,10 +2,8 @@ import json
 import os
 import re
 
-import numpy as np
 import pytest
 
-from fraclab.barrier import BarrierSpec, eval_w
 from fraclab.lab import (
     Criterion,
     ExperimentConfig,
@@ -419,14 +417,6 @@ def test_barrier_runner_small_scale():
     assert rep.results["al2"]["ratio"] < 50.0
     assert rep.results["w_exact_outside"] is True
     assert len(rep.series_rows) == 64
-    # the series is the barrier's radial profile at increasing radii
-    assert rep.series_columns == ["radius", "v", "w"]
-    radii = np.array([row[0] for row in rep.series_rows])
-    assert np.all(np.diff(radii) > 0)
-    spec = BarrierSpec(**{k: rep.results["spec"][k]
-                          for k in ("s", "tau", "r", "c5", "dim")})
-    assert np.array_equal([row[2] for row in rep.series_rows],
-                          eval_w(spec, radii))
 
 
 def test_kernel_cache_roundtrip(tmp_path):

@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclab.energies import EnergyModel
+from fraclab.kernels import build_kernel
 from fraclab.lattice import (
     CellSet,
     ConstantExterior,
+    HalfspaceExterior,
     Lattice,
     SampledExterior,
     ScalarField,
@@ -145,6 +148,22 @@ def test_constant_exterior():
     ConstantExterior(-1.0)
     with pytest.raises(ValueError):
         ConstantExterior(1.5)
+
+
+def test_halfspace_exterior_sign_convention():
+    # u = +1 on y[axis] >= threshold: lowering the threshold turns exterior
+    # cells to +1, so a field of +1s loses seminorm and a field of -1s gains
+    lat = Lattice(2, 0.5, (-4, -4), (4, 4))
+    kern = build_kernel(lat, 0.5)
+    for axis in (0, 1):
+        for sign, trend in ((1.0, -1.0), (-1.0, 1.0)):
+            ks = []
+            for threshold in (3.0, 0.0, -3.0):
+                u = ScalarField(lat, np.full(lat.shape, sign),
+                                HalfspaceExterior(axis, threshold))
+                model = EnergyModel(kern, None, u)
+                ks.append(model.seminorm(model.lift(u.values)))
+            assert all(trend * (b - a) > 0.0 for a, b in zip(ks, ks[1:]))
 
 
 def test_sampled_exterior_lookup_and_fill():

@@ -13,6 +13,7 @@ from fraclab.lab.experiments import _sharp_constant
 from fraclab.lattice import CellSet, Lattice, ball_mask
 from fraclab.setgeom import (
     L_interaction,
+    _shadow_counts,
     check_gmt,
     check_loomis_whitney,
     random_cellset,
@@ -154,7 +155,36 @@ def test_interaction_empty_and_errors(kern1, kern2):
         L_interaction(kern2, A, D)
 
 
-# -- Loomis-Whitney ------------------------------------------------------------
+# -- projections and Loomis-Whitney ----------------------------------------
+
+
+def _projection_measure(cells, axis):
+    """Measure of the shadow along ``axis``: shadow cells times h^(dim-1)."""
+    return _shadow_counts(cells)[axis] * cells.lattice.h ** (cells.lattice.dim - 1)
+
+
+def test_project_measure_box():
+    lat = Lattice(2, 1.0, (0, 0), (8, 8))
+    box = CellSet.from_indices(lat, [(i, j) for i in range(2) for j in range(3)])
+    assert _projection_measure(box, 0) == 3.0
+    assert _projection_measure(box, 1) == 2.0
+    half = Lattice(2, 0.5, (0, 0), (8, 8))
+    boxh = CellSet.from_indices(half, [(i, j) for i in range(2) for j in range(3)])
+    assert _projection_measure(boxh, 0) == 1.5
+    assert _projection_measure(CellSet.empty(lat), 0) == 0.0
+    # one shadow per axis
+    assert len(_shadow_counts(box)) == 2
+
+
+def test_project_measure_monotone_and_1d():
+    lat = Lattice(2, 1.0, (0, 0), (8, 8))
+    small = CellSet.from_indices(lat, [(0, 0), (1, 1)])
+    big = small.union(CellSet.from_indices(lat, [(4, 5)]))
+    for axis in (0, 1):
+        assert _projection_measure(small, axis) <= _projection_measure(big, axis)
+    line = Lattice(1, 0.25, (0,), (8,))
+    assert _projection_measure(CellSet.from_indices(line, [(2,), (5,)]), 0) == 1.0
+    assert _projection_measure(CellSet.empty(line), 0) == 0.0
 
 
 def test_loomis_whitney_box_equality():
