@@ -8,8 +8,11 @@ the sampled supremum of the positive part of the operator applied to v,
 normalized by v + 16 r^(-2s).
 
 h meets 0 at t = r/2 with zero slope (tangent-line construction), so the
-only kink of v sits at the clamp radius where h reaches 1; the principal
-value integrals place quadrature breakpoints there.
+only kink of v sits at the clamp radius where h reaches 1.  The principal
+value is one ray rule: pairs of opposite rays from the evaluation point,
+one direction (theta = 0) in 1D and a Gauss rule in theta in 2D, each
+integrated by quad with breakpoints where a ray crosses the clamp radius,
+r/2 or r.
 """
 
 from __future__ import annotations
@@ -81,73 +84,51 @@ def clamp_radius(r: float, s: float) -> float:
 # -- principal value integrals ------------------------------------------------
 
 
-def _pv_v_1d(x: float, r: float, s: float) -> float:
-    # int over R of (v(y) - v(x)) |x-y|^(-(1+2s)) dy, paired rays:
-    # int_0^inf [v(x+u) + v(x-u) - 2 v(x)] u^(-(1+2s)) du
+def _pv_v(x: float, r: float, s: float, dim: int, n_theta: int = 48) -> float:
+    """int over R^dim of (v(y) - v(x)) |x-y|^(-(dim+2s)) dy at the point x
+    on the first axis, by one ray rule.
+
+    In polar coordinates around x the Jacobian u^(dim-1) leaves the 1D
+    exponent, and each direction e_theta pairs the rays x +- u e_theta:
+    int_0^inf [v(x + u e) + v(x - u e) - 2 v(x)] u^(-(1+2s)) du.  1D is
+    the single direction theta = 0; 2D is the n_theta-point Gauss rule on
+    [0, pi].  Breakpoints sit where a ray crosses the clamp radius, r/2
+    or r; beyond |x| + r both rays lie in {v = 1}.
+    """
+    if dim == 1:
+        directions = ((0.0, 1.0),)
+    elif dim == 2:
+        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+        directions = zip(0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights)
+    else:
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     vx = eval_v(x, r, s)
-    rho_star = clamp_radius(r, s)
     upper = abs(x) + r
-    kinks = sorted(
-        {abs(k - x) for k in (-rho_star, rho_star, -r / 2.0, r / 2.0, -r, r)}
-        | {abs(k + x) for k in (rho_star, r / 2.0, r)}
-    )
-    pts = [p for p in kinks if 0.0 < p < upper]
-
-    def f(u):
-        return (eval_v(x + u, r, s) + eval_v(x - u, r, s) - 2.0 * vx) * u ** (-1.0 - 2.0 * s)
-
-    val, _ = quad(f, 0.0, upper, points=pts or None, limit=300)
-    # beyond upper both rays sit in {v = 1}
     tail = (2.0 - 2.0 * vx) * upper ** (-2.0 * s) / (2.0 * s)
-    return val + tail
-
-
-def _pv_v_2d(x: float, r: float, s: float, n_theta: int = 48) -> float:
-    # polar around the evaluation point: the Jacobian u cancels one power,
-    # leaving the 1d exponent; theta pairs rays at angle and angle + pi
-    rho0 = abs(x)
-    vx = eval_v(rho0, r, s)
-    rho_star = clamp_radius(r, s)
-    upper = rho0 + r
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    thetas = 0.5 * math.pi * (nodes + 1.0)
-    wts = 0.5 * math.pi * weights
-
-    def crossings(c, radius):
-        # u >= 0 with sqrt(rho0^2 + u^2 + 2 rho0 u c) = radius
-        disc = (rho0 * c) ** 2 - (rho0**2 - radius**2)
-        if disc < 0:
-            return []
-        root = math.sqrt(disc)
-        return [u for u in (-rho0 * c - root, -rho0 * c + root) if 0.0 < u < upper]
-
     total = 0.0
-    for theta, wt in zip(thetas, wts):
-        c = math.cos(theta)
-
-        def ray(u, cc):
-            return np.sqrt(rho0 * rho0 + u * u + 2.0 * rho0 * u * cc)
+    for theta, wt in directions:
+        c, sn = math.cos(theta), math.sin(theta)
 
         def f(u):
-            return (
-                eval_v(ray(u, c), r, s) + eval_v(ray(u, -c), r, s) - 2.0 * vx
-            ) * u ** (-1.0 - 2.0 * s)
+            if sn == 0.0:  # on the axis eval_v takes |.| itself
+                fwd, back = x + u * c, x - u * c
+            else:
+                fwd = math.hypot(x + u * c, u * sn)
+                back = math.hypot(x - u * c, u * sn)
+            return (eval_v(fwd, r, s) + eval_v(back, r, s) - 2.0 * vx) \
+                * u ** (-1.0 - 2.0 * s)
 
-        pts = sorted(
-            set(crossings(c, rho_star) + crossings(-c, rho_star)
-                + crossings(c, r) + crossings(-c, r))
-        )
+        # u with |x +- u e_theta| = radius: u = -+x c +- sqrt(radius^2 - (x sn)^2)
+        cross = set()
+        for radius in (clamp_radius(r, s), 0.5 * r, r):
+            disc = radius * radius - (x * sn) ** 2
+            if disc >= 0.0:
+                root = math.sqrt(disc)
+                cross.update((-x * c - root, -x * c + root, x * c - root, x * c + root))
+        pts = sorted(u for u in cross if 0.0 < u < upper)
         val, _ = quad(f, 0.0, upper, points=pts or None, limit=300)
-        total += wt * (val + (2.0 - 2.0 * vx) * upper ** (-2.0 * s) / (2.0 * s))
-    return total
-
-
-def _pv_v(x: float, r: float, s: float, dim: int, n_theta: int = 48) -> float:
-    if dim == 1:
-        return _pv_v_1d(x, r, s)
-    if dim == 2:
-        return _pv_v_2d(x, r, s, n_theta)
-    raise ValueError(f"dim must be 1 or 2, got {dim}")
+        total += wt * (val + tail)
+    return float(total)
 
 
 def estimate_C5(

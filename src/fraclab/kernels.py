@@ -24,14 +24,16 @@ The diagonal weight is exactly zero: a piecewise-constant field has
 u(x) - u(y) = 0 on C_i x C_i, so the singular diagonal never contributes.
 
 Everything outside the lattice box is handled by per-cell tail integrals
-of the kernel against exterior regions.  The 1D tails are elementary; the
-2D tails reduce to three primitives (half-plane, quadrant, strip).  The
-quadrant is a Gauss-Jacobi rule that absorbs the t^(2s-1) endpoint weight,
-with the remaining factor expressed through the regularized incomplete
-beta function; being homogeneous of degree -2s, it is sampled once per s
-on the aspect ratio, and every tail evaluates that cubic-spline surrogate
-(``quadrant_fast``, ``strip_fast``).  The whole-complement tail is the
-halfspace split's plus part at threshold -inf, so both go through one path.
+of the kernel against exterior regions.  The 1D tails are elementary; a
+2D exterior region splits into full-height half-plane slabs and strips,
+a quadrant being a strip with one infinite end seen with the axes
+swapped.  The strip tail is built from the quadrant tail, a Gauss-Jacobi
+rule that absorbs the t^(2s-1) endpoint weight, with the remaining factor
+expressed through the regularized incomplete beta function; being
+homogeneous of degree -2s, it is sampled once per s on the aspect ratio,
+and every tail evaluates that cubic-spline surrogate (``quadrant_fast``,
+``strip_fast``).  The whole-complement tail is the halfspace split's
+plus part at threshold -inf, so both go through one path.
 Near weights are cached by one ``save_kernel``/``load_kernel`` pair to
 versioned .npz files keyed by (dim, h, s, near_radius, quad_tol).
 """
@@ -455,24 +457,25 @@ def _corner_quad(f, rect, d_corner: float, h: float, tol: float) -> float:
 
 def _strip_integrands(face: float, A: float, B: float, s: float):
     """Pointwise integrands for the strip {y1 in [A,B], y2 >= face}: G, the
-    two quadrant corrections a spanning footprint subtracts from the
-    half-plane, and F, the strip tail of a one-sided footprint."""
+    quadrant corrections a spanning footprint subtracts from the half-plane,
+    and F, the strip tail of a one-sided footprint.  The quadrant term of an
+    infinite end is 0 and is left out."""
     def G(X, Y):
         d = face - Y
+        if math.isinf(B):
+            return quadrant_fast(X - A, d, s)
+        if math.isinf(A):
+            return quadrant_fast(B - X, d, s)
         return quadrant_fast(X - A, d, s) + quadrant_fast(B - X, d, s)
 
     def F(X, Y):
+        if math.isinf(B):
+            return quadrant_fast(A - X, face - Y, s)
+        if math.isinf(A):
+            return quadrant_fast(X - B, face - Y, s)
         return strip_fast(face - Y, A - X, B - X, s)
 
     return G, F
-
-
-def _far_quadrant(E: float, thr: float, s: float, above: bool):
-    """Pointwise tail against the quadrant {y1 <= E} on the other side of
-    y2 = thr, for points above (or below) the threshold."""
-    if above:
-        return lambda X, Y: quadrant_fast(X - E, Y - thr, s)
-    return lambda X, Y: quadrant_fast(X - E, thr - Y, s)
 
 
 def _strip_rect_value(h: float, s: float, rect, face: float, A: float,
@@ -549,60 +552,6 @@ def _strip_piece_2d(h, s, cx, cy, vface, A, B, adj_rows, vend=None):
     return out
 
 
-def _quad_rect_value(h: float, s: float, rect, E: float, thr: float,
-                     tol: float = 1e-10) -> float:
-    """Integral over one rect (right of E) of the tail against the region
-    {y1 <= E, y2 >= thr}."""
-    x1a, x1b, x2a, x2b = rect
-    if _cuts(x2a, thr, x2b):
-        return (_quad_rect_value(h, s, (x1a, x1b, x2a, thr), E, thr, tol)
-                + _quad_rect_value(h, s, (x1a, x1b, thr, x2b), E, thr, tol))
-    ua = x1a - E
-    if 0.5 * (x2a + x2b) >= thr:
-        # region covers the full height: exact half-plane part minus the
-        # below-threshold quadrant
-        hp = float(_hp_column_exact(x2b - x2a, np.array(ua), x1b - x1a, s))
-        G = _far_quadrant(E, thr, s, above=True)
-        return hp - _corner_quad(G, rect, math.hypot(ua, x2a - thr), h, tol)
-    G = _far_quadrant(E, thr, s, above=False)
-    return _corner_quad(G, rect, math.hypot(ua, thr - x2b), h, tol)
-
-
-def _quad_piece_2d(h, s, cx, cy, x1edge, thr, adj_cols):
-    """Tails against {y1 <= x1edge, y2 >= thr} for cells right of x1edge."""
-    CX, CY = np.broadcast_arrays(np.asarray(cx, float), np.asarray(cy, float))
-    sl = np.broadcast_to(np.asarray(adj_cols, bool), CX.shape) & (s >= 0.5)
-    out = np.zeros(CX.shape, dtype=float)
-    if np.any(sl):
-        u = CX[sl] - x1edge
-        vv = thr - CY[sl]
-        pos = vv > 0.0
-        v = np.empty(u.shape)
-        v[pos] = quadrant_fast(u[pos], vv[pos], s)
-        v[~pos] = halfplane_tail(u[~pos], s) - quadrant_fast(u[~pos], -vv[~pos], s)
-        out[sl] = h * h * v
-    ua = (CX - 0.5 * h) - x1edge
-    above = (CY - 0.5 * h) >= thr
-    below = (CY + 0.5 * h) <= thr
-    d_above = np.hypot(ua, (CY - 0.5 * h) - thr)
-    d_below = np.hypot(ua, thr - (CY + 0.5 * h))
-    bulk_above = ~sl & above & (d_above >= h)
-    if np.any(bulk_above):
-        Ga = _far_quadrant(x1edge, thr, s, above=True)
-        out[bulk_above] = (_hp_column_exact(h, ua[bulk_above], h, s)
-                           - _gauss_cells(Ga, CX[bulk_above], CY[bulk_above], h))
-    bulk_below = ~sl & below & (d_below >= h)
-    if np.any(bulk_below):
-        Gb = _far_quadrant(x1edge, thr, s, above=False)
-        out[bulk_below] = _gauss_cells(Gb, CX[bulk_below], CY[bulk_below], h)
-    special = ~sl & ~bulk_above & ~bulk_below
-    for i, j in zip(*np.nonzero(special)):
-        rect = (CX[i, j] - 0.5 * h, CX[i, j] + 0.5 * h,
-                CY[i, j] - 0.5 * h, CY[i, j] + 0.5 * h)
-        out[i, j] = _quad_rect_value(h, s, rect, x1edge, thr)
-    return out
-
-
 def _hp_interval_2d(h, s, cx, A, B, side, adj_cols):
     """Tails against the full-height slab {y1 in [A,B]} on one side."""
     vals = _interval_tail_1d(cx.ravel(), h, s, A, B, side,
@@ -659,8 +608,10 @@ def _tails_plus(h: float, s: float, frame, axis: int, thr: float):
     out = _strip_piece_2d(h, s, cx, cy, max(Y1, thr), X0, X1, top)
     if thr < Y0:
         out = out + _strip_piece_2d(h, s, cx, -cy, -Y0, X0, X1, bottom, vend=-thr)
-    out = out + _quad_piece_2d(h, s, cx, cy, X0, thr, left)
-    out = out + _quad_piece_2d(h, s, -cx, cy, -X1, thr, right)
+    # the quadrants {y1 <= X0} and {y1 >= X1} above thr are strips along
+    # y2 with one infinite end, seen with the axes swapped
+    out = out + _strip_piece_2d(h, s, cy, -cx, -X0, thr, np.inf, left)
+    out = out + _strip_piece_2d(h, s, cy, cx, X1, thr, np.inf, right)
     return out
 
 

@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    file_values = read_config_file(args.config) if args.config else {}
     overrides = _parse_overrides(args.overrides)
     if args.out is not None:
         overrides["out_dir"] = args.out
@@ -88,6 +87,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
     try:
+        file_values = read_config_file(args.config) if args.config else {}
         cfg = config_from_sources(args.command, file_values, overrides)
         report = _COMMANDS[args.command][0](cfg)
     except ValueError as exc:

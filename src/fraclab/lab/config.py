@@ -174,7 +174,11 @@ for _f in dataclasses.fields(ExperimentConfig):
 def read_config_file(path) -> dict:
     """Parse a flat key=value file; '#' starts a comment, blanks ignored."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {str(path)!r}: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

@@ -103,16 +103,6 @@ class LoomisWhitneyReport:
     def __bool__(self) -> bool:
         return self.product_holds and self.axis_bound_holds
 
-    def to_json(self) -> dict:
-        return {
-            "cell_count": self.cell_count,
-            "shadow_counts": list(self.shadow_counts),
-            "shadow_product": self.shadow_product,
-            "product_holds": self.product_holds,
-            "max_axis": self.max_axis,
-            "axis_bound_holds": self.axis_bound_holds,
-        }
-
 
 def check_loomis_whitney(cells: CellSet) -> LoomisWhitneyReport:
     """Exact integer check of the projection inequality.
@@ -154,20 +144,6 @@ class GmtReport:
     bound: float
     ratio: float
     b_floored: bool
-
-    def to_json(self) -> dict:
-        return {
-            "regime": self.regime,
-            "s_branch": self.s_branch,
-            "measure_a": self.measure_a,
-            "measure_b": self.measure_b,
-            "measure_d": self.measure_d,
-            "c_probe": self.c_probe,
-            "interaction": self.interaction,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "b_floored": self.b_floored,
-        }
 
 
 def _s_branch(s: float) -> str:
@@ -244,9 +220,6 @@ class SobolevReport:
     lhs: float
     constant: float
     measure_e: float
-
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "constant": self.constant, "measure_e": self.measure_e}
 
 
 def _cell_position(lattice: Lattice, x) -> tuple:

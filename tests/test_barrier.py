@@ -91,6 +91,8 @@ def test_c5_2d_finite_and_monotone():
     lo = estimate_C5(0.5, 80.0, 3, dim=2, theta_nodes=12)
     hi = estimate_C5(0.5, 80.0, 6, dim=2, theta_nodes=12)
     assert 0.0 < lo <= hi
+    assert lo == pytest.approx(0.6879068938474566, rel=1e-8)
+    assert hi == pytest.approx(1.0568700164334106, rel=1e-8)
 
 
 def test_c5_rejects_small_r_and_bad_counts():

@@ -328,10 +328,33 @@ def test_tail_halfspace_additivity(dim):
     for s in (0.25, 0.5, 0.75):
         total = K.cell_tail_weights(lat, s)
         for axis in axes:
-            for thr in (-0.8, 0.0, 0.13, 2.6, 9.0):
+            for thr in (-0.8, 0.0, 0.13, 2.6, 9.0, -np.inf):
                 plus, minus = K.cell_tail_halfspace(lat, s, axis, thr)
                 assert np.all(plus >= -1e-13) and np.all(minus >= -1e-13)
                 assert np.max(np.abs(plus + minus - total) / total) < 1e-9
+
+
+@pytest.mark.parametrize("lat", [
+    Lattice(2, 0.5, (-5, -3), (6, 9)),
+    Lattice.covering_ball(2, 0.4, 0, 6),
+    Lattice(2, 0.7, (-3, -10), (12, 2)),
+])
+def test_tail_halfspace_axis_1_is_transposed_axis_0(lat):
+    # s < 1/2 has no collocation fallback, so the axis-1 split (strips and
+    # infinite-ended strips) must match the axis-0 split (slabs and strips)
+    # of the transposed box
+    s = 0.25
+    lat_t = Lattice(2, lat.h, lat.lo[::-1], lat.hi[::-1])
+    lo, hi = lat.box_bounds()
+    b0, b1, h = lo[1], hi[1], lat.h
+    for thr in (b0 - 1.3, b0, b0 + 0.3 * h, 0.5 * (b0 + b1) + 0.17,
+                b1 - h, b1, b1 + 2.1):
+        got = K.cell_tail_halfspace(lat, s, 1, thr)
+        ref = K.cell_tail_halfspace(lat_t, s, 0, thr)
+        for g, r in zip(got, ref):
+            r = np.broadcast_to(r, lat_t.shape).T
+            g = np.broadcast_to(g, lat.shape)
+            assert np.max(np.abs(g - r) / r) < 1e-11, thr
 
 
 def test_tail_halfspace_axis_validation():

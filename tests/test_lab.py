@@ -491,6 +491,18 @@ def test_cli_rejects_bad_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [None, "s 0.25\n"])
+def test_cli_unreadable_or_malformed_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "iterate"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+
+
 def test_cli_set_overrides(tmp_path):
     out = tmp_path / "out"
     code = main(["--out", str(out), "--seed", "9", "kernel-cache",

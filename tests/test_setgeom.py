@@ -238,8 +238,7 @@ def test_gmt_empty_b_subhalf(kern2):
     assert rep.bound == pytest.approx(64.0 ** 0.75, rel=1e-12)
     assert rep.ratio == pytest.approx(27.15996153238592, rel=1e-9)
     assert rep.ratio > 0.0
-    blob = rep.to_json()
-    assert blob["measure_a"] == 64.0 and blob["measure_d"] == 960.0
+    assert rep.measure_a == 64.0 and rep.measure_d == 960.0
 
 
 def test_gmt_refinement_stable(kern2):
