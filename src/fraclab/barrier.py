@@ -18,7 +18,7 @@ r/2 or r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -215,16 +215,8 @@ class BarrierSpec:
         return cls(s=s, tau=tau, r=r, c5=c5, dim=dim)
 
     def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "tau": self.tau,
-            "r": self.r,
-            "c5": self.c5,
-            "dim": self.dim,
-            "beta": self.beta,
-            "c_o": self.c_o,
-            "big_r": self.big_r,
-        }
+        return {**asdict(self), "beta": self.beta,
+                "c_o": self.c_o, "big_r": self.big_r}
 
 
 def eval_w(spec: BarrierSpec, x):
@@ -269,15 +261,7 @@ class Al1Report:
         return self.passed
 
     def to_json(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "outermost_radius": self.outermost_radius,
-            "slack": self.slack,
-            "fraction_passing": self.fraction_passing,
-            "worst_ratio": self.worst_ratio,
-            "violation_histogram": self.violation_histogram,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -291,13 +275,7 @@ class Al2Report:
     ratio: float
 
     def to_json(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "outermost_radius": self.outermost_radius,
-            "upper_constant": self.upper_constant,
-            "lower_constant": self.lower_constant,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 def verify_al1(

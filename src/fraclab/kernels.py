@@ -34,17 +34,12 @@ homogeneous of degree -2s, it is sampled once per s on the aspect ratio,
 and every tail evaluates that cubic-spline surrogate (``quadrant_fast``,
 ``strip_fast``).  The whole-complement tail is the halfspace split's
 plus part at threshold -inf, so both go through one path.
-Near weights are cached by one ``save_kernel``/``load_kernel`` pair to
-versioned .npz files keyed by (dim, h, s, near_radius, quad_tol).
 """
 from __future__ import annotations
 
 import heapq
 import math
-import os
-import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -59,18 +54,12 @@ __all__ = [
     "build_kernel",
     "pair_weight_exact",
     "pair_weight_collocation",
-    "far_weight",
     "cell_tail_weights",
     "cell_tail_halfspace",
     "halfplane_tail",
     "quadrant_tail",
-    "kernel_cache_path",
-    "save_kernel",
-    "load_kernel",
     "stable_sum",
 ]
-
-CACHE_FORMAT_VERSION = 1
 
 
 def stable_sum(arr) -> float:
@@ -263,15 +252,6 @@ def pair_weight_collocation(dim: int, h: float, s: float, offset, tol: float = 1
 
     rect = (a1 - 0.5 * h, a1 + 0.5 * h, a2 - 0.5 * h, a2 + 0.5 * h)
     return h * h * adaptive_rect_quad(integrand, rect, tol)
-
-
-def far_weight(dim: int, h: float, s: float, offset) -> float:
-    """Midpoint rule h^(2n) |c_i - c_j|^(-(n+2s))."""
-    off = np.atleast_1d(np.asarray(offset, dtype=float))
-    r = float(np.sqrt(np.sum((off * h) ** 2)))
-    if r == 0.0:
-        return 0.0
-    return h ** (2 * dim) * r ** (-(dim + 2.0 * s))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +648,6 @@ class KernelTable:
     lattice: Lattice
     s: float
     near_radius: int
-    quad_tol: float
     near: dict
     table: np.ndarray = field(repr=False)
 
@@ -715,20 +694,8 @@ class KernelTable:
         if key not in self._lifted_cache:
             self._lifted_cache[key] = KernelTable(
                 lattice=outer, s=self.s, near_radius=self.near_radius,
-                quad_tol=self.quad_tol, near=self.near,
-                table=self.table_for_extents(outer.shape))
+                near=self.near, table=self.table_for_extents(outer.shape))
         return self._lifted_cache[key]
-
-    def switch_gap(self) -> float:
-        """Relative near/far mismatch at the switch radius (far-rule
-        truncation error; decays like near_radius^-2)."""
-        dim, h, s = self.lattice.dim, self.lattice.h, self.s
-        worst = 0.0
-        for canon, w in self.near.items():
-            if max(canon) == self.near_radius:
-                f = far_weight(dim, h, s, canon)
-                worst = max(worst, abs(w - f) / f)
-        return worst
 
     # -- tails ---------------------------------------------------------------
 
@@ -787,93 +754,17 @@ def _dense_table(dim: int, h: float, s: float, near_radius: int, near: dict,
     return arr
 
 
-def _with_table(lattice: Lattice, s: float, near_radius: int, quad_tol: float,
-                near: dict) -> KernelTable:
-    table = _dense_table(lattice.dim, lattice.h, s, near_radius, near,
-                         lattice.shape)
-    return KernelTable(lattice=lattice, s=s, near_radius=near_radius,
-                       quad_tol=quad_tol, near=near, table=table)
-
-
 def build_kernel(lattice: Lattice, s: float, near_radius: int = 4,
-                 quad_tol: float = 1e-6, cache_dir=None) -> KernelTable:
-    """Compute (or load from cache) the weight table for a lattice."""
+                 quad_tol: float = 1e-6) -> KernelTable:
+    """Compute the weight table for a lattice."""
     s = _check_s(s)
     if near_radius < 2:
         raise ValueError(f"near_radius must be >= 2, got {near_radius}")
     if not quad_tol > 0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
-    if cache_dir is not None:
-        kern = load_kernel(cache_dir, lattice, s, near_radius, quad_tol)
-        if kern is not None:
-            return kern
     near = {canon: _near_weight(lattice.dim, lattice.h, s, canon, quad_tol)
             for canon in _canonical_offsets(lattice.dim, near_radius)}
-    kern = _with_table(lattice, s, near_radius, quad_tol, near)
-    if cache_dir is not None:
-        save_kernel(cache_dir, kern)
-    return kern
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-def kernel_cache_path(cache_dir, dim: int, h: float, s: float,
-                      near_radius: int, quad_tol: float) -> str:
-    tag = f"v{CACHE_FORMAT_VERSION}_d{dim}_h{h:.12g}_s{s:.12g}_r{near_radius}_q{quad_tol:.3g}"
-    return os.path.join(cache_dir, f"kernel_{tag}.npz")
-
-
-def save_kernel(cache_dir, kern: KernelTable) -> str:
-    """Persist a built table's near weights atomically: readers see the old
-    file or the complete new one, never a partial write."""
-    os.makedirs(cache_dir, exist_ok=True)
-    dim, h = kern.lattice.dim, kern.lattice.h
-    path = kernel_cache_path(cache_dir, dim, h, kern.s, kern.near_radius, kern.quad_tol)
-    offsets = np.array(sorted(kern.near.keys()))
-    weights = np.array([kern.near[tuple(o)] for o in offsets])
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".kernel_", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh,
-                     format_version=np.array(CACHE_FORMAT_VERSION),
-                     dim=np.array(dim), h=np.array(h), s=np.array(kern.s),
-                     near_radius=np.array(kern.near_radius),
-                     quad_tol=np.array(kern.quad_tol),
-                     offsets=offsets, weights=weights)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return path
-
-
-def _load_near(path, dim, h, s, near_radius, quad_tol) -> dict | None:
-    """Cached near weights, or None when the file is missing, unreadable,
-    corrupt or written for other parameters."""
-    try:
-        with np.load(path) as z:
-            if int(z["format_version"]) != CACHE_FORMAT_VERSION:
-                return None
-            if (int(z["dim"]) != dim or float(z["h"]) != h or float(z["s"]) != s
-                    or int(z["near_radius"]) != near_radius
-                    or float(z["quad_tol"]) != quad_tol):
-                return None
-            offsets = z["offsets"]
-            weights = z["weights"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
-        return None
-    return {tuple(int(v) for v in o): float(w) for o, w in zip(offsets, weights)}
-
-
-def load_kernel(cache_dir, lattice: Lattice, s: float, near_radius: int = 4,
-                quad_tol: float = 1e-6) -> KernelTable | None:
-    """Load a cached table for this lattice, or None on miss/mismatch."""
-    path = kernel_cache_path(cache_dir, lattice.dim, lattice.h, s,
-                             near_radius, quad_tol)
-    near = _load_near(path, lattice.dim, lattice.h, s, near_radius, quad_tol)
-    if near is None:
-        return None
-    return _with_table(lattice, s, near_radius, quad_tol, near)
+    table = _dense_table(lattice.dim, lattice.h, s, near_radius, near,
+                         lattice.shape)
+    return KernelTable(lattice=lattice, s=s, near_radius=near_radius,
+                       near=near, table=table)

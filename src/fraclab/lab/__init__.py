@@ -8,7 +8,6 @@ from .experiments import (
     run_energy_growth,
     run_gmt_suite,
     run_iterate,
-    run_kernel_cache,
     run_levelset_convergence,
     run_sobolev_suite,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "run_energy_growth",
     "run_gmt_suite",
     "run_iterate",
-    "run_kernel_cache",
     "run_levelset_convergence",
     "run_sobolev_suite",
 ]

@@ -20,7 +20,6 @@ from .experiments import (
     run_energy_growth,
     run_gmt_suite,
     run_iterate,
-    run_kernel_cache,
     run_levelset_convergence,
     run_sobolev_suite,
 )
@@ -41,8 +40,6 @@ _COMMANDS = {
                 "build the outer barrier and verify its estimates"),
     "iterate": (run_iterate,
                 "growth-iteration check on a measured or synthetic trace"),
-    "kernel-cache": (run_kernel_cache,
-                     "precompute and persist near-field kernel weights"),
 }
 
 
@@ -50,7 +47,7 @@ def _parse_overrides(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--set expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
         key, _, val = pair.partition("=")
         out[key.strip()] = val.strip()
     return out
@@ -79,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = _parse_overrides(args.overrides)
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     try:
+        overrides = _parse_overrides(args.overrides)
+        if args.out is not None:
+            overrides["out_dir"] = args.out
+        if args.threads is not None:
+            overrides["threads"] = str(args.threads)
+        if args.seed is not None:
+            overrides["seed"] = str(args.seed)
         file_values = read_config_file(args.config) if args.config else {}
         cfg = config_from_sources(args.command, file_values, overrides)
         report = _COMMANDS[args.command][0](cfg)

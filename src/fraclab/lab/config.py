@@ -45,7 +45,6 @@ class ExperimentConfig:
     h: float = 0.25
     near_radius: int = 4
     quad_tol: float = 1e-6
-    cache_dir: str = ""
     out_dir: str = "runs"
     threads: int = 1
     seed: int = 0

@@ -10,7 +10,6 @@ in sweep order, so thread count never changes a report.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from .. import barrier as bar
 from .. import setgeom
 from ..energies import energy_E
-from ..kernels import build_kernel, load_kernel
+from ..kernels import build_kernel
 from ..lattice import (
     CellSet,
     ConstantExterior,
@@ -42,7 +41,6 @@ __all__ = [
     "run_energy_growth",
     "run_gmt_suite",
     "run_iterate",
-    "run_kernel_cache",
     "run_levelset_convergence",
     "run_sobolev_suite",
 ]
@@ -105,10 +103,8 @@ def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
 
 
 def _build_kernel(cfg: ExperimentConfig, lat: Lattice, s: float):
-    return build_kernel(
-        lat, s, near_radius=cfg.near_radius, quad_tol=cfg.quad_tol,
-        cache_dir=cfg.cache_dir or None,
-    )
+    return build_kernel(lat, s, near_radius=cfg.near_radius,
+                        quad_tol=cfg.quad_tol)
 
 
 def _parallel(fn, items, threads: int) -> list:
@@ -622,16 +618,6 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _sharp_constant(kern, cells: CellSet) -> tuple[float, tuple]:
-    """Smallest per-cell constant over the set and its first attaining cell."""
-    lat = cells.lattice
-    pos = np.argwhere(cells.members)
-    lhs = setgeom._complement_mass(kern, cells, pos) / lat.cell_volume
-    consts = lhs * cells.measure ** (2.0 * kern.s / lat.dim)
-    i = int(np.argmin(consts))
-    return float(consts[i]), tuple(int(pos[i, a]) + lat.lo[a] for a in range(lat.dim))
-
-
 def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Complement-integral lower bound: ball identity plus a random corpus.
 
@@ -659,20 +645,20 @@ def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
         f"center-cell integral {rep_center.lhs:.6g} vs closed form "
         f"{theory:.6g} ({dev:.4%})")]
 
-    ball_const, _ = _sharp_constant(kern, ball)
+    ball_const = setgeom.sobolev_set_bound(kern, ball).constant
     rng = np.random.default_rng(cfg.seed)
     corpus = [setgeom.random_equal_count_set(lat, rng, ball.count)
               for _ in range(cfg.sobolev_count)]
-    per_case = _parallel(lambda cells: _sharp_constant(kern, cells),
+    per_case = _parallel(lambda cells: setgeom.sobolev_set_bound(kern, cells),
                          corpus, cfg.threads)
 
     columns = ["case", "count", "best_cell", "constant", "running_min"]
     rows = []
     running = math.inf
-    for i, (const, idx) in enumerate(per_case):
-        running = min(running, const)
-        rows.append([i, corpus[i].count, ":".join(map(str, idx)),
-                     const, running])
+    for i, rep in enumerate(per_case):
+        running = min(running, rep.constant)
+        rows.append([i, corpus[i].count, ":".join(map(str, rep.cell)),
+                     rep.constant, running])
     corpus_min = running
     criteria.append(Criterion(
         "ball-extremal", ball_const <= cfg.sobolev_margin * corpus_min,
@@ -792,39 +778,3 @@ def run_iterate(cfg: ExperimentConfig) -> ExperimentReport:
         series_rows=[[r, v] for r, v in samples],
         meta=_meta(cfg, t0))
 
-
-# ---------------------------------------------------------------------------
-# kernel cache maintenance
-# ---------------------------------------------------------------------------
-
-
-def run_kernel_cache(cfg: ExperimentConfig) -> ExperimentReport:
-    """Build the near-field weights, persist them, and verify the roundtrip."""
-    t0 = time.perf_counter()
-    cache = cfg.cache_dir or os.path.join(cfg.out_dir, "kernel-cache")
-    extent = (cfg.near_radius + 8) * cfg.h * 2
-    lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, extent)
-    kern = build_kernel(lat, cfg.s, near_radius=cfg.near_radius,
-                        quad_tol=cfg.quad_tol, cache_dir=cache)
-    reloaded = load_kernel(cache, lat, cfg.s, near_radius=cfg.near_radius,
-                           quad_tol=cfg.quad_tol)
-    roundtrip = (
-        reloaded is not None
-        and reloaded.near == kern.near
-        and np.array_equal(reloaded.table, kern.table)
-    )
-    criteria = [Criterion(
-        "cache-roundtrip", bool(roundtrip),
-        f"{len(kern.near)} near weights reload bitwise from {cache}")]
-    columns = ["offset", "weight"]
-    rows = [[":".join(map(str, off)), kern.near[off]]
-            for off in sorted(kern.near)]
-    results = {
-        "cache_dir": cache,
-        "near_count": len(kern.near),
-        "switch_gap": kern.switch_gap(),
-    }
-    return ExperimentReport(
-        experiment="kernel-cache", config=cfg.to_flat_dict(), results=results,
-        criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(cfg, t0))

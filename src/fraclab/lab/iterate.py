@@ -27,7 +27,7 @@ pass never relies on interpolation optimism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -73,27 +73,7 @@ class IterationReport:
         return self.passed
 
     def to_json(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "nu": self.nu,
-            "gamma": self.gamma,
-            "growth_c": self.growth_c,
-            "r_o": self.r_o,
-            "mu": self.mu,
-            "hypotheses_hold": self.hypotheses_hold,
-            "failed_hypothesis": self.failed_hypothesis,
-            "violating_r": self.violating_r,
-            "doubling_pairs": self.doubling_pairs,
-            "j1": self.j1,
-            "j2": self.j2,
-            "c": self.c,
-            "r_star": self.r_star,
-            "conclusion_tested": self.conclusion_tested,
-            "conclusion_count": self.conclusion_count,
-            "conclusion_holds": self.conclusion_holds,
-            "conclusion_violating_r": self.conclusion_violating_r,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _as_series(v_samples) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["Criterion", "ExperimentReport"]
 
@@ -31,8 +31,7 @@ class Criterion:
     vacuous: bool = False
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail,
-                "vacuous": self.vacuous}
+        return asdict(self)
 
 
 @dataclass

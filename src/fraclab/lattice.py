@@ -16,7 +16,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -146,18 +145,6 @@ class CellSet:
     def full(cls, lattice: Lattice) -> "CellSet":
         return cls(lattice, np.ones(lattice.shape, dtype=bool))
 
-    @classmethod
-    def from_indices(cls, lattice: Lattice, indices: Iterable[Sequence[int]]) -> "CellSet":
-        m = np.zeros(lattice.shape, dtype=bool)
-        for idx in indices:
-            t = _as_tuple(idx, lattice.dim)
-            pos = tuple(t[a] - lattice.lo[a] for a in range(lattice.dim))
-            for a in range(lattice.dim):
-                if not 0 <= pos[a] < lattice.shape[a]:
-                    raise ValueError(f"index {t} outside box")
-            m[pos] = True
-        return cls(lattice, m)
-
     @property
     def count(self) -> int:
         return int(self.members.sum())
@@ -177,10 +164,6 @@ class CellSet:
     def difference(self, other: "CellSet") -> "CellSet":
         _check_same_lattice(self.lattice, other.lattice)
         return CellSet(self.lattice, self.members & ~other.members)
-
-    def is_subset(self, other: "CellSet") -> bool:
-        _check_same_lattice(self.lattice, other.lattice)
-        return bool(np.all(~self.members | other.members))
 
     def disjoint(self, other: "CellSet") -> bool:
         _check_same_lattice(self.lattice, other.lattice)

@@ -220,6 +220,7 @@ class SobolevReport:
     lhs: float
     constant: float
     measure_e: float
+    cell: tuple
 
 
 def _cell_position(lattice: Lattice, x) -> tuple:
@@ -233,34 +234,37 @@ def _cell_position(lattice: Lattice, x) -> tuple:
     return pos
 
 
-def _complement_mass(kern: KernelTable, E: CellSet, positions: np.ndarray) -> np.ndarray:
-    """Kernel mass from each cell at ``positions`` (box indices, one row per
-    cell) against everything outside E, in the box and beyond it."""
+def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
+    """Complement integral of the kernel seen from one cell.
+
+    lhs is the integral of the kernel from cell x over everything outside
+    E (in-box cells plus the analytic exterior tail), per unit source
+    measure: the summed pair weights carry both cell volumes, so one is
+    divided out.  The reported constant lhs * |E|^(2s/n) is the empirical
+    version of the complement integral bound.  With x None every cell of
+    E is evaluated and the report is that of the first cell, in index
+    order, with the smallest constant.
+    """
     _check_kernel_lattice(kern, E)
     if E.count == 0:
         raise ValueError("E must have positive measure")
-    shape = E.lattice.shape
-    off = (positions[:, None, :] - np.argwhere(~E.members)[None, :, :]
-           + (np.array(shape) - 1))
-    vals = kern.table_for_extents(shape)[tuple(np.moveaxis(off, -1, 0))]
+    lat = E.lattice
+    if x is None:
+        pos = np.argwhere(E.members)
+    else:
+        pos = np.array([_cell_position(lat, x)])
+    # one row of pair weights per evaluated cell, against every in-box
+    # cell outside E
+    off = (pos[:, None, :] - np.argwhere(~E.members)[None, :, :]
+           + (np.array(lat.shape) - 1))
+    vals = kern.table_for_extents(lat.shape)[tuple(np.moveaxis(off, -1, 0))]
     inbox = np.array([math.fsum(row) for row in vals.tolist()], dtype=float)
-    return inbox + kern.tail_weights[tuple(positions.T)]
-
-
-def sobolev_set_bound(kern: KernelTable, E: CellSet, x) -> SobolevReport:
-    """Complement integral of the kernel seen from one cell.
-
-    lhs is the integral of the kernel from x over everything outside E
-    (in-box cells plus the analytic exterior tail), per unit source
-    measure: the summed pair weights carry both cell volumes, so one is
-    divided out.  The reported constant lhs * |E|^(2s/n) is the empirical
-    version of the complement integral bound.
-    """
-    pos = np.array([_cell_position(E.lattice, x)])
-    lhs = float(_complement_mass(kern, E, pos)[0]) / E.lattice.cell_volume
-    n = E.lattice.dim
-    constant = lhs * E.measure ** (2.0 * kern.s / n)
-    return SobolevReport(lhs=lhs, constant=constant, measure_e=E.measure)
+    lhs = (inbox + kern.tail_weights[tuple(pos.T)]) / lat.cell_volume
+    consts = lhs * E.measure ** (2.0 * kern.s / lat.dim)
+    i = int(np.argmin(consts))
+    cell = tuple(int(pos[i, a]) + lat.lo[a] for a in range(lat.dim))
+    return SobolevReport(lhs=float(lhs[i]), constant=float(consts[i]),
+                         measure_e=E.measure, cell=cell)
 
 
 # -- random corpora -------------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from cellsets import from_indices
 from fraclab import setgeom
 from fraclab.energies import EnergyModel
 from fraclab.kernels import build_kernel
@@ -274,8 +275,7 @@ def test_criterion_07_loomis_whitney(gmt_run):
                   and rep.cell_count ** (lat.dim - 1) <= prod)
     boxes_equal = True
     for a, b in ((1, 1), (3, 7), (24, 24), (5, 1)):
-        box = setgeom.CellSet.from_indices(
-            lat, [(i, j) for i in range(a) for j in range(b)])
+        box = from_indices(lat, [(i, j) for i in range(a) for j in range(b)])
         rep = setgeom.check_loomis_whitney(box)
         boxes_equal &= rep.shadow_product == rep.cell_count ** (lat.dim - 1)
     # the gmt runner reports the same check over its whole corpus

@@ -1,5 +1,4 @@
 import math
-import os
 import warnings
 
 import numpy as np
@@ -9,14 +8,9 @@ from hypothesis import strategies as st
 
 import fraclab.kernels as K
 from fraclab.kernels import (
-    KernelTable,
     build_kernel,
-    far_weight,
-    kernel_cache_path,
-    load_kernel,
     pair_weight_collocation,
     pair_weight_exact,
-    save_kernel,
     stable_sum,
 )
 from fraclab.lattice import Lattice
@@ -38,6 +32,27 @@ QUADRANT_12 = {0.25: 1.4682544332159142, 0.5: 0.38196601125010466,
 STRIP_073 = {0.25: 1.2898417130441294, 0.5: 1.0774337054423759,
              0.75: 0.9637136783533125}
 BFULL = {0.25: 2.3962804694711844, 0.5: 2.0, 0.75: 1.7480383695280799}
+
+
+def far_weight(dim: int, h: float, s: float, offset) -> float:
+    """Midpoint rule h^(2n) |c_i - c_j|^(-(n+2s))."""
+    off = np.atleast_1d(np.asarray(offset, dtype=float))
+    r = float(np.sqrt(np.sum((off * h) ** 2)))
+    if r == 0.0:
+        return 0.0
+    return h ** (2 * dim) * r ** (-(dim + 2.0 * s))
+
+
+def switch_gap(kern) -> float:
+    """Relative near/far mismatch at the switch radius (far-rule
+    truncation error; decays like near_radius^-2)."""
+    dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
+    worst = 0.0
+    for canon, w in kern.near.items():
+        if max(canon) == kern.near_radius:
+            f = far_weight(dim, h, s, canon)
+            worst = max(worst, abs(w - f) / f)
+    return worst
 
 
 def _weight(kern, offset) -> float:
@@ -215,7 +230,7 @@ def test_table_for_extents_matches_and_memoizes(kern1d):
 
 def test_switch_gap_decays_quadratically():
     lat = Lattice(1, 1.0, (0,), (24,))
-    gaps = {r: build_kernel(lat, 0.5, near_radius=r).switch_gap()
+    gaps = {r: switch_gap(build_kernel(lat, 0.5, near_radius=r))
             for r in (2, 4, 8)}
     assert gaps[2] == pytest.approx(0.1507, rel=1e-2)
     # midpoint-rule truncation: halving resolution quarters the gap
@@ -227,7 +242,7 @@ def test_switch_gap_decays_quadratically():
 
 
 def test_switch_gap_2d_bound(kern2d):
-    g = kern2d.switch_gap()
+    g = switch_gap(kern2d)
     assert 0 < g < 0.2
 
 
@@ -377,75 +392,6 @@ def test_kernel_table_tail_memoization(kern2d):
     p2, m2 = kern2d.tail_halfspace(0, 3.0)
     assert p1 is p2 and m1 is m2
     assert p1.shape == kern2d.lattice.shape
-
-
-# ------------------------------------------------------------- cache
-
-
-def test_cache_roundtrip_bitwise(tmp_path):
-    lat = Lattice(1, 0.5, (-4,), (4,))
-    fresh = build_kernel(lat, 0.35, near_radius=3, cache_dir=tmp_path)
-    path = kernel_cache_path(tmp_path, 1, 0.5, 0.35, 3, 1e-6)
-    assert path.endswith(".npz") and (tmp_path / path.split("/")[-1]).exists()
-    again = build_kernel(lat, 0.35, near_radius=3, cache_dir=tmp_path)
-    assert again.near == fresh.near  # bitwise equal floats
-    assert np.array_equal(again.table, fresh.table)
-
-
-def test_cache_load_and_miss(tmp_path):
-    lat = Lattice(2, 1.0, (0, 0), (4, 4))
-    assert load_kernel(tmp_path, lat, 0.5) is None
-    kern = build_kernel(lat, 0.5, near_radius=2)
-    save_kernel(tmp_path, kern)
-    back = load_kernel(tmp_path, lat, 0.5, near_radius=2)
-    assert back is not None and back.near == kern.near
-    # different parameters hash to different files -> miss
-    assert load_kernel(tmp_path, lat, 0.25, near_radius=2) is None
-    assert load_kernel(tmp_path, lat, 0.5, near_radius=4) is None
-    assert load_kernel(tmp_path, lat, 0.5, near_radius=2, quad_tol=1e-8) is None
-
-
-def test_cache_version_guard(tmp_path, monkeypatch):
-    lat = Lattice(1, 1.0, (0,), (4,))
-    kern = build_kernel(lat, 0.5, near_radius=2)
-    path = save_kernel(tmp_path, kern)
-    z = dict(np.load(path))
-    z["format_version"] = np.array(K.CACHE_FORMAT_VERSION + 1)
-    np.savez(path, **z)
-    assert K._load_near(path, 1, 1.0, 0.5, 2, 1e-6) is None
-    # stale payload key (h mismatch inside the file) also misses
-    z["format_version"] = np.array(K.CACHE_FORMAT_VERSION)
-    z["h"] = np.array(2.0)
-    np.savez(path, **z)
-    assert K._load_near(path, 1, 1.0, 0.5, 2, 1e-6) is None
-
-
-def test_cache_corrupt_file_is_a_miss(tmp_path):
-    lat = Lattice(1, 0.5, (-4,), (4,))
-    fresh = build_kernel(lat, 0.35, near_radius=3, cache_dir=tmp_path)
-    path = kernel_cache_path(tmp_path, 1, 0.5, 0.35, 3, 1e-6)
-    with open(path, "r+b") as fh:
-        fh.truncate(os.path.getsize(path) // 2)
-    assert load_kernel(tmp_path, lat, 0.35, near_radius=3) is None
-    again = build_kernel(lat, 0.35, near_radius=3, cache_dir=tmp_path)
-    assert again.near == fresh.near  # bitwise equal floats
-    # the rebuild rewrote the file whole, with no temporary left behind
-    assert load_kernel(tmp_path, lat, 0.35, near_radius=3).near == fresh.near
-    assert os.listdir(tmp_path) == [os.path.basename(path)]
-
-
-def test_cache_hit_computes_no_near_weight(tmp_path, monkeypatch):
-    lat = Lattice(2, 1.0, (0, 0), (5, 4))
-    build_kernel(lat, 0.25, near_radius=2, cache_dir=tmp_path)
-
-    def no_weight(*args):
-        raise AssertionError("near weight computed on a cache hit")
-
-    monkeypatch.setattr(K, "_near_weight", no_weight)
-    hit = build_kernel(lat, 0.25, near_radius=2, cache_dir=tmp_path)
-    ref = load_kernel(tmp_path, lat, 0.25, near_radius=2)
-    assert hit.near == ref.near  # bitwise equal floats
-    assert hit.table.tobytes() == ref.table.tobytes()
 
 
 # ------------------------------------------------------------- misc

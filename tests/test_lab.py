@@ -16,7 +16,6 @@ from fraclab.lab import (
     run_energy_growth,
     run_gmt_suite,
     run_iterate,
-    run_kernel_cache,
     run_levelset_convergence,
     run_sobolev_suite,
 )
@@ -402,7 +401,7 @@ def test_sobolev_suite_ball_identity():
 
 
 # ---------------------------------------------------------------------------
-# barrier and kernel cache runners
+# barrier runner
 # ---------------------------------------------------------------------------
 
 
@@ -417,15 +416,6 @@ def test_barrier_runner_small_scale():
     assert rep.results["al2"]["ratio"] < 50.0
     assert rep.results["w_exact_outside"] is True
     assert len(rep.series_rows) == 64
-
-
-def test_kernel_cache_roundtrip(tmp_path):
-    cfg = ExperimentConfig(experiment="kernel-cache", s=0.25, dim=1, h=0.5,
-                           cache_dir=str(tmp_path))
-    rep = run_kernel_cache(cfg)
-    assert rep.passed
-    assert rep.results["near_count"] == len(rep.series_rows)
-    assert os.listdir(tmp_path)
 
 
 def test_iterate_runner_reads_csv(tmp_path):
@@ -505,12 +495,21 @@ def test_cli_unreadable_or_malformed_config_exits_2(tmp_path, capsys, text):
 
 def test_cli_set_overrides(tmp_path):
     out = tmp_path / "out"
-    code = main(["--out", str(out), "--seed", "9", "kernel-cache",
-                 "--set", "h=0.5", "--set", "s=0.75"])
+    code = main(["--out", str(out), "--seed", "9", "iterate",
+                 "--set", "h=0.5", "--set", "s=0.75",
+                 "--set", "radii=2,4,8,16"])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["s"] == 0.75
     assert report["config"]["seed"] == 9
+
+
+def test_cli_set_without_value_exits_2(tmp_path, capsys):
+    code = main(["--out", str(tmp_path / "out"), "iterate", "--set", "foo"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'foo'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_requires_subcommand():
@@ -551,17 +550,14 @@ def test_energy_growth_shared_cache_thread_invariant(tmp_path):
     def run(threads):
         cfg = ExperimentConfig(experiment="energy-growth", s=0.25, dim=1,
                                h=0.5, radii=(4.0, 6.0, 8.0, 12.0),
-                               max_iters=3000, threads=threads,
-                               cache_dir=str(tmp_path / f"cache{threads}"))
+                               max_iters=3000, threads=threads)
         doc = json.loads(open(run_energy_growth(cfg).write(
             tmp_path / f"t{threads}")["report"]).read())
         doc.pop("meta")
-        for key in ("threads", "cache_dir"):
-            doc["config"].pop(key)
+        doc["config"].pop("threads")
         return doc
 
     assert run(2) == run(1)
-    assert len(os.listdir(tmp_path / "cache2")) == 1
 
 
 def test_importing_lab_skips_scipy_signal():

@@ -1,9 +1,10 @@
 """Every exported name of the library is used by the library or the benchmark.
 
-A name in a module's ``__all__`` counts as used when some module under
-``src/`` or ``perfbench/`` loads it as a plain name or as an attribute.
-Imports and ``__all__`` entries do not count: a name that only tests
-reach belongs in the tests.
+A name in a module's ``__all__``, or a public method or property of a
+class in ``src/``, counts as used when some module under ``src/`` or
+``perfbench/`` loads it as a plain name or as an attribute.  Imports and
+``__all__`` entries do not count: a name that only tests reach belongs in
+the tests.
 """
 
 import ast
@@ -53,3 +54,23 @@ def test_exports_are_used_outside_tests(path):
     loaded = _loaded_names()
     unused = [name for name in _exports(path) if name not in loaded]
     assert not unused, f"{path.relative_to(ROOT)} exports names only tests load: {unused}"
+
+
+def _public_methods() -> list[str]:
+    out = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.relative_to(PACKAGE).as_posix()}:{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")]
+    return out
+
+
+def test_public_methods_are_used_outside_tests():
+    methods = _public_methods()
+    assert "lattice.py:CellSet.union" in methods
+    loaded = _loaded_names()
+    unused = [m for m in methods if m.rsplit(".", 1)[1] not in loaded]
+    assert not unused, f"public methods only tests load: {unused}"

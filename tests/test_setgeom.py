@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from cellsets import from_indices
 import fraclab
 from fraclab import setgeom
 from fraclab.kernels import build_kernel, stable_sum
-from fraclab.lab.experiments import _sharp_constant
 from fraclab.lattice import CellSet, Lattice, ball_mask
 from fraclab.setgeom import (
     L_interaction,
@@ -97,15 +97,15 @@ def test_histogram_pair_mass_matches_gather(s):
 
 
 def test_histogram_empty_set_is_zero(kern2):
-    A = CellSet.from_indices(LAT2, [(3, 4), (10, 2)])
+    A = from_indices(LAT2, [(3, 4), (10, 2)])
     empty = CellSet.empty(LAT2)
     assert setgeom._pair_mass(kern2, A, empty) == 0.0
     assert setgeom._pair_mass(kern2, empty, A) == 0.0
 
 
 def test_histogram_integrality_guard(kern2, monkeypatch):
-    A = CellSet.from_indices(LAT2, [(3, 4), (10, 2)])
-    D = CellSet.from_indices(LAT2, [(20, 20), (0, 31)])
+    A = from_indices(LAT2, [(3, 4), (10, 2)])
+    D = from_indices(LAT2, [(20, 20), (0, 31)])
     conv = setgeom.fftconvolve
     monkeypatch.setattr(setgeom, "fftconvolve", lambda *a: conv(*a) + 0.3)
     with pytest.raises(FloatingPointError, match="pair count"):
@@ -124,22 +124,22 @@ def test_importing_setgeom_skips_scipy_signal():
 
 def test_pair_cells_match_closed_form(kern1):
     # unit cells [0,1) and [2,3): double integral of |x-y|^{-3/2}
-    A = CellSet.from_indices(LAT1, [(0,)])
-    D = CellSet.from_indices(LAT1, [(2,)])
+    A = from_indices(LAT1, [(0,)])
+    D = from_indices(LAT1, [(2,)])
     oracle = 8.0 * math.sqrt(2.0) - 4.0 * math.sqrt(3.0) - 4.0
     assert L_interaction(kern1, A, D) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_interaction_symmetric_bitwise(kern1):
-    A = CellSet.from_indices(LAT1, [(0,), (1,), (-3,)])
-    D = CellSet.from_indices(LAT1, [(3,), (4,), (6,)])
+    A = from_indices(LAT1, [(0,), (1,), (-3,)])
+    D = from_indices(LAT1, [(3,), (4,), (6,)])
     assert L_interaction(kern1, A, D) == L_interaction(kern1, D, A)
 
 
 def test_interaction_additive(kern1):
-    A = CellSet.from_indices(LAT1, [(0,), (1,)])
-    D1 = CellSet.from_indices(LAT1, [(3,), (4,)])
-    D2 = CellSet.from_indices(LAT1, [(6,), (-5,)])
+    A = from_indices(LAT1, [(0,), (1,)])
+    D1 = from_indices(LAT1, [(3,), (4,)])
+    D2 = from_indices(LAT1, [(6,), (-5,)])
     whole = L_interaction(kern1, A, D1.union(D2))
     split = L_interaction(kern1, A, D1) + L_interaction(kern1, A, D2)
     assert whole == pytest.approx(split, rel=1e-13)
@@ -147,7 +147,7 @@ def test_interaction_additive(kern1):
 
 def test_interaction_empty_and_errors(kern1, kern2):
     A = CellSet.empty(LAT1)
-    D = CellSet.from_indices(LAT1, [(3,)])
+    D = from_indices(LAT1, [(3,)])
     assert L_interaction(kern1, A, D) == 0.0
     with pytest.raises(ValueError, match="overlap"):
         L_interaction(kern1, D, D)
@@ -165,11 +165,11 @@ def _projection_measure(cells, axis):
 
 def test_project_measure_box():
     lat = Lattice(2, 1.0, (0, 0), (8, 8))
-    box = CellSet.from_indices(lat, [(i, j) for i in range(2) for j in range(3)])
+    box = from_indices(lat, [(i, j) for i in range(2) for j in range(3)])
     assert _projection_measure(box, 0) == 3.0
     assert _projection_measure(box, 1) == 2.0
     half = Lattice(2, 0.5, (0, 0), (8, 8))
-    boxh = CellSet.from_indices(half, [(i, j) for i in range(2) for j in range(3)])
+    boxh = from_indices(half, [(i, j) for i in range(2) for j in range(3)])
     assert _projection_measure(boxh, 0) == 1.5
     assert _projection_measure(CellSet.empty(lat), 0) == 0.0
     # one shadow per axis
@@ -178,18 +178,18 @@ def test_project_measure_box():
 
 def test_project_measure_monotone_and_1d():
     lat = Lattice(2, 1.0, (0, 0), (8, 8))
-    small = CellSet.from_indices(lat, [(0, 0), (1, 1)])
-    big = small.union(CellSet.from_indices(lat, [(4, 5)]))
+    small = from_indices(lat, [(0, 0), (1, 1)])
+    big = small.union(from_indices(lat, [(4, 5)]))
     for axis in (0, 1):
         assert _projection_measure(small, axis) <= _projection_measure(big, axis)
     line = Lattice(1, 0.25, (0,), (8,))
-    assert _projection_measure(CellSet.from_indices(line, [(2,), (5,)]), 0) == 1.0
+    assert _projection_measure(from_indices(line, [(2,), (5,)]), 0) == 1.0
     assert _projection_measure(CellSet.empty(line), 0) == 0.0
 
 
 def test_loomis_whitney_box_equality():
     lat = Lattice(2, 1.0, (0, 0), (8, 8))
-    box = CellSet.from_indices(lat, [(i, j) for i in range(2) for j in range(3)])
+    box = from_indices(lat, [(i, j) for i in range(2) for j in range(3)])
     rep = check_loomis_whitney(box)
     assert rep.cell_count == 6
     assert rep.shadow_counts == (3, 2)
@@ -202,7 +202,7 @@ def test_loomis_whitney_box_equality():
 
 def test_loomis_whitney_l_shape():
     lat = Lattice(2, 1.0, (0, 0), (8, 8))
-    ell = CellSet.from_indices(lat, [(0, 0), (1, 0), (0, 1)])
+    ell = from_indices(lat, [(0, 0), (1, 0), (0, 1)])
     rep = check_loomis_whitney(ell)
     assert rep.shadow_counts == (2, 2)
     assert rep.cell_count == 3 and rep.shadow_product == 4
@@ -282,7 +282,7 @@ def test_gmt_floored_branches(qkern50, qkern75):
 
 
 def test_gmt_errors(kern2):
-    A = CellSet.from_indices(LAT2, [(1, 1)])
+    A = from_indices(LAT2, [(1, 1)])
     with pytest.raises(ValueError, match="positive measure"):
         check_gmt(kern2, CellSet.empty(LAT2), A, 0.05)
     with pytest.raises(ValueError, match="overlap"):
@@ -344,7 +344,8 @@ def test_sharp_constant_matches_per_cell_loop(sob):
             c = sobolev_set_bound(kern, S, idx).constant
             if c < best:
                 best, best_idx = c, idx
-        assert _sharp_constant(kern, S) == (best, best_idx)
+        rep = sobolev_set_bound(kern, S)
+        assert (rep.constant, rep.cell) == (best, best_idx)
 
 
 def test_sobolev_errors(sob):
