@@ -5,7 +5,7 @@ pairs of cells inside the box (a convolution against the dense offset
 table), pairs between a cell and the analytic exterior (per-cell tail
 quadratics), and the local double-well term.  Final reductions all use
 compensated summation in fixed cell order, so values are reproducible
-bit-for-bit regardless of threading.
+bit-for-bit.
 
 The in-box pairs form a quadratic form whose matrix T, the offset table,
 is block-Toeplitz and symmetric.  Split a field as u = o + f, with o its

@@ -1,11 +1,12 @@
 """Command line front end: one subcommand per experiment.
 
-Usage:  fraclab [--config FILE] [--out DIR] [--threads N] [--seed N]
+Usage:  fraclab [--config FILE] [--out DIR] [--seed N]
                 <subcommand> [--set KEY=VALUE ...]
 
 Config values come from the file first, then --set overrides, then the
 global flags.  Every run writes report.json and series.csv into the
-output directory and exits 0 only if all criteria passed.
+output directory and exits 0 only if all criteria passed, 1 if one
+failed, and 2 on a configuration error or an unwritable output.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key=value config file")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory (overrides out_dir)")
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads for sweep points")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="seed for corpus generators")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,8 +79,6 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(args.overrides)
         if args.out is not None:
             overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = str(args.threads)
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
         file_values = read_config_file(args.config) if args.config else {}
@@ -90,7 +87,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    paths = report.write(cfg.out_dir)
+    try:
+        paths = report.write(cfg.out_dir)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.out_dir!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     for crit in report.criteria:
         mark = "PASS" if crit.passed else "FAIL"
         print(f"[{mark}] {args.command}:{crit.name}  {crit.detail}")

@@ -34,19 +34,16 @@ def _bool(text) -> bool:
 class ExperimentConfig:
     """All knobs for one experiment run.
 
-    The fields group as: discretization (s, dim, h, kernel), the physics
+    The fields group as: discretization (s, dim, h), the physics
     (potential, exterior data, thresholds), per-experiment sweeps and
-    tolerances, and execution plumbing (threads, seed, output directory).
+    tolerances, and run plumbing (seed, output directory).
     """
 
     experiment: str = ""
     s: float = 0.25
     dim: int = 1
     h: float = 0.25
-    near_radius: int = 4
-    quad_tol: float = 1e-6
     out_dir: str = "runs"
-    threads: int = 1
     seed: int = 0
 
     potential: str = "quartic"
@@ -109,7 +106,7 @@ class ExperimentConfig:
     nu: float = 2.0
     gamma: float = 2.0
     growth_c: float = 2.0
-    r_o: float = 2.0
+    r_o: float = 8.0
     mu: float = 1.0
     v_csv: str = ""
     v_form: str = "power"
@@ -121,8 +118,6 @@ class ExperimentConfig:
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         for name in ("theta1", "theta2"):
             val = getattr(self, name)
             if not -1.0 < val < 1.0:

@@ -2,16 +2,14 @@
 
 Each run_* function takes an ExperimentConfig and returns an
 ExperimentReport whose deterministic sections (config echo, results,
-criteria, series) depend only on the config.  Independent sweep points
-(radii, epsilons, corpus cases) execute on a thread pool; results merge
-in sweep order, so thread count never changes a report.
+criteria, series) depend only on the config.  Sweep points (radii,
+epsilons, corpus cases) run one after another in sweep order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,28 +100,14 @@ def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
     )
 
 
-def _build_kernel(cfg: ExperimentConfig, lat: Lattice, s: float):
-    return build_kernel(lat, s, near_radius=cfg.near_radius,
-                        quad_tol=cfg.quad_tol)
-
-
-def _parallel(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _center_value(values: np.ndarray, lat: Lattice) -> float:
     idx = lat.point_to_index(np.zeros(lat.dim))
     pos = tuple(int(idx[a]) - lat.lo[a] for a in range(lat.dim))
     return float(values[pos])
 
 
-def _meta(cfg: ExperimentConfig, t0: float, **extra) -> dict:
-    meta = {"wall_clock_s": time.perf_counter() - t0, "threads": cfg.threads}
-    meta.update(extra)
-    return meta
+def _meta(t0: float, **extra) -> dict:
+    return {"wall_clock_s": time.perf_counter() - t0, **extra}
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray):
@@ -161,26 +145,20 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     ext = _exterior(cfg)
     mcfg = _minimize_cfg(cfg)
 
-    def solve(radius: float):
-        lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, radius + 2.0)
-        kern = _build_kernel(cfg, lat, cfg.s)
-        omega = ball_mask(lat, 0.0, radius + 2.0)
-        res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
-                              omega, mcfg)
-        e_ball = energy_E(kern, pot, res.field, ball_mask(lat, 0.0, radius))
-        psi = psi_field(lat, radius)
-        e_psi = energy_E(kern, pot, psi, omega)
-        return res, e_ball, e_psi, lat.n_cells
-
-    solved = _parallel(solve, list(cfg.radii), cfg.threads)
-
     columns = ["R", "n_cells", "converged", "iterations",
                "energy_ball", "energy_competitor"]
     rows = []
     usable: list[tuple[float, float, float]] = []
     excluded: list[float] = []
-    for radius, (res, e_ball, e_psi, n_cells) in zip(cfg.radii, solved):
-        rows.append([radius, n_cells, res.converged, res.iterations,
+    for radius in cfg.radii:
+        lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, radius + 2.0)
+        kern = build_kernel(lat, cfg.s)
+        omega = ball_mask(lat, 0.0, radius + 2.0)
+        res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
+                              omega, mcfg)
+        e_ball = energy_E(kern, pot, res.field, ball_mask(lat, 0.0, radius))
+        e_psi = energy_E(kern, pot, psi_field(lat, radius), omega)
+        rows.append([radius, lat.n_cells, res.converged, res.iterations,
                      e_ball, e_psi])
         # a vanishing ball energy has no log and cannot enter a power fit
         if res.converged and e_ball > 0:
@@ -205,7 +183,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
         return ExperimentReport(
             experiment="energy-growth", config=cfg.to_flat_dict(),
             results=results, criteria=criteria, series_columns=columns,
-            series_rows=rows, meta=_meta(cfg, t0))
+            series_rows=rows, meta=_meta(t0))
     criteria.append(Criterion(
         "usable-points", True, f"{len(usable)} converged radii"))
 
@@ -247,7 +225,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="energy-growth", config=cfg.to_flat_dict(),
         results=results, criteria=criteria, series_columns=columns,
-        series_rows=rows, meta=_meta(cfg, t0))
+        series_rows=rows, meta=_meta(t0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +259,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     r_max = cfg.radii[-1]
     lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, r_max + 2.0)
-    kern = _build_kernel(cfg, lat, cfg.s)
+    kern = build_kernel(lat, cfg.s)
     pot = _potential(cfg)
     ext = _exterior(cfg)
     res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
@@ -385,7 +363,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="density", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(cfg, t0, n_cells=lat.n_cells))
+        meta=_meta(t0, n_cells=lat.n_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +389,16 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     mcfg = _minimize_cfg(cfg)
     has_interface = cfg.exterior == "halfspace"
 
-    def solve(eps: float):
+    columns = ["eps", "box_radius", "n_cells", "converged", "iterations",
+               "band_cells", "distance_phys", "distance_cells",
+               "distance_rescaled"]
+    rows = []
+    series: list[tuple[float, float | None]] = []
+    excluded = []
+    for eps in cfg.eps:
         box_r = cfg.levelset_radius / eps
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, box_r + 2.0)
-        kern = _build_kernel(cfg, lat, cfg.s)
+        kern = build_kernel(lat, cfg.s)
         res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
                               None, mcfg)
         band = (np.abs(res.field.values) <= cfg.levelset_theta) \
@@ -425,22 +409,11 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
                 lat.center_grids()[cfg.exterior_axis], lat.shape)
             d_phys = float(np.max(
                 np.abs(coord[band] - cfg.exterior_threshold)))
+            d_cells = d_phys / cfg.h
+            d_scaled = d_phys * eps
         else:
-            d_phys = None
-        return res, lat.n_cells, count, d_phys
-
-    solved = _parallel(solve, list(cfg.eps), cfg.threads)
-
-    columns = ["eps", "box_radius", "n_cells", "converged", "iterations",
-               "band_cells", "distance_phys", "distance_cells",
-               "distance_rescaled"]
-    rows = []
-    series: list[tuple[float, float | None]] = []
-    excluded = []
-    for eps, (res, n_cells, count, d_phys) in zip(cfg.eps, solved):
-        d_cells = d_phys / cfg.h if d_phys is not None else None
-        d_scaled = d_phys * eps if d_phys is not None else None
-        rows.append([eps, cfg.levelset_radius / eps, n_cells, res.converged,
+            d_phys = d_cells = d_scaled = None
+        rows.append([eps, box_r, lat.n_cells, res.converged,
                      res.iterations, count, d_phys, d_cells, d_scaled])
         if res.converged:
             series.append((eps, d_cells))
@@ -456,7 +429,8 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         criteria.append(Criterion(
             "band-empty", empty,
             "no interface declared; containment vacuous" if empty else
-            f"level band nonempty at eps={[e for e, d in series if d is not None]}"))
+            f"level band nonempty at eps={[e for e, d in series if d is not None]}",
+            vacuous=empty))
         results["distances_cells"] = None
     else:
         bad = [e for e in vacuous]
@@ -481,7 +455,7 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="levelset", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(cfg, t0))
+        meta=_meta(t0))
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +505,15 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     minima: dict[str, float] = {}
     kernels = {}
     for s in s_values:
-        kern = _build_kernel(cfg, lat, s)
-        kernels[s] = kern
-
-        def case_rows(item, s=s, kern=kern):
-            i, (frac, a_set, b_set) = item
-            out = []
+        kern = kernels[s] = build_kernel(lat, s)
+        for i, (_, a_set, b_set) in enumerate(pairs):
             for probe in cfg.c_probes:
                 rep = setgeom.check_gmt(kern, a_set, b_set, c_probe=probe)
-                out.append([i, s, probe, rep.regime, rep.s_branch,
-                            rep.measure_a, rep.measure_b, rep.b_floored,
-                            rep.interaction, rep.bound, rep.ratio])
-            return out
-
-        for chunk in _parallel(case_rows, list(enumerate(pairs)), cfg.threads):
-            for row in chunk:
-                rows.append(row)
-                key = f"s={row[1]}|probe={row[2]}|{row[3]}"
-                minima[key] = min(minima.get(key, math.inf), row[10])
+                rows.append([i, s, probe, rep.regime, rep.s_branch,
+                             rep.measure_a, rep.measure_b, rep.b_floored,
+                             rep.interaction, rep.bound, rep.ratio])
+                key = f"s={s}|probe={probe}|{rep.regime}"
+                minima[key] = min(minima.get(key, math.inf), rep.ratio)
 
     min_ratio = min(r[10] for r in rows)
     criteria = [Criterion(
@@ -563,31 +528,27 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
         refine_s = next((s for s in s_values if s < 0.5), None)
         if refine_s is None:
             criteria.append(Criterion(
-                "refinement-stable", True, "no exponent below 1/2 to refine"))
+                "refinement-stable", True, "no exponent below 1/2 to refine",
+                vacuous=True))
         else:
             fine = _refine_lattice(lat)
-            fkern = _build_kernel(cfg, fine, refine_s)
+            fkern = build_kernel(fine, refine_s)
             probe = cfg.c_probes[len(cfg.c_probes) // 2]
-
-            def refined_dev(item):
-                frac, a_set, b_set = item
+            devs = []
+            for _, a_set, b_set in pairs[: cfg.refine_cases]:
                 coarse = setgeom.check_gmt(kernels[refine_s], a_set, b_set,
                                            c_probe=probe)
                 refined = setgeom.check_gmt(
                     fkern, _refine_set(a_set, fine), _refine_set(b_set, fine),
                     c_probe=probe)
-                if coarse.b_floored or refined.b_floored:
-                    return None  # the floor is resolution-dependent
-                return abs(refined.ratio / coarse.ratio - 1.0)
-
-            devs = [d for d in _parallel(
-                refined_dev, pairs[: cfg.refine_cases], cfg.threads)
-                if d is not None]
+                # the floor is resolution-dependent
+                if not (coarse.b_floored or refined.b_floored):
+                    devs.append(abs(refined.ratio / coarse.ratio - 1.0))
             worst = max(devs) if devs else 0.0
             criteria.append(Criterion(
                 "refinement-stable", worst < cfg.refine_rtol,
                 f"max ratio drift {worst:.4%} over {len(devs)} cases "
-                f"at s={refine_s}, probe={probe}"))
+                f"at s={refine_s}, probe={probe}", vacuous=not devs))
             results["refinement_max_dev"] = worst
 
     # every corpus set against the projection inequality, exact in integers;
@@ -603,7 +564,7 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="gmt", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(cfg, t0),
+        meta=_meta(t0),
         extra_files={"corpus_manifest.json": {
             "seed": cfg.seed, "corpus_size": cfg.corpus_size,
             "box_cells": cfg.box_cells, "h": cfg.h, "dim": cfg.dim,
@@ -631,7 +592,7 @@ def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     center = np.full(cfg.dim, cfg.sobolev_center)
     lat = Lattice.covering_ball(cfg.dim, cfg.h, center, cfg.sobolev_extent)
-    kern = _build_kernel(cfg, lat, cfg.s)
+    kern = build_kernel(lat, cfg.s)
 
     ball = ball_mask(lat, center, cfg.sobolev_radius)
     x_idx = tuple(int(v) for v in lat.point_to_index(center))
@@ -649,15 +610,14 @@ def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     corpus = [setgeom.random_equal_count_set(lat, rng, ball.count)
               for _ in range(cfg.sobolev_count)]
-    per_case = _parallel(lambda cells: setgeom.sobolev_set_bound(kern, cells),
-                         corpus, cfg.threads)
 
     columns = ["case", "count", "best_cell", "constant", "running_min"]
     rows = []
     running = math.inf
-    for i, rep in enumerate(per_case):
+    for i, cells in enumerate(corpus):
+        rep = setgeom.sobolev_set_bound(kern, cells)
         running = min(running, rep.constant)
-        rows.append([i, corpus[i].count, ":".join(map(str, rep.cell)),
+        rows.append([i, cells.count, ":".join(map(str, rep.cell)),
                      rep.constant, running])
     corpus_min = running
     criteria.append(Criterion(
@@ -675,7 +635,7 @@ def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="sobolev", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(cfg, t0),
+        meta=_meta(t0),
         extra_files={"corpus_manifest.json": {
             "seed": cfg.seed, "corpus_size": cfg.sobolev_count,
             "count_per_set": ball.count, "h": cfg.h, "dim": cfg.dim,
@@ -728,7 +688,7 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="barrier", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(cfg, t0))
+        meta=_meta(t0))
 
 
 # ---------------------------------------------------------------------------
@@ -776,5 +736,5 @@ def run_iterate(cfg: ExperimentConfig) -> ExperimentReport:
         results={"source": source, "report": rep.to_json()},
         criteria=criteria, series_columns=["r", "V"],
         series_rows=[[r, v] for r, v in samples],
-        meta=_meta(cfg, t0))
+        meta=_meta(t0))
 

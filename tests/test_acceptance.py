@@ -46,7 +46,7 @@ def growth_runs():
     for s in (0.25, 0.5, 0.75):
         cfg = ExperimentConfig(
             experiment="energy-growth", s=s, dim=1, h=0.25,
-            radii=GROWTH_RADII, max_iters=5000, threads=4)
+            radii=GROWTH_RADII, max_iters=5000)
         out[s] = run_energy_growth(cfg)
     out["wall"] = time.perf_counter() - t0
     return out
@@ -57,7 +57,7 @@ def density_run():
     cfg = ExperimentConfig(
         experiment="density", s=0.25, dim=2, h=0.53125,
         radii=(8.0, 16.0, 32.0), theta1=0.0, theta2=0.0, theta_star=0.0,
-        density_floor=0.25 * math.pi / 2.0, max_iters=4000, threads=4)
+        density_floor=0.25 * math.pi / 2.0, max_iters=4000)
     t0 = time.perf_counter()
     rep = run_density(cfg)
     return rep, time.perf_counter() - t0
@@ -82,7 +82,7 @@ def gmt_run():
         experiment="gmt", dim=2, h=1.0, s=0.25, s_list=(0.25, 0.5, 0.75),
         corpus_size=50, box_cells=32, b_fractions=(0.02, 0.5),
         refine=True, refine_cases=10, refine_rtol=0.05,
-        seed=GMT_SEED, threads=4)
+        seed=GMT_SEED)
     return run_gmt_suite(cfg)
 
 
@@ -293,7 +293,7 @@ def test_criterion_08_sobolev_sets():
     cfg = ExperimentConfig(
         experiment="sobolev", dim=1, h=0.4, s=0.25, sobolev_center=0.2,
         sobolev_radius=1.0, sobolev_extent=12.0, sobolev_count=100,
-        sobolev_rtol=0.01, sobolev_margin=1.05, seed=GMT_SEED, threads=4)
+        sobolev_rtol=0.01, sobolev_margin=1.05, seed=GMT_SEED)
     rep = run_sobolev_suite(cfg)
     lhs = rep.results["center_lhs"]
     dev = abs(lhs / 4.0 - 1.0)
@@ -313,7 +313,7 @@ def test_criterion_09_levelset_convergence():
         experiment="levelset", s=0.75, dim=1, h=1.0,
         eps=(0.125, 0.0625, 0.03125, 0.015625), levelset_theta=0.9,
         levelset_radius=1.0, delta_cells=4.0, levelset_tol_cells=1.0,
-        max_iters=5000, threads=4)
+        max_iters=5000)
     rep = run_levelset_convergence(cfg)
     dists = [row[7] for row in rep.series_rows]
     rises = [b - a for a, b in zip(dists, dists[1:])]
@@ -354,25 +354,23 @@ def test_criterion_10_numerical_hygiene(tmp_path):
     steps = np.diff(res.energy_trace)
     ok_trace = bool(np.all(steps <= 0.0))
 
-    # identical reports regardless of thread count
-    kwargs = dict(experiment="gmt", dim=2, h=1.0, s=0.25, s_list=(0.25,),
-                  corpus_size=6, box_cells=16, refine=False, seed=5)
-    rep1 = run_gmt_suite(ExperimentConfig(threads=1, **kwargs))
-    rep3 = run_gmt_suite(ExperimentConfig(threads=3, **kwargs))
-    p1 = rep1.write(tmp_path / "t1")
-    p3 = rep3.write(tmp_path / "t3")
+    # two runs of one config write identical reports
+    cfg = ExperimentConfig(experiment="gmt", dim=2, h=1.0, s=0.25,
+                           s_list=(0.25,), corpus_size=6, box_cells=16,
+                           refine=False, seed=5)
+    p1 = run_gmt_suite(cfg).write(tmp_path / "r1")
+    p2 = run_gmt_suite(cfg).write(tmp_path / "r2")
     series_same = (open(p1["series"], "rb").read()
-                   == open(p3["series"], "rb").read())
+                   == open(p2["series"], "rb").read())
     d1 = json.loads(open(p1["report"]).read())
-    d3 = json.loads(open(p3["report"]).read())
-    for doc in (d1, d3):
+    d2 = json.loads(open(p2["report"]).read())
+    for doc in (d1, d2):
         doc.pop("meta")
-        doc["config"].pop("threads")
-    reports_same = json.dumps(d1, sort_keys=True) == json.dumps(d3, sort_keys=True)
+    reports_same = json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
     ok = ok_grad and ok_trace and series_same and reports_same
     _verdict(
         10, "numerical-hygiene", ok,
         f"max FD gradient deviation={worst_fd:.3g}<1e-6 over 20 directions, "
-        f"energy trace monotone: {ok_trace}, thread-count invariant "
+        f"energy trace monotone: {ok_trace}, run-to-run identical "
         f"reports: {series_same and reports_same}")

@@ -118,13 +118,13 @@ def test_config_file_parsing(tmp_path):
         "s = 0.75\n"
         "radii = 4, 8, 16, 32   # trailing comment\n"
         "refine = false\n"
-        "threads = 3\n"
+        "seed = 3\n"
         "\n")
     cfg = config_from_sources("density", read_config_file(path))
     assert cfg.s == 0.75
     assert cfg.radii == (4.0, 8.0, 16.0, 32.0)
     assert cfg.refine is False
-    assert cfg.threads == 3
+    assert cfg.seed == 3
     assert cfg.experiment == "density"
 
 
@@ -137,8 +137,9 @@ def test_config_overrides_win(tmp_path):
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown config key"):
-        config_from_sources("gmt", {"radius": "4"})
+    for key in ("radius", "threads", "near_radius", "quad_tol"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_from_sources("gmt", {key: "4"})
 
 
 def test_config_invariants():
@@ -376,15 +377,6 @@ def test_gmt_suite_small_corpus():
     assert len(manifest["cases"]) == 6
 
 
-def test_gmt_suite_thread_count_invariant():
-    kwargs = dict(experiment="gmt", dim=2, h=1.0, s=0.25, s_list=(0.25,),
-                  corpus_size=5, box_cells=16, refine=False, seed=3)
-    rep1 = run_gmt_suite(ExperimentConfig(threads=1, **kwargs))
-    rep3 = run_gmt_suite(ExperimentConfig(threads=3, **kwargs))
-    assert rep1.series_rows == rep3.series_rows
-    assert rep1.results == rep3.results
-
-
 def test_sobolev_suite_ball_identity():
     cfg = ExperimentConfig(experiment="sobolev", dim=1, h=0.4, s=0.25,
                            sobolev_center=0.2, sobolev_radius=1.0,
@@ -512,6 +504,30 @@ def test_cli_set_without_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_bare_iterate_runs(tmp_path):
+    # the default r_o is the first default radius, so the defaults run
+    assert main(["--out", str(tmp_path / "out"), "iterate"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    conclusion = {c["name"]: c for c in report["criteria"]}["conclusion"]
+    assert conclusion["vacuous"]
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["--out", str(blocker / "out"), "iterate",
+                 "--set", "radii=2,4,8,16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(blocker) in err
+
+
+def test_cli_rejects_threads_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "iterate"])
+    assert exc.value.code == 2
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -519,7 +535,7 @@ def test_cli_requires_subcommand():
 
 
 # ---------------------------------------------------------------------------
-# vacuous criteria, shared kernel cache, import cost
+# vacuous criteria, import cost
 # ---------------------------------------------------------------------------
 
 
@@ -544,20 +560,22 @@ def test_vacuous_criteria_are_flagged():
         experiment="iterate", sigma=1.5, nu=2.0, gamma=2.0, growth_c=1.1,
         r_o=2.0, mu=4.0, v_form="power", radii=tuple(r for r, _ in DYADIC)))
     assert not any(c.vacuous for c in tested.criteria)
-
-
-def test_energy_growth_shared_cache_thread_invariant(tmp_path):
-    def run(threads):
-        cfg = ExperimentConfig(experiment="energy-growth", s=0.25, dim=1,
-                               h=0.5, radii=(4.0, 6.0, 8.0, 12.0),
-                               max_iters=3000, threads=threads)
-        doc = json.loads(open(run_energy_growth(cfg).write(
-            tmp_path / f"t{threads}")["report"]).read())
-        doc.pop("meta")
-        doc["config"].pop("threads")
-        return doc
-
-    assert run(2) == run(1)
+    band = run_levelset_convergence(ExperimentConfig(
+        experiment="levelset", s=0.75, dim=1, h=1.0, eps=(0.25, 0.125),
+        exterior="constant", exterior_value=1.0, max_iters=2000))
+    band_empty = {c.name: c for c in band.criteria}["band-empty"]
+    assert band_empty.passed and band_empty.vacuous
+    assert "containment vacuous" in band_empty.detail
+    gmt = dict(experiment="gmt", dim=2, h=1.0, corpus_size=2, box_cells=8,
+               seed=5, refine=True)
+    for kwargs in (dict(s=0.75, s_list=(0.5, 0.75), refine_cases=2),
+                   dict(s=0.25, s_list=(0.25,), refine_cases=0)):
+        stable = {c.name: c for c in run_gmt_suite(ExperimentConfig(
+            **gmt, **kwargs)).criteria}["refinement-stable"]
+        assert stable.passed and stable.vacuous
+    compared = {c.name: c for c in run_gmt_suite(ExperimentConfig(
+        **gmt, s=0.25, s_list=(0.25,), refine_cases=2)).criteria}
+    assert not compared["refinement-stable"].vacuous
 
 
 def test_importing_lab_skips_scipy_signal():
