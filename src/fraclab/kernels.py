@@ -23,17 +23,14 @@ three-way rule:
 The diagonal weight is exactly zero: a piecewise-constant field has
 u(x) - u(y) = 0 on C_i x C_i, so the singular diagonal never contributes.
 
-Everything outside the lattice box is handled by per-cell tail integrals
-of the kernel against exterior regions.  The 1D tails are elementary; a
-2D exterior region splits into full-height half-plane slabs and strips,
-a quadrant being a strip with one infinite end seen with the axes
-swapped.  The strip tail is built from the quadrant tail, a Gauss-Jacobi
-rule that absorbs the t^(2s-1) endpoint weight, with the remaining factor
-expressed through the regularized incomplete beta function; being
-homogeneous of degree -2s, it is sampled once per s on the aspect ratio,
-and every tail evaluates that cubic-spline surrogate (``quadrant_fast``,
-``strip_fast``).  The whole-complement tail is the halfspace split's
-plus part at threshold -inf, so both go through one path.
+Everything outside the lattice box enters through per-cell tail integrals
+of the kernel against exterior regions.  The 1D tails are elementary.  A
+2D box complement is the four half-planes beyond the faces minus the four
+corner quadrants that two half-planes share.  The half-plane tail is
+elementary and the quadrant tail has a closed form through the incomplete
+beta function (``quadrant_tail``).  It is homogeneous of degree -2s, so one
+table of its unit-cell integrals per build serves all four corners and
+every halfspace threshold on a cell edge.
 """
 from __future__ import annotations
 
@@ -41,11 +38,10 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import betainc, hyp2f1, roots_jacobi
+from scipy.special import betainc, hyp2f1
 
 from .lattice import Lattice
 
@@ -56,7 +52,6 @@ __all__ = [
     "pair_weight_collocation",
     "cell_tail_weights",
     "cell_tail_halfspace",
-    "halfplane_tail",
     "quadrant_tail",
     "stable_sum",
 ]
@@ -236,22 +231,21 @@ def pair_weight_exact(dim: int, h: float, s: float, offset, tol: float = 1e-8) -
     return _pair_exact_2d(h, s, d1, d2, tol)
 
 
-def pair_weight_collocation(dim: int, h: float, s: float, offset, tol: float = 1e-10) -> float:
+def pair_weight_collocation(dim: int, h: float, s: float, offset) -> float:
     """Single-layer stand-in h^n * int_{C_j} |c_i - y|^(-(n+2s)) dy."""
     if dim == 1:
         d = abs(int(np.atleast_1d(offset)[0]))
         a = d * h
         lo, hi = a - 0.5 * h, a + 0.5 * h
         return h * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
+    # a rectangle of the kernel in the first quadrant is a second difference
+    # of the quadrant tail; one that straddles an axis is twice its half
     d1, d2 = (abs(int(v)) for v in offset)
-    a1, a2 = d1 * h, d2 * h
-    alpha = 1.0 + s
-
-    def integrand(u, v):
-        return (u * u + v * v) ** (-alpha)
-
-    rect = (a1 - 0.5 * h, a1 + 0.5 * h, a2 - 0.5 * h, a2 + 0.5 * h)
-    return h * h * adaptive_rect_quad(integrand, rect, tol)
+    u = np.array([max(d1 - 0.5, 0.0), d1 + 0.5]) * h
+    v = np.array([max(d2 - 0.5, 0.0), d2 + 0.5]) * h
+    q = quadrant_tail(u[:, None], v[None, :], s)
+    fold = (1 + (d1 == 0)) * (1 + (d2 == 0))
+    return h * h * fold * float((q[0, 0] - q[1, 0]) - (q[0, 1] - q[1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,356 +254,260 @@ def pair_weight_collocation(dim: int, h: float, s: float, offset, tol: float = 1
 
 
 def _b_full(s: float) -> float:
-    """int over R of (1+t^2)^(-(1+s)) dt = sqrt(pi) Gamma(s+1/2) / Gamma(s+1)."""
+    """int over R of (1+t^2)^(-(1+s)) dt = B(s+1/2, 1/2)
+    = sqrt(pi) Gamma(s+1/2) / Gamma(s+1)."""
     return math.sqrt(math.pi) * math.gamma(s + 0.5) / math.gamma(s + 1.0)
 
 
-def halfplane_tail(c, s: float):
-    """int over {dist >= c} of |x-y|^(-(2+2s)) dy for a 2D half-plane."""
-    c = np.asarray(c, dtype=float)
-    return _b_full(s) * c ** (-2.0 * s) / (2.0 * s)
-
-
-@lru_cache(maxsize=None)
-def _jacobi_rule(s: float):
-    """48 nodes/weights for int_0^1 tau^(2s-1) f(tau) dtau."""
-    x, w = roots_jacobi(48, 0.0, 2.0 * s - 1.0)
-    return 0.5 * (x + 1.0), w * 0.5 ** (2.0 * s)
-
-
-def _upper_angle(z, s: float):
-    """G(z) = int_z^inf (1+t^2)^(-(1+s)) dt, z >= 0, cancellation-free."""
-    z = np.asarray(z, dtype=float)
-    x = 1.0 / (1.0 + z * z)
-    return 0.5 * _b_full(s) * betainc(s + 0.5, 0.5, x)
-
-
 def quadrant_tail(a, b, s: float):
-    """int over {u >= a, v >= b} of (u^2+v^2)^(-(1+s)) du dv, a, b > 0.
+    """Q(a, b) = int over {u >= a, v >= b} of (u^2+v^2)^(-(1+s)) du dv,
+    for a, b >= 0, not both 0.
 
-    Symmetric in (a, b); evaluated with the larger argument as the outer
-    scale so the Gauss-Jacobi factor stays smooth.
+    In polar coordinates Q = (1/2s) int_0^(pi/2) min(cos t/a, sin t/b)^(2s)
+    dt.  Split at t = atan(b/a), each part is an incomplete beta function
+    (DLMF 8.17).  With lo <= hi the sorted arguments and
+    y = lo^2/(lo^2+hi^2) <= 1/2,
+
+        Q = B(s+1/2, 1/2)/(4s) [lo^(-2s) I_y(s+1/2, 1/2)
+                                + hi^(-2s) (1 - I_y(1/2, s+1/2))],
+
+    so neither term cancels and Q is bitwise symmetric in (a, b).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    tau, wt = _jacobi_rule(s)
-    g = _upper_angle((lo / hi)[..., None] * tau, s)
-    return hi ** (-2.0 * s) * (g @ wt)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo2 = lo * lo
+    y = lo2 / (lo2 + hi * hi)
+    p = s + 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        near = np.where(lo > 0.0, lo ** (-2.0 * s) * betainc(p, 0.5, y), 0.0)
+    far = hi ** (-2.0 * s) * (1.0 - betainc(0.5, p, y))
+    return _b_full(s) / (4.0 * s) * (near + far)
 
 
-# fast spline surrogates for the quadrant/strip primitives; the quadrant is
-# homogeneous of degree -2s, so one profile on the aspect ratio suffices
-@lru_cache(maxsize=None)
-def _psi_profile(s: float):
-    from scipy.interpolate import CubicSpline
-    rho = np.linspace(0.0, 1.0, 4097)
-    return CubicSpline(rho, quadrant_tail(rho, 1.0, s))
+_GL24 = np.polynomial.legendre.leggauss(24)
 
 
-def quadrant_fast(a, b, s: float):
-    """Spline-accelerated quadrant_tail (absolute accuracy ~1e-12 relative)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    psi = _psi_profile(s)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(np.isinf(hi), 0.0, np.clip(lo / hi, 0.0, 1.0))
-    return psi(ratio) * hi ** (-2.0 * s)
+def _origin_rect(A: float, B: float, s: float) -> float:
+    """int over [0, A] x [0, B] of Q.  Split along the diagonal, each
+    triangle is a ray integral, as Q is homogeneous of degree -2s:
+    A^(2-2s) int_0^(B/A) Q(1, t) dt / (2-2s), plus the same with A and B
+    swapped.  A ray runs on the panels [0, 1], [1, 2], [2, 4], ..., so a
+    thin rectangle costs one 24-node panel per doubling."""
+    p = 2.0 - 2.0 * s
+    x, w = _GL24
+    total = 0.0
+    for side, T in ((A, B / A), (B, A / B)):
+        e = [0.0, min(T, 1.0)]
+        while e[-1] < T:
+            e.append(min(2.0 * e[-1], T))
+        e = np.array(e)
+        mid, half = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+        t = (mid[:, None] + half[:, None] * x).ravel()
+        total += side ** p * float((half[:, None] * w).ravel() @ quadrant_tail(1.0, t, s))
+    return total / p
 
 
-def strip_fast(d, a, b, s: float):
-    """int over {w in [a, b], v >= d} of (w^2+v^2)^(-(1+s)) dw dv, d > 0,
-    from quadrant_fast; a < b are signed horizontal offsets from the
-    evaluation point and may be infinite."""
-    d = np.asarray(d, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d, a, b = np.broadcast_arrays(d, a, b)
-    out = np.zeros(d.shape, dtype=float)
-    both_pos = a >= 0.0
-    both_neg = b <= 0.0
-    spanning = ~(both_pos | both_neg)
-    if np.any(both_pos):
-        m = both_pos
-        out[m] = quadrant_fast(np.maximum(a[m], 1e-300), d[m], s) \
-            - quadrant_fast(b[m], d[m], s)
-    if np.any(both_neg):
-        m = both_neg
-        out[m] = quadrant_fast(np.maximum(-b[m], 1e-300), d[m], s) \
-            - quadrant_fast(-a[m], d[m], s)
-    if np.any(spanning):
-        m = spanning
-        out[m] = halfplane_tail(d[m], s) \
-            - quadrant_fast(-a[m], d[m], s) - quadrant_fast(b[m], d[m], s)
+def _gauss_rects(a0, a1, b0, b1, s: float, nodes) -> np.ndarray:
+    """Tensor Gauss integrals of Q over rectangles, 4096 at a time."""
+    x, w = nodes
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    out = np.empty(a0.shape)
+    for c in range(0, a0.size, 4096):
+        k = slice(c, c + 4096)
+        da, db = a1[k] - a0[k], b1[k] - b0[k]
+        A = a0[k, None] + da[:, None] * u
+        B = b0[k, None] + db[:, None] * u
+        vals = quadrant_tail(A[:, :, None], B[:, None, :], s)
+        out[k] = da * db * np.einsum("cij,i,j->c", vals, w, w)
     return out
 
 
+# 8-point Gauss on each half of [-1, 1]: the tensor rule is 8x8 Gauss on a
+# 2x2 split of the rectangle
+_GL8x2 = (np.concatenate([0.5 * (_GL8[0] - 1.0), 0.5 * (_GL8[0] + 1.0)]),
+          np.concatenate([0.5 * _GL8[1], 0.5 * _GL8[1]]))
+
+
+def _rect_integrals(a0, a1, b0, b1, s: float) -> np.ndarray:
+    """Integrals of Q over the rectangles [a0, a1] x [b0, b1] (flat arrays)
+    of the closed first quadrant, each at most a unit wide.
+
+    Q ~ r^(-2s) at the origin.  A rectangle on the a-axis starting less
+    than a unit out is a difference of origin rectangles, and one within
+    two units is split 2x2.  Farther out Q is smooth on the unit scale:
+    8x8 Gauss, and 4x4 from 16 units on (each within 2e-14 relative).
+    """
+    out = np.zeros(a0.shape)
+    on_axis = (b0 == 0.0) & (a0 < 1.0)
+    for i in np.flatnonzero(on_axis):
+        out[i] = _origin_rect(a1[i], b1[i], s)
+        if a0[i] > 0.0:
+            out[i] -= _origin_rect(a0[i], b1[i], s)
+    d = np.where(on_axis, -1.0, np.maximum(a0, b0))
+    for lo, hi, nodes in ((0.0, 2.0, _GL8x2), (2.0, 16.0, _GL8), (16.0, np.inf, _GL4)):
+        i = np.flatnonzero((d >= lo) & (d < hi))
+        out[i] = _gauss_rects(a0[i], a1[i], b0[i], b1[i], s, nodes)
+    return out
+
+
+def _corner_table(n0: int, n1: int, s: float) -> np.ndarray:
+    """q[m, k] = int of Q over the unit cell [m, m+1] x [k, k+1], m < n0,
+    k < n1: the tail against a corner quadrant of the cell at offset (m, k)
+    from the corner, in units of h^(2-2s).
+
+    Computed for m <= k and mirrored, so a square table is bitwise
+    symmetric.  At s >= 1/2, q[0, 0] is the collocated Q(1/2, 1/2): the
+    corner cell collocates the quadrant of the corner it occupies.
+    """
+    hi = max(n0, n1)
+    m, k = np.triu_indices(min(n0, n1), m=hi)
+    vals = _rect_integrals(m + 0.0, m + 1.0, k + 0.0, k + 1.0, s)
+    q = np.empty((hi, hi))
+    q[m, k] = vals
+    q[k, m] = vals
+    if s >= 0.5:
+        q[0, 0] = quadrant_tail(0.5, 0.5, s)
+    return q[:n0, :n1]
+
+
 # ---------------------------------------------------------------------------
-# cell-averaged exterior tail weights
+# cell tail weights
 #
-# The tail weight of a cell against an exterior region is the honest double
-# integral over C_i x region, exactly like near pair weights.  Where that
-# integral diverges (the cell touches the box face and s >= 1/2), the whole
-# face's contribution falls back to the single-layer collocation value
-# h^n * (region tail at the cell center), applied consistently to every
-# sub-piece of that face so halfspace splits stay additive.
+# The tail weight of a cell against an exterior region is the double
+# integral over C_i x region.  At s >= 1/2 a cell takes the collocation
+# value h^n * (tail at its center) of each term whose region touches it
+# (the half-plane of a face it lies on, where the integral diverges, and
+# the quadrant of a corner it occupies), and of every piece a halfspace
+# split cuts from that term, so splits stay additive.  Positions are in
+# cell units: box faces and cell edges are integers.
 # ---------------------------------------------------------------------------
 
 
 def _f2_seg(g, width, s: float):
-    """int_g^(g+width) t^(-2s) dt / (2s); g >= 0 allowed only for s < 1/2;
-    inf entries map to 0."""
-    g = np.asarray(g, dtype=float)
-    out = np.zeros(g.shape, dtype=float)
-    fin = ~np.isinf(g)
-    gf = g[fin]
-    # a gap an ulp below 0 (a cell edge against a box bound) yields a NaN
-    # or inf that np.where drops (s < 1/2) or face collocation replaces
+    """int_g^(g+width) t^(-2s) dt / (2s), g >= 0; inf where it diverges
+    (g = 0, s >= 1/2), 0 at g = inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if s == 0.5:
-            out[fin] = np.log1p(width / gf)
+            v = np.log1p(width / g)
         else:
             p = 1.0 - 2.0 * s
-            lo = np.where(gf > 0.0, gf ** p, 0.0 if s < 0.5 else np.inf)
-            out[fin] = ((gf + width) ** p - lo) / (p * 2.0 * s)
-    return out
+            v = ((g + width) ** p - g ** p) / (p * 2.0 * s)
+    return np.where(np.isinf(g), 0.0, v)
 
 
-def _interval_tail_1d(xc, h: float, s: float, A: float, B: float,
-                      side: str, sl_mask) -> np.ndarray:
-    """Cell-averaged tail of 1D cells against the interval [A, B] lying
-    entirely on one side; SL-flagged cells use center collocation."""
-    xc = np.asarray(xc, dtype=float)
-    if side == "right":
-        return _interval_tail_1d(-xc, h, s, -B, -A, "left", sl_mask)
-    # region to the left: B <= every cell's lower edge
-    gB = (xc - 0.5 * h) - B
-    gA = (xc - 0.5 * h) - A if np.isfinite(A) else np.full_like(xc, np.inf)
-    exact = _f2_seg(gB, h, s) - _f2_seg(gA, h, s)
+def _slab(e, A, B, h: float, s: float, sl) -> np.ndarray:
+    """1D tails of the cells [e, e+1] against the region [A, B] on their
+    left (B <= e, A may be -inf); the sl cells take the collocation value."""
     inv = 1.0 / (2.0 * s)
-    slB = (xc - B) ** (-2.0 * s) * inv
-    slA = (xc - A) ** (-2.0 * s) * inv if np.isfinite(A) else 0.0
-    sl = h * (slB - slA)
-    return np.where(sl_mask, sl, exact)
+    exact = _f2_seg((e - B) * h, h, s) - _f2_seg((e - A) * h, h, s)
+    point = h * ((((e + 0.5) - B) * h) ** (-2.0 * s) * inv
+                 - (((e + 0.5) - A) * h) ** (-2.0 * s) * inv)
+    return np.where(sl, point, exact)
 
 
-def _gauss_cells(F, cx_sel, cy_sel, h: float) -> np.ndarray:
-    """Tensor-Gauss cell integrals of a smooth pointwise function at the
-    selected cell centers."""
-    gx, gw = _GL8
-    xs = cx_sel[:, None, None] + 0.5 * h * gx[None, :, None]
-    ys = cy_sel[:, None, None] + 0.5 * h * gx[None, None, :]
-    W = (gw[:, None] * gw[None, :]) * 0.25
-    out = np.empty(xs.shape[0])
-    chunk = 8192
-    for lo in range(0, xs.shape[0], chunk):
-        hi = lo + chunk
-        out[lo:hi] = np.einsum("cij,ij->c", F(xs[lo:hi], ys[lo:hi]), W)
-    return out * h * h
-
-
-def _hp_column_exact(width, gaps, heights, s: float):
-    """Exact integral of the half-plane tail over a rect of the given width
-    whose top edge sits `gaps` below the face; vectorized."""
-    return width * _b_full(s) * _f2_seg(gaps, heights, s)
-
-
-def _cuts(a: float, c: float, b: float) -> bool:
-    """True when c splits [a, b] into two pieces wider than a few ulps.
-
-    A cell edge and a box bound meant to coincide can differ in the last
-    bit; splitting there would leave a sliver on which the integrand is
-    not finite."""
-    tol = 4.0 * math.ulp(max(abs(a), abs(b)))
-    return a + tol < c < b - tol
-
-
-def _corner_quad(f, rect, d_corner: float, h: float, tol: float) -> float:
-    """Integral of f over rect: adaptive panels when a footprint corner
-    lies within h of it, one 8x8 Gauss panel otherwise."""
-    if d_corner < h:
-        return adaptive_rect_quad(f, rect, tol, max_panels=60_000)
-    return _panel_value(f, *rect, _GL8)
-
-
-def _strip_integrands(face: float, A: float, B: float, s: float):
-    """Pointwise integrands for the strip {y1 in [A,B], y2 >= face}: G, the
-    quadrant corrections a spanning footprint subtracts from the half-plane,
-    and F, the strip tail of a one-sided footprint.  The quadrant term of an
-    infinite end is 0 and is left out."""
-    def G(X, Y):
-        d = face - Y
-        if math.isinf(B):
-            return quadrant_fast(X - A, d, s)
-        if math.isinf(A):
-            return quadrant_fast(B - X, d, s)
-        return quadrant_fast(X - A, d, s) + quadrant_fast(B - X, d, s)
-
-    def F(X, Y):
-        if math.isinf(B):
-            return quadrant_fast(A - X, face - Y, s)
-        if math.isinf(A):
-            return quadrant_fast(X - B, face - Y, s)
-        return strip_fast(face - Y, A - X, B - X, s)
-
-    return G, F
-
-
-def _strip_rect_value(h: float, s: float, rect, face: float, A: float,
-                      B: float, tol: float = 1e-10) -> float:
-    """Exact-singular-part integral over one rect of the tail against the
-    strip {y1 in [A,B], y2 >= face}; the face may touch the rect's top edge
-    (only valid for s < 1/2 there).  Splits at footprint ends, integrates
-    the half-plane part in closed form, and treats the bounded quadrant
-    corrections with _corner_quad."""
-    x1a, x1b, x2a, x2b = rect
-    for c in (A, B):
-        if _cuts(x1a, c, x1b):
-            return (_strip_rect_value(h, s, (x1a, c, x2a, x2b), face, A, B, tol)
-                    + _strip_rect_value(h, s, (c, x1b, x2a, x2b), face, A, B, tol))
-    gap = face - x2b
-    mid = 0.5 * (x1a + x1b)
-    G, F = _strip_integrands(face, A, B, s)
-    if A <= mid <= B:
-        # spanning: exact half-plane part, smooth quadrant corrections
-        hp = float(_hp_column_exact(x1b - x1a, np.array(gap), x2b - x2a, s))
-        d_corner = min(math.hypot(max(x1a - A, 0.0), gap) if np.isfinite(A) else np.inf,
-                       math.hypot(max(B - x1b, 0.0), gap) if np.isfinite(B) else np.inf)
-        return hp - _corner_quad(G, rect, d_corner, h, tol)
-    end = A if mid < A else B
-    d_corner = math.hypot(abs(mid - end) - 0.5 * (x1b - x1a), gap)
-    return _corner_quad(F, rect, d_corner, h, tol)
-
-
-def _strip_face_grid(h: float, s: float, CX, CY, face: float, A: float,
-                     B: float, mask) -> np.ndarray:
-    """Cell integrals of the tail against {y1 in [A,B], y2 >= face} for the
-    masked cells of a center grid; face lies on or above every cell."""
-    out = np.zeros(CX.shape, dtype=float)
-    x1a, x1b = CX - 0.5 * h, CX + 0.5 * h
-    gaps = face - (CY + 0.5 * h)
-    dA = np.where(np.isfinite(A), x1a - A, np.inf)
-    dB = np.where(np.isfinite(B), B - x1b, np.inf)
-    inside = (dA >= 0.0) & (dB >= 0.0)
-    corner = np.minimum(np.hypot(np.maximum(dA, 0.0), gaps),
-                        np.hypot(np.maximum(dB, 0.0), gaps))
-    G, F = _strip_integrands(face, A, B, s)
-    bulk = mask & inside & (corner >= h)
-    if np.any(bulk):
-        out[bulk] = (_hp_column_exact(h, gaps[bulk], h, s)
-                     - _gauss_cells(G, CX[bulk], CY[bulk], h))
-    one_sided = mask & ((x1b <= A) | (x1a >= B))
-    far_one = one_sided & (corner >= h)
-    if np.any(far_one):
-        out[far_one] = _gauss_cells(F, CX[far_one], CY[far_one], h)
-    special = mask & ~bulk & ~far_one
-    for i, j in zip(*np.nonzero(special)):
-        rect = (x1a[i, j], x1b[i, j], CY[i, j] - 0.5 * h, CY[i, j] + 0.5 * h)
-        out[i, j] = _strip_rect_value(h, s, rect, face, A, B)
+def _faces(lo: int, hi: int, t: float, h: float, s: float) -> np.ndarray:
+    """1D tails of the cells lo..hi-1 against {y >= max(hi, t)} and, when
+    t < lo, against [t, lo]; the end cells collocate at s >= 1/2."""
+    e = np.arange(lo, hi, dtype=float)
+    coll = s >= 0.5
+    out = _slab(-e - 1.0, -np.inf, -max(hi, t), h, s, coll & (e == hi - 1))
+    if t < lo:
+        out = out + _slab(e, t, lo, h, s, coll & (e == lo))
     return out
 
 
-def _strip_piece_2d(h, s, cx, cy, vface, A, B, adj_rows, vend=None):
-    """Tails against the strip {y1 in [A,B], y2 >= vface} (optionally ended
-    at vend); adj_rows flags the rows whose parent face touches the cells."""
-    CX, CY = np.broadcast_arrays(np.asarray(cx, float), np.asarray(cy, float))
-    sl = np.broadcast_to(np.asarray(adj_rows, bool), CX.shape) & (s >= 0.5)
-    out = np.zeros(CX.shape, dtype=float)
-    if np.any(sl):
-        v = strip_fast(vface - CY[sl], A - CX[sl], B - CX[sl], s)
-        if vend is not None:
-            v = v - strip_fast(vend - CY[sl], A - CX[sl], B - CX[sl], s)
-        out[sl] = h * h * v
-    rest = ~sl
-    if np.any(rest):
-        vals = _strip_face_grid(h, s, CX, CY, vface, A, B, rest)
-        if vend is not None:
-            vals = vals - _strip_face_grid(h, s, CX, CY, vend, A, B, rest)
-        out[rest] = vals[rest]
-    return out
+def _side_table(g: float, rows: int, n1: int, s: float, q) -> np.ndarray:
+    """Tails against a quadrant, in units of h^(2-2s), of the columns on
+    one side of its corner, nearest first, when the corner cuts the nearest
+    at width g (0 < g <= 1): Q over [a_i, a_(i+1)] x [k, k+1], edges
+    a = 0, g, 1+g, 2+g, ...; on a cell edge (g = 1) the corner table."""
+    if g == 1.0:
+        return q[:rows]
+    a = np.concatenate([[0.0], g + np.arange(rows, dtype=float)])
+    k = np.tile(np.arange(n1, dtype=float), rows)
+    return _rect_integrals(np.repeat(a[:-1], n1), np.repeat(a[1:], n1),
+                           k, k + 1.0, s).reshape(rows, n1)
 
 
-def _hp_interval_2d(h, s, cx, A, B, side, adj_cols):
-    """Tails against the full-height slab {y1 in [A,B]} on one side."""
-    vals = _interval_tail_1d(cx.ravel(), h, s, A, B, side,
-                             (adj_cols & (s >= 0.5)).ravel())
-    return h * _b_full(s) * vals.reshape(cx.shape)
+def _tails_plus(lo, hi, t: float, h: float, s: float, q, sides) -> np.ndarray:
+    """Tails of the box of cells lo..hi against its complement within
+    {x >= t}.
 
-
-def _frame(lat: Lattice):
-    """Per-axis cell centers (shaped to broadcast over the grid), box
-    (lo, hi) and (first, last) masks of the cells that touch a box face."""
-    lo, hi = lat.box_bounds()
-    centers, bounds, adj = [], [], []
-    for axis, n in enumerate(lat.shape):
-        shape = [1] * lat.dim
-        shape[axis] = n
-        idx = np.arange(n).reshape(shape)
-        centers.append(lat.axis_centers(axis).reshape(shape))
-        bounds.append((lo[axis], hi[axis]))
-        adj.append((idx == 0, idx == n - 1))
-    return centers, bounds, adj
-
-
-def _mirror(frame, axis: int):
-    """The frame reflected through 0 along axis."""
-    centers, bounds, adj = (list(part) for part in frame)
-    centers[axis] = -centers[axis]
-    bounds[axis] = (-bounds[axis][1], -bounds[axis][0])
-    adj[axis] = adj[axis][::-1]
-    return centers, bounds, adj
-
-
-def _tails_plus(h: float, s: float, frame, axis: int, thr: float):
-    """Tails against the box complement intersected with {y[axis] >= thr};
-    thr = -inf gives the whole complement."""
-    if len(frame[0]) == 1:
-        (xc,), ((X0, X1),), ((left, right),) = frame
-        out = _interval_tail_1d(xc, h, s, max(X1, thr), np.inf, "right",
-                                right & (s >= 0.5))
-        if thr < X0:
-            out = out + _interval_tail_1d(xc, h, s, thr, X0, "left",
-                                          left & (s >= 0.5))
-        return out
-    (cx, cy), ((X0, X1), (Y0, Y1)), ((left, right), (bottom, top)) = frame
-    if axis == 0:
-        out = _hp_interval_2d(h, s, cx, max(X1, thr), np.inf, "right", right)
-        if thr < X0:
-            out = out + _hp_interval_2d(h, s, cx, thr, X0, "left", left)
-        if thr < X1:
-            A = max(X0, thr)
-            out = out + _strip_piece_2d(h, s, cx, cy, Y1, A, X1, top)
-            out = out + _strip_piece_2d(h, s, cx, -cy, -Y0, A, X1, bottom)
-        return out
-    # axis == 1: threshold cuts the strip direction
-    out = _strip_piece_2d(h, s, cx, cy, max(Y1, thr), X0, X1, top)
-    if thr < Y0:
-        out = out + _strip_piece_2d(h, s, cx, -cy, -Y0, X0, X1, bottom, vend=-thr)
-    # the quadrants {y1 <= X0} and {y1 >= X1} above thr are strips along
-    # y2 with one infinite end, seen with the axes swapped
-    out = out + _strip_piece_2d(h, s, cy, -cx, -X0, thr, np.inf, left)
-    out = out + _strip_piece_2d(h, s, cy, cx, X1, thr, np.inf, right)
-    return out
+    In 2D, t <= lo[0] keeps every face, the slab beyond the near x face cut
+    at t, and t >= hi[0] keeps the slab beyond the far x face.  In between,
+    the quadrants at (t, y face) stand in for the y faces' half-planes,
+    from ``sides``, the side tables of the columns left and right of t.
+    """
+    cols = _faces(lo[0], hi[0], t, h, s)
+    if len(lo) == 1:
+        return cols
+    (l0, l1), (u0, u1) = lo, hi
+    n0, n1 = u0 - l0, u1 - l1
+    hb, cols = h * _b_full(s), cols[:, None]
+    if t >= u0:
+        return np.repeat(hb * cols, n1, axis=1)
+    scale = h ** (2.0 - 2.0 * s)
+    if t <= l0:
+        rows = _faces(l1, u1, -np.inf, h, s)[None, :]
+        corners = (q + q[::-1, ::-1]) + (q[::-1, :] + q[:, ::-1])
+        return hb * (cols + rows) - scale * corners
+    # Row k lies k cells from a face.  A column left of t sees the quadrant
+    # at an offset (+ left side table); one right of t sees the half-plane
+    # minus the mirror quadrant (- right side table); a column t cuts sees
+    # both.  The face row collocates at s >= 1/2, as its half-plane does.
+    e = np.arange(l0, u0, dtype=float)
+    D = np.zeros((n0, n1))
+    for sign, i, table in ((1.0, math.ceil(t) - 1 - e, sides[0]),
+                           (-1.0, e - math.floor(t), sides[1])):
+        D[i >= 0] += sign * table[i[i >= 0].astype(int)]
+    W = np.repeat(np.clip(e + 1.0 - t, 0.0, 1.0)[:, None], n1, axis=1)
+    if s >= 0.5:
+        c = t - (e + 0.5)
+        qc = quadrant_tail(np.abs(c), 0.5, s)
+        D[:, 0] = np.where(c >= 0.0, qc, -qc)
+        W[:, 0] = c < 0.0
+    k = np.arange(n1, dtype=float)
+    face = hb * _slab(k, -np.inf, 0.0, h, s, (s >= 0.5) & (k == 0))
+    C = W * face + scale * D
+    return hb * cols + (C + C[:, ::-1]) - scale * (q[::-1, :] + q[::-1, ::-1])
 
 
 def cell_tail_weights(lat: Lattice, s: float) -> np.ndarray:
     """Per-cell tail weight against the whole box complement."""
-    return _tails_plus(lat.h, s, _frame(lat), 0, -np.inf)
+    return cell_tail_halfspace(lat, s, 0, -np.inf)[0]
 
 
 def cell_tail_halfspace(lat: Lattice, s: float, axis: int, thr: float):
     """(plus, minus) tail weights split by the halfspace {y[axis] >= thr},
-    each broadcastable to the lattice shape."""
+    each of the lattice shape.
+
+    The minus part is the plus part of the box mirrored along the axis,
+    and the axis-1 split is the transposed axis-0 split of the transposed
+    box.  A threshold within a few ulps of a cell edge is taken to lie on
+    it.
+    """
     if not 0 <= axis < lat.dim:
         raise ValueError(f"{lat.dim}D halfspace axis must lie in "
                          f"[0, {lat.dim}), got {axis}")
-    frame = _frame(lat)
-    # the minus part is the plus part of the geometry mirrored along axis
-    return (_tails_plus(lat.h, s, frame, axis, thr),
-            _tails_plus(lat.h, s, _mirror(frame, axis), axis, -thr))
+    if axis == 1:
+        flipped = Lattice(2, lat.h, lat.lo[::-1], lat.hi[::-1])
+        return tuple(np.ascontiguousarray(x.T)
+                     for x in cell_tail_halfspace(flipped, s, 0, thr))
+    t = thr / lat.h
+    if math.isfinite(t) and abs(t - round(t)) <= 4.0 * math.ulp(max(abs(t), 1.0)):
+        t = float(round(t))
+    q = sides = None
+    if lat.dim == 2:
+        q = _corner_table(*lat.shape, s)
+        if lat.lo[0] < t < lat.hi[0]:  # the columns left and right of t
+            left, right = math.ceil(t) - 1, math.floor(t)
+            sides = (_side_table(t - left, left + 1 - lat.lo[0], lat.shape[1], s, q),
+                     _side_table(right + 1 - t, lat.hi[0] - right, lat.shape[1], s, q))
+    mirror_lo, mirror_hi = (-lat.hi[0],) + lat.lo[1:], (-lat.lo[0],) + lat.hi[1:]
+    return (_tails_plus(lat.lo, lat.hi, t, lat.h, s, q, sides),
+            _tails_plus(mirror_lo, mirror_hi, -t, lat.h, s, q,
+                        sides and sides[::-1])[::-1].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -714,13 +612,10 @@ class KernelTable:
         """(plus, minus) split of tail_weights by {y[axis] >= threshold}."""
         key = ("half", int(axis), float(threshold))
         if key not in self._tail_cache:
-            plus, minus = cell_tail_halfspace(self.lattice, self.s, axis,
-                                              threshold)
-            plus = np.broadcast_to(plus, self.lattice.shape).copy()
-            minus = np.broadcast_to(minus, self.lattice.shape).copy()
-            plus.setflags(write=False)
-            minus.setflags(write=False)
-            self._tail_cache[key] = (plus, minus)
+            pair = cell_tail_halfspace(self.lattice, self.s, axis, threshold)
+            for x in pair:
+                x.setflags(write=False)
+            self._tail_cache[key] = pair
         return self._tail_cache[key]
 
 

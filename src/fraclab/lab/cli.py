@@ -6,7 +6,9 @@ Usage:  fraclab [--config FILE] [--out DIR] [--seed N]
 Config values come from the file first, then --set overrides, then the
 global flags.  Every run writes report.json and series.csv into the
 output directory and exits 0 only if all criteria passed, 1 if one
-failed, and 2 on a configuration error or an unwritable output.
+failed, and 2 on a configuration error or an unwritable output.  Each
+criterion prints one line marked PASS, FAIL or VACUOUS (passed without
+testing anything).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     for crit in report.criteria:
-        mark = "PASS" if crit.passed else "FAIL"
+        mark = "FAIL" if not crit.passed else "VACUOUS" if crit.vacuous else "PASS"
         print(f"[{mark}] {args.command}:{crit.name}  {crit.detail}")
     verdict = "pass" if report.passed else "fail"
     print(f"{args.command}: {verdict}  "

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import fraclab.kernels as K
 from fraclab.kernels import (
@@ -27,7 +28,11 @@ PAIR_2D = {
     (0.75, (1, 2)): 0.075676118581920502,
     (0.75, (2, 2)): 0.03029396606769531,
 }
-QUADRANT_12 = {0.25: 1.4682544332159142, 0.5: 0.38196601125010466,
+# the quadrant tail Q(1, 2); s = 1/4 from the 30-digit angular integral
+# (1/2s) int min(cos t, sin t/2)^(2s) dt, as a nested quadrature over the
+# two infinite ranges settles only to 1e-10 there; at s = 1/2 the value is
+# (3 - sqrt 5)/2
+QUADRANT_12 = {0.25: 1.468254433374356, 0.5: 0.38196601125010466,
                0.75: 0.14032628950369448}
 STRIP_073 = {0.25: 1.2898417130441294, 0.5: 1.0774337054423759,
              0.75: 0.9637136783533125}
@@ -265,30 +270,81 @@ def test_tail_1d_collocation_on_touching_face():
     assert tails[0] == pytest.approx(sl_left + exact_right, rel=1e-14)
 
 
+def _halfplane(c, s):
+    """Tail of a point against a half-plane at distance c, closed form."""
+    return K._b_full(s) * c ** (-2.0 * s) / (2.0 * s)
+
+
+def _angular_quadrant(a, b, s):
+    """Quadrant tail as (1/2s) int_0^(pi/2) min(cos t/a, sin t/b)^(2s) dt,
+    split at the kink atan(b/a) into two integrals of sin^(2s) from 0, by
+    adaptive quadrature with the weight u^(2s) taken out."""
+    def sin_power(top):
+        return quad(lambda u: (math.sin(u) / u if u else 1.0) ** (2.0 * s),
+                    0.0, top, weight="alg", wvar=(2.0 * s, 0.0),
+                    epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+    return (sin_power(math.atan2(b, a)) * b ** (-2.0 * s)
+            + sin_power(math.atan2(a, b)) * a ** (-2.0 * s)) / (2.0 * s)
+
+
 def test_tail_primitives_match_brute_force():
     for s, ref in QUADRANT_12.items():
-        assert K.quadrant_tail(1.0, 2.0, s) == pytest.approx(ref, rel=1e-9)
-        assert K.quadrant_fast(1.0, 2.0, s) == pytest.approx(ref, rel=1e-9)
-        assert K.quadrant_fast(2.0, 1.0, s) == pytest.approx(ref, rel=1e-9)
+        assert K.quadrant_tail(1.0, 2.0, s) == pytest.approx(ref, rel=1e-13)
+        assert K.quadrant_tail(2.0, 1.0, s) == pytest.approx(ref, rel=1e-13)
+    assert K.quadrant_tail(1.0, 2.0, 0.5) == pytest.approx(
+        (3.0 - math.sqrt(5.0)) / 2.0, rel=1e-15)
+    # the strip {w in [-0.3, 1.1], v >= 0.7} is a half-plane minus two
+    # quadrants
     for s, ref in STRIP_073.items():
-        assert K.strip_fast(0.7, -0.3, 1.1, s) == pytest.approx(ref, rel=1e-9)
+        strip = (_halfplane(0.7, s) - K.quadrant_tail(0.3, 0.7, s)
+                 - K.quadrant_tail(1.1, 0.7, s))
+        assert strip == pytest.approx(ref, rel=1e-13)
     for s, ref in BFULL.items():
         assert K._b_full(s) == pytest.approx(ref, rel=1e-14)
 
 
-def _point_tail_2d(cx, cy, s, bounds):
-    """Per-point integral of the kernel over the complement of the box
-    [X0,X1]x[Y0,Y1] from the Gauss-Jacobi quadrant; (cx, cy) strictly
-    inside."""
-    X0, X1, Y0, Y1 = bounds
-    cx, cy = np.broadcast_arrays(np.asarray(cx, float), np.asarray(cy, float))
-    dL, dR = cx - X0, X1 - cx
-    dB, dT = cy - Y0, Y1 - cy
-    total = K.halfplane_tail(dL, s) + K.halfplane_tail(dR, s)
-    for d in (dT, dB):
-        total = total + (K.halfplane_tail(d, s)
-                         - K.quadrant_tail(dL, d, s) - K.quadrant_tail(dR, d, s))
-    return total
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_quadrant_tail_symmetric_and_matches_angular_integral(s):
+    rng = np.random.default_rng(7)
+    a, b = np.exp(rng.uniform(-6.0, 6.0, (2, 40)))
+    q = K.quadrant_tail(a, b, s)
+    assert np.array_equal(q, K.quadrant_tail(b, a, s))
+    ref = np.array([_angular_quadrant(x, y, s) for x, y in zip(a, b)])
+    assert np.max(np.abs(q - ref) / ref) < 1e-13
+
+
+def _exit_tail(x, y, s, box):
+    """Point tail against the complement of the box: (1/2s) times the
+    integral over directions of the exit distance^(-2s), split at the
+    corner directions."""
+    X0, X1, Y0, Y1 = box
+
+    def f(t):
+        c, sn = math.cos(t), math.sin(t)
+        rx = (X1 - x) / c if c > 0 else (X0 - x) / c if c < 0 else math.inf
+        ry = (Y1 - y) / sn if sn > 0 else (Y0 - y) / sn if sn < 0 else math.inf
+        return min(rx, ry) ** (-2.0 * s)
+
+    kinks = sorted(math.atan2(v - y, u - x) % (2.0 * math.pi)
+                   for u in (X0, X1) for v in (Y0, Y1))
+    return quad(f, 0.0, 2.0 * math.pi, points=kinks, epsabs=0.0,
+                epsrel=1e-13, limit=400)[0] / (2.0 * s)
+
+
+def _cell_gauss(f, x0, y0, h, split=2):
+    """8x8 tensor Gauss integral of f over the cell [x0, x0+h] x [y0, y0+h],
+    on split x split panels."""
+    g, w = np.polynomial.legendre.leggauss(8)
+    u, w = 0.5 * (g + 1.0), 0.5 * w
+    p = h / split
+    total = 0.0
+    for i in range(split):
+        for j in range(split):
+            for gu, wu in zip(x0 + (i + u) * p, w):
+                for gv, wv in zip(y0 + (j + u) * p, w):
+                    total += wu * wv * f(gu, gv)
+    return total * p * p
 
 
 def test_tail_2d_interior_cell_against_quadrature():
@@ -296,10 +352,40 @@ def test_tail_2d_interior_cell_against_quadrature():
     bounds = (0.0, 4.0, 0.0, 3.0)
     for s in (0.25, 0.75):
         tails = build_kernel(lat, s).tail_weights
-        ref = K.adaptive_rect_quad(
-            lambda X, Y: _point_tail_2d(X, Y, s, bounds),
-            (1.0, 2.0, 1.0, 2.0), 1e-10, max_panels=40_000)
-        assert tails[1, 1] == pytest.approx(ref, rel=1e-9)
+        ref = _cell_gauss(lambda x, y: _exit_tail(x, y, s, bounds), 1.0, 1.0, 1.0)
+        assert tails[1, 1] == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_tail_2d_face_cells_collocate_touching_terms(s):
+    # box complement = four half-planes minus four corner quadrants; a cell
+    # takes h^2 * (value at its center) of the half-plane of each face it
+    # lies on and of the quadrant of each corner it occupies, and the cell
+    # average of every other term
+    h = 0.5
+    X1, Y1 = 4 * h, 3 * h
+    tails = K.cell_tail_weights(Lattice(2, h, (0, 0), (4, 3)), s)
+    for i, j in ((3, 2), (1, 2), (3, 1), (0, 0), (2, 1)):
+        x0, y0 = i * h, j * h
+        cx, cy = x0 + 0.5 * h, y0 + 0.5 * h
+        on_face = {(0, 0): i == 0, (0, 1): i == 3, (1, 0): j == 0, (1, 1): j == 2}
+        faces = {(0, 0): lambda x, y: _halfplane(x, s),
+                 (0, 1): lambda x, y: _halfplane(X1 - x, s),
+                 (1, 0): lambda x, y: _halfplane(y, s),
+                 (1, 1): lambda x, y: _halfplane(Y1 - y, s)}
+        want = 0.0
+        for key, f in faces.items():
+            want += h * h * f(cx, cy) if on_face[key] else _cell_gauss(f, x0, y0, h)
+        for right in (0, 1):
+            for top in (0, 1):
+                def f(x, y, right=right, top=top):
+                    return _angular_quadrant(X1 - x if right else x,
+                                             Y1 - y if top else y, s)
+                if on_face[(0, right)] and on_face[(1, top)]:
+                    want -= h * h * f(cx, cy)
+                else:
+                    want -= _cell_gauss(f, x0, y0, h, split=1)
+        assert tails[i, j] == pytest.approx(want, rel=1e-11), (i, j)
 
 
 def test_tail_2d_refinement_identity():
@@ -332,6 +418,14 @@ def test_tail_symmetry_and_positivity():
         assert t[0, t.shape[1] // 2] > t[mid, t.shape[1] // 2]
 
 
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_tail_weights_square_box_symmetric_bitwise(s):
+    t = build_kernel(Lattice(2, 0.53125, (-9, -9), (9, 9)), s).tail_weights
+    assert np.array_equal(t, t.T)
+    assert np.array_equal(t, t[::-1, :])
+    assert np.array_equal(t, t[:, ::-1])
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_tail_halfspace_additivity(dim):
     if dim == 1:
@@ -346,7 +440,7 @@ def test_tail_halfspace_additivity(dim):
             for thr in (-0.8, 0.0, 0.13, 2.6, 9.0, -np.inf):
                 plus, minus = K.cell_tail_halfspace(lat, s, axis, thr)
                 assert np.all(plus >= -1e-13) and np.all(minus >= -1e-13)
-                assert np.max(np.abs(plus + minus - total) / total) < 1e-9
+                assert np.max(np.abs(plus + minus - total) / total) < 1e-13
 
 
 @pytest.mark.parametrize("lat", [
@@ -355,21 +449,18 @@ def test_tail_halfspace_additivity(dim):
     Lattice(2, 0.7, (-3, -10), (12, 2)),
 ])
 def test_tail_halfspace_axis_1_is_transposed_axis_0(lat):
-    # s < 1/2 has no collocation fallback, so the axis-1 split (strips and
-    # infinite-ended strips) must match the axis-0 split (slabs and strips)
-    # of the transposed box
-    s = 0.25
+    # the axis-1 split is the axis-0 split of the transposed box, bit for
+    # bit, at thresholds on and off cell edges, inside and outside the box
     lat_t = Lattice(2, lat.h, lat.lo[::-1], lat.hi[::-1])
     lo, hi = lat.box_bounds()
     b0, b1, h = lo[1], hi[1], lat.h
-    for thr in (b0 - 1.3, b0, b0 + 0.3 * h, 0.5 * (b0 + b1) + 0.17,
-                b1 - h, b1, b1 + 2.1):
-        got = K.cell_tail_halfspace(lat, s, 1, thr)
-        ref = K.cell_tail_halfspace(lat_t, s, 0, thr)
-        for g, r in zip(got, ref):
-            r = np.broadcast_to(r, lat_t.shape).T
-            g = np.broadcast_to(g, lat.shape)
-            assert np.max(np.abs(g - r) / r) < 1e-11, thr
+    for s in (0.25, 0.75):
+        for thr in (b0 - 1.3, b0, b0 + 0.3 * h, 0.5 * (b0 + b1) + 0.17,
+                    b1 - h, b1, b1 + 2.1):
+            got = K.cell_tail_halfspace(lat, s, 1, thr)
+            ref = K.cell_tail_halfspace(lat_t, s, 0, thr)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r.T), (s, thr)
 
 
 def test_tail_halfspace_axis_validation():
@@ -454,3 +545,43 @@ def test_tails_near_ulp_box_bound_warn_nothing(s):
         warnings.simplefilter("error")
         tails = build_kernel(lat, s).tail_weights
     assert np.all(np.isfinite(tails))
+
+
+# 1D tails on a dyadic spacing, frozen bit for bit: cells 0 and 4 of the
+# whole-complement tail, then plus[2] and minus[7] at thr = 0.13, and
+# plus[0] and minus[9] at thr = -3.3
+TAIL_1D_HEX = {
+    0.25: ("0x1.a4ca1a1615b09p+1", "0x1.4577207644374p+0", "0x1.088af74be05b8p-1",
+           "0x1.088af74be05b8p-1", "0x1.3da3a25119487p+1", "0x1.a06774dfb76a0p-2"),
+    0.5: ("0x1.0d7c74108520bp+1", "0x1.9f323ecbf984cp-2", "0x1.1178e8227e47cp-3",
+          "0x1.1178e8227e47cp-3", "0x1.c86442f7bfeecp+0", "0x1.52b48c7347377p-4"),
+    0.75: ("0x1.59764040a8217p+1", "0x1.6252604fad906p-3", "0x1.7913dc8030380p-5",
+           "0x1.7913dc8030380p-5", "0x1.435a0f338b311p+1", "0x1.6f644e45bd9abp-6"),
+}
+
+
+@pytest.mark.parametrize("s", sorted(TAIL_1D_HEX))
+def test_tail_1d_bitwise_on_dyadic_spacing(s):
+    lat = Lattice(1, 0.5, (-4,), (6,))
+    t = K.cell_tail_weights(lat, s)
+    p, m = K.cell_tail_halfspace(lat, s, 0, 0.13)
+    p2, m2 = K.cell_tail_halfspace(lat, s, 0, -3.3)
+    got = (t[0], t[4], p[2], m[7], p2[0], m2[9])
+    assert [float(v).hex() for v in got] == list(TAIL_1D_HEX[s])
+
+
+@pytest.mark.parametrize("s", [0.25, 0.4, 0.49])
+def test_tails_exact_when_box_face_misses_cell_edge_by_an_ulp(s):
+    # -39 * 0.1 and the lower edge of cell 0 differ in the last bit; a gap
+    # of an ulp raised to the power 1 - 2s is far from 0 near s = 1/2
+    h, n, p = 0.1, 25, 1.0 - 2.0 * s
+    tails = K.cell_tail_weights(Lattice(1, h, (-39,), (-14,)), s)
+    # cell 0 against (-inf, face], which it touches, and [face + n h, inf)
+    want = (h ** p + (n * h) ** p - ((n - 1) * h) ** p) / (p * 2.0 * s)
+    assert tails[0] == pytest.approx(want, rel=1e-13)
+    # 2D: the same integer box at h = 1 has exact gaps, and tails scale as
+    # h^(2-2s)
+    lo, hi = (-3, -10), (12, 2)
+    t7 = K.cell_tail_weights(Lattice(2, 0.7, lo, hi), s)
+    t1 = K.cell_tail_weights(Lattice(2, 1.0, lo, hi), s)
+    assert np.max(np.abs(t7 - 0.7 ** (2.0 - 2.0 * s) * t1) / t7) < 1e-12

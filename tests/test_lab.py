@@ -512,6 +512,15 @@ def test_cli_bare_iterate_runs(tmp_path):
     assert conclusion["vacuous"]
 
 
+def test_cli_marks_vacuous_criterion(tmp_path, capsys):
+    # a criterion that passes without testing anything is not printed as
+    # PASS; the exit code still follows the verdict
+    assert main(["--out", str(tmp_path / "out"), "iterate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[VACUOUS] iterate:conclusion") for line in lines)
+    assert not any(line.startswith("[PASS] iterate:conclusion") for line in lines)
+
+
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
