@@ -16,13 +16,14 @@ import numpy as np
 
 from .. import barrier as bar
 from .. import setgeom
-from ..energies import energy_E
+from ..energies import EnergyModel, energy_E
 from ..kernels import build_kernel
 from ..lattice import (
     CellSet,
     ConstantExterior,
     HalfspaceExterior,
     Lattice,
+    ScalarField,
     ball_mask,
     psi_field,
 )
@@ -648,6 +649,24 @@ def run_sobolev_suite(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+def _c5_lattice(spec: bar.BarrierSpec, h: float) -> float:
+    """C5 by a second method: the lattice operator at every cell center.
+
+    With v sampled at the centers of a box covering B_r and exterior data
+    1 (v = 1 outside B_r), half the potential-free energy gradient is
+    -h^dim times the principal value, from one convolution.  Returns the
+    sup over cells of (operator v)^+ / (v + 16 r^(-2s)).
+    """
+    lat = Lattice.covering_ball(spec.dim, h, 0.0, spec.r)
+    v = bar.eval_v(np.sqrt(sum(g * g for g in lat.center_grids())),
+                   spec.r, spec.s)
+    model = EnergyModel(build_kernel(lat, spec.s), None,
+                        ScalarField(lat, v, ConstantExterior(1.0)))
+    pv = -0.5 * model.gradient(model.lift(v)) / lat.cell_volume
+    floor = 16.0 * spec.r ** (-2.0 * spec.s)
+    return float(np.max(np.maximum(pv, 0.0) / (v + floor)))
+
+
 def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     """Build the rescaled barrier and verify its two defining estimates."""
     t0 = time.perf_counter()
@@ -658,6 +677,7 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
                          slack=cfg.al1_slack,
                          min_fraction=cfg.al1_min_fraction)
     al2 = bar.verify_al2(spec, sample_count=cfg.check_samples)
+    c5_lattice = _c5_lattice(spec, cfg.h)
 
     outside = spec.big_r * (1.0 + np.arange(1, 33) / 16.0)
     w_out = bar.eval_w(spec, outside)
@@ -684,11 +704,14 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
         "al1": al1.to_json(),
         "al2": al2.to_json(),
         "w_exact_outside": exact_one,
+        "c5_lattice": c5_lattice,
+        "c5_lattice_gap": (c5_lattice - spec.c5) / spec.c5,
     }
     return ExperimentReport(
         experiment="barrier", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(t0))
+        meta=_meta(t0, c5_rule_gap=bar.c5_rule_gap(
+            cfg.s, cfg.barrier_r, cfg.barrier_samples, cfg.dim)))
 
 
 # ---------------------------------------------------------------------------

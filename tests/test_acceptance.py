@@ -200,12 +200,13 @@ def test_criterion_05_barrier():
           and math.isfinite(al2["lower_constant"])
           and al2["ratio"] < 50.0
           and rep.results["w_exact_outside"] is True
+          and al1["rule_gap"] < 1e-9
           and wall < 300.0)
     _verdict(
         5, "barrier", ok,
         f"al1 fraction={al1['fraction_passing']:.4f}>=0.99 at 5% slack, "
         f"al2 ratio={al2['ratio']:.2f}<50, w=1 outside exactly, "
-        f"wall={wall:.1f}s")
+        f"PV rule gap={al1['rule_gap']:.2g}<1e-9, wall={wall:.1f}s")
 
 
 def _brute_interaction(lat: Lattice, A, B, s: float, m: int = 6) -> float:

@@ -410,6 +410,22 @@ def test_barrier_runner_small_scale():
     assert len(rep.series_rows) == 64
 
 
+def test_barrier_c5_lattice_second_method():
+    # the lattice operator's sup over cells approaches the sampled C5 as
+    # the cells shrink
+    gaps = []
+    for h in (1.0, 0.5):
+        cfg = ExperimentConfig(experiment="barrier", s=0.5, dim=1, h=h,
+                               tau=0.1, barrier_r=400.0, barrier_samples=256,
+                               check_samples=64)
+        res = run_barrier(cfg).results
+        gap = res["c5_lattice_gap"]
+        assert gap == (res["c5_lattice"] - res["spec"]["c5"]) / res["spec"]["c5"]
+        gaps.append(abs(gap))
+    assert gaps[0] < 0.025
+    assert gaps[1] < gaps[0]
+
+
 def test_iterate_runner_reads_csv(tmp_path):
     path = tmp_path / "trace.csv"
     with open(path, "w") as fh:
@@ -587,7 +603,7 @@ def test_vacuous_criteria_are_flagged():
     assert not compared["refinement-stable"].vacuous
 
 
-def test_importing_lab_skips_scipy_signal():
+def test_importing_lab_skips_scipy_signal_and_integrate():
     import subprocess
     import sys
 
@@ -595,8 +611,23 @@ def test_importing_lab_skips_scipy_signal():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
     code = ("import sys, fraclab.lab; "
-            "print('scipy.signal' in sys.modules)")
+            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_benchmark_tracer_installs():
+    # the tracer patches barrier, energies, kernels and setgeom attributes
+    # by name; a renamed one fails here rather than in a benchmark run
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "worker.py"),
+         "--workload", "bounds", "--seed", "1", "--trace", "1", "--setup-only"],
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "ready" in json.loads(out.stdout)
