@@ -603,19 +603,26 @@ def test_vacuous_criteria_are_flagged():
     assert not compared["refinement-stable"].vacuous
 
 
-def test_importing_lab_skips_scipy_signal_and_integrate():
+def _lab_import_loads(module):
     import subprocess
     import sys
 
     import fraclab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(fraclab.__file__)))
-    code = ("import sys, fraclab.lab; "
-            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules)")
+    code = f"import sys, fraclab.lab; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False False"
+    return out.stdout.strip()
+
+
+def test_importing_lab_skips_scipy_signal():
+    assert _lab_import_loads("scipy.signal") == "False"
+
+
+def test_importing_lab_skips_scipy_integrate():
+    assert _lab_import_loads("scipy.integrate") == "False"
 
 
 def test_benchmark_tracer_installs():
