@@ -8,12 +8,11 @@ pair weight
 which depends on the index offset d = i - j alone.  The table uses a
 three-way rule:
 
-* near offsets (sup-norm |d| <= near_radius): the exact double integral.
-  In 1D this has a closed form through the double antiderivative of
-  t^(-(1+2s)); in 2D it is computed by adaptive panel quadrature, with the
-  singular part of touching cells split off in closed form: the corner
-  quarter of corner-touching cells, and for edge-touching cells (s < 1/2)
-  the whole half next to the shared edge, through 2F1(1/2, s; 3/2; -1).
+* near offsets (sup-norm |d| <= 4): the exact double integral.  In 1D it
+  is a second difference of the double antiderivative of t^(-(1+2s)); in
+  2D a second difference of the unit-cell integrals of the quadrant tail
+  (below), whose mixed derivative is the kernel, and on an axis the whole
+  strip, a 1D weight, minus the two quadrants beyond the cell's sides.
 * touching offsets whose exact integral diverges (1D offset 1 and 2D
   edge-neighbours, when s >= 1/2): the single-layer collocation value
   h^n * integral over C_j of |c_i - y|^(-(n+2s)) dy, which is finite,
@@ -34,14 +33,12 @@ every halfspace threshold on a cell edge.
 """
 from __future__ import annotations
 
-import heapq
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import betainc, hyp2f1
+from scipy.special import betainc
 
 from .lattice import Lattice
 
@@ -105,142 +102,58 @@ def _pair_exact_1d(h: float, s: float, d: int) -> float:
     return F(a + h, s) - 2.0 * F(a, s) + F(a - h, s)
 
 
-def _corner_quarter_closed(h: float, s: float) -> float:
-    """int_0^h int_0^h t1 t2 (t1^2+t2^2)^(-(1+s)) dt1 dt2, closed form."""
-    a = h * h
-    return (2.0 - 2.0 ** (1.0 - s)) * a ** (1.0 - s) / (4.0 * s * (1.0 - s))
-
-
-def _edge_lower_half(h: float, s: float) -> float:
-    """int over [-h,h]x[0,h] of (h-|t1|) t2 |t|^(-(2+2s)) dt, s < 1/2.
-
-    With I = int_0^h int_0^h t2 |t|^(-(2+2s)) dt
-           = h^(1-2s) / (2s) * (1/(1-2s) - 2F1(1/2, s; 3/2; -1)),
-    the half is 2 h I minus twice the corner quarter.
-    """
-    inner = h ** (1.0 - 2.0 * s) / (2.0 * s) * (
-        1.0 / (1.0 - 2.0 * s) - hyp2f1(0.5, s, 1.5, -1.0))
-    return 2.0 * h * inner - 2.0 * _corner_quarter_closed(h, s)
-
-
-_GL4 = np.polynomial.legendre.leggauss(4)
-_GL8 = np.polynomial.legendre.leggauss(8)
-
-
-def _panel_value(f, x0, x1, y0, y1, nodes):
-    gx, gw = nodes
-    xm, xr = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
-    ym, yr = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
-    X = xm + xr * gx
-    Y = ym + yr * gx
-    vals = f(X[:, None], Y[None, :])
-    return xr * yr * float(((gw[:, None] * gw[None, :]) * vals).sum())
-
-
-def adaptive_rect_quad(f, rect, tol: float, max_panels: int = 200_000) -> float:
-    """Adaptive 2D panel quadrature with an embedded-rule error estimate.
-
-    Each panel carries a coarse (4x4) and fine (8x8) tensor Gauss value;
-    the worst panel (by |fine-coarse|) is split into 4 until the summed
-    error estimate drops below tol * |total|.  Deterministic: ties broken
-    by insertion order.  Stopping at ``max_panels`` above tolerance warns
-    with the error estimate; a non-finite result raises.
-    """
-    x0, x1, y0, y1 = rect
-
-    def make(px0, px1, py0, py1, serial):
-        coarse = _panel_value(f, px0, px1, py0, py1, _GL4)
-        fine = _panel_value(f, px0, px1, py0, py1, _GL8)
-        err = abs(fine - coarse)
-        return (-err, serial, px0, px1, py0, py1, fine)
-
-    serial = 0
-    heap = [make(x0, x1, y0, y1, serial)]
-    total = heap[0][-1]
-    total_err = -heap[0][0]
-    n_panels = 1
-    while total_err > tol * max(abs(total), 1e-300) and n_panels < max_panels:
-        neg_err, _, px0, px1, py0, py1, fine = heapq.heappop(heap)
-        total -= fine
-        total_err += neg_err
-        xm, ym = 0.5 * (px0 + px1), 0.5 * (py0 + py1)
-        for cx0, cx1, cy0, cy1 in ((px0, xm, py0, ym), (xm, px1, py0, ym),
-                                   (px0, xm, ym, py1), (xm, px1, ym, py1)):
-            serial += 1
-            child = make(cx0, cx1, cy0, cy1, serial)
-            heapq.heappush(heap, child)
-            total += child[-1]
-            total_err -= child[0]
-        n_panels += 3
-    if not math.isfinite(total):
-        raise FloatingPointError(f"non-finite panel quadrature {total} on {rect}")
-    if total_err > tol * max(abs(total), 1e-300):
-        warnings.warn(
-            f"panel quadrature stopped at max_panels={max_panels} with error "
-            f"estimate {total_err:.3g} (relative {total_err / max(abs(total), 1e-300):.3g},"
-            f" tol {tol:.3g}) on {rect}", RuntimeWarning, stacklevel=2)
-    return total
-
-
-def _pair_exact_2d(h: float, s: float, d1: int, d2: int, tol: float) -> float:
+def _pair_exact_2d(h: float, s: float, d1: int, d2: int) -> float:
     """Exact cell-pair integral in 2D at canonical offset 0 <= d1 <= d2,
-    (d1, d2) != (0, 0).  Uses the hat-function reduction
+    (d1, d2) != (0, 0), from unit-cell integrals q of the quadrant tail.
 
-        I = int H(t1 - d1 h) H(t2 - d2 h) |t|^(-(2+2s)) dt,
+    The mixed second derivative of Q is the kernel, so the kernel's
+    integral over C_d - x is a second difference of Q, and averaging it
+    over x in C_0 turns each Q into its integral over a unit cell:
 
-    H the triangular overlap of width 2h.  Edge-touching diverges iff
-    s >= 1/2 (raises); the singular quarter of corner-touching cells and
-    the singular lower half of edge-touching ones are integrated in
-    closed form.
+        w = h^(2-2s) ((q[d1-1, d2-1] - q[d1, d2-1]) - (q[d1-1, d2] - q[d1, d2])).
+
+    At d1 = 0 the difference straddles the axis: the whole strip,
+    B(s+1/2, 1/2) times the 1D weight, minus the quadrants beyond either
+    side, 2 (q[0, d2-1] - q[0, d2]).  Edge-touching diverges iff s >= 1/2
+    (raises).
     """
     if (d1, d2) == (0, 1) and s >= 0.5:
         raise ValueError("edge-touching integral diverges for s >= 1/2")
-    a1, a2 = d1 * h, d2 * h
-    alpha = 1.0 + s
-
-    def integrand(t1, t2):
-        h1 = np.maximum(h - np.abs(t1 - a1), 0.0)
-        h2 = np.maximum(h - np.abs(t2 - a2), 0.0)
-        r2 = t1 * t1 + t2 * t2
-        return h1 * h2 * r2 ** (-alpha)
-
-    if (d1, d2) == (0, 1):
-        # split off [-h,h]x[0,h] where the hats are exactly (h-|t1|)*t2
-        return (_edge_lower_half(h, s)
-                + adaptive_rect_quad(integrand, (-h, h, h, 2 * h), tol))
-    if (d1, d2) == (1, 1):
-        # split off [0,h]^2 where the hats are exactly t1*t2
-        val = _corner_quarter_closed(h, s)
-        for sub in ((h, 2 * h, 0.0, h), (0.0, h, h, 2 * h), (h, 2 * h, h, 2 * h)):
-            val += adaptive_rect_quad(integrand, sub, tol)
-        return val
-    return adaptive_rect_quad(integrand, (a1 - h, a1 + h, a2 - h, a2 + h), tol)
+    rows = [d1 - 1.0, d1] if d1 else [0.0]
+    m = np.repeat(rows, 2)
+    k = np.tile([d2 - 1.0, d2], len(rows))
+    q = _rect_integrals(m, m + 1.0, k, k + 1.0, s).reshape(-1, 2)
+    if d1 == 0:
+        w = _b_full(s) * _pair_exact_1d(1.0, s, d2) - 2.0 * (q[0, 0] - q[0, 1])
+    else:
+        w = (q[0, 0] - q[1, 0]) - (q[0, 1] - q[1, 1])
+    return h ** (2.0 - 2.0 * s) * float(w)
 
 
-def pair_weight_exact(dim: int, h: float, s: float, offset, tol: float = 1e-8) -> float:
+def pair_weight_exact(dim: int, h: float, s: float, offset) -> float:
     """Exact cell-pair double integral at the given offset (raises where it
     diverges; see module docstring)."""
-    if dim == 1:
-        d = abs(int(np.atleast_1d(offset)[0]))
-        if d == 0:
-            return 0.0
-        return _pair_exact_1d(h, s, d)
-    d1, d2 = sorted(abs(int(v)) for v in offset)
-    if (d1, d2) == (0, 0):
+    s = _check_s(s)
+    d = sorted(abs(int(v)) for v in np.atleast_1d(offset))
+    if not any(d):
         return 0.0
-    return _pair_exact_2d(h, s, d1, d2, tol)
+    return _pair_exact_1d(h, s, *d) if dim == 1 else _pair_exact_2d(h, s, *d)
 
 
 def pair_weight_collocation(dim: int, h: float, s: float, offset) -> float:
-    """Single-layer stand-in h^n * int_{C_j} |c_i - y|^(-(n+2s)) dy."""
+    """Single-layer stand-in h^n * int_{C_j} |c_i - y|^(-(n+2s)) dy; zero at
+    the zero offset, as the exact weight is."""
+    s = _check_s(s)
+    d = [abs(int(v)) for v in np.atleast_1d(offset)]
+    if not any(d):
+        return 0.0
     if dim == 1:
-        d = abs(int(np.atleast_1d(offset)[0]))
-        a = d * h
+        a = d[0] * h
         lo, hi = a - 0.5 * h, a + 0.5 * h
         return h * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
     # a rectangle of the kernel in the first quadrant is a second difference
     # of the quadrant tail; one that straddles an axis is twice its half
-    d1, d2 = (abs(int(v)) for v in offset)
+    d1, d2 = d
     u = np.array([max(d1 - 0.5, 0.0), d1 + 0.5]) * h
     v = np.array([max(d2 - 0.5, 0.0), d2 + 0.5]) * h
     q = quadrant_tail(u[:, None], v[None, :], s)
@@ -285,6 +198,8 @@ def quadrant_tail(a, b, s: float):
     return _b_full(s) / (4.0 * s) * (near + far)
 
 
+_GL4 = np.polynomial.legendre.leggauss(4)
+_GL8 = np.polynomial.legendre.leggauss(8)
 _GL24 = np.polynomial.legendre.leggauss(24)
 
 
@@ -515,23 +430,28 @@ def cell_tail_halfspace(lat: Lattice, s: float, axis: int, thr: float):
 # ---------------------------------------------------------------------------
 
 
-def _canonical_offsets(dim: int, near_radius: int):
+# offsets with sup-norm up to this take the exact weight, farther ones the
+# midpoint rule
+_NEAR_RADIUS = 4
+
+
+def _canonical_offsets(dim: int):
     """Canonical (sorted absolute) near offsets, excluding the origin."""
     if dim == 1:
-        return [(d,) for d in range(1, near_radius + 1)]
+        return [(d,) for d in range(1, _NEAR_RADIUS + 1)]
     out = []
-    for d2 in range(near_radius + 1):
+    for d2 in range(_NEAR_RADIUS + 1):
         for d1 in range(d2 + 1):
             if (d1, d2) != (0, 0):
                 out.append((d1, d2))
     return out
 
 
-def _near_weight(dim: int, h: float, s: float, canon, quad_tol: float) -> float:
+def _near_weight(dim: int, h: float, s: float, canon) -> float:
     """Exact pair weight; collocation where the touching integral diverges."""
     if sum(canon) == 1 and s >= 0.5:
         return pair_weight_collocation(dim, h, s, canon)
-    return pair_weight_exact(dim, h, s, canon, quad_tol)
+    return pair_weight_exact(dim, h, s, canon)
 
 
 @dataclass(eq=False)
@@ -545,7 +465,6 @@ class KernelTable:
 
     lattice: Lattice
     s: float
-    near_radius: int
     near: dict
     table: np.ndarray = field(repr=False)
 
@@ -565,7 +484,7 @@ class KernelTable:
         if extents in self._extent_cache:
             return self._extent_cache[extents]
         arr = _dense_table(self.lattice.dim, self.lattice.h, self.s,
-                           self.near_radius, self.near, extents)
+                           self.near, extents)
         self._extent_cache[extents] = arr
         return arr
 
@@ -591,8 +510,8 @@ class KernelTable:
         key = (outer.lo, outer.hi)
         if key not in self._lifted_cache:
             self._lifted_cache[key] = KernelTable(
-                lattice=outer, s=self.s, near_radius=self.near_radius,
-                near=self.near, table=self.table_for_extents(outer.shape))
+                lattice=outer, s=self.s, near=self.near,
+                table=self.table_for_extents(outer.shape))
         return self._lifted_cache[key]
 
     # -- tails ---------------------------------------------------------------
@@ -619,8 +538,7 @@ class KernelTable:
         return self._tail_cache[key]
 
 
-def _dense_table(dim: int, h: float, s: float, near_radius: int, near: dict,
-                 extents) -> np.ndarray:
+def _dense_table(dim: int, h: float, s: float, near: dict, extents) -> np.ndarray:
     """Far-rule offset array with the near block patched in."""
     if dim == 1:
         (e0,) = extents
@@ -629,7 +547,7 @@ def _dense_table(dim: int, h: float, s: float, near_radius: int, near: dict,
         with np.errstate(divide="ignore"):
             arr = h ** 2 * r ** (-(1.0 + 2.0 * s))
         arr[e0 - 1] = 0.0
-        for d in range(1, min(near_radius, e0 - 1) + 1):
+        for d in range(1, min(_NEAR_RADIUS, e0 - 1) + 1):
             arr[e0 - 1 + d] = near[(d,)]
             arr[e0 - 1 - d] = near[(d,)]
         return arr
@@ -640,8 +558,9 @@ def _dense_table(dim: int, h: float, s: float, near_radius: int, near: dict,
     with np.errstate(divide="ignore"):
         arr = h ** 4 * r2 ** (-(1.0 + s))
     arr[e0 - 1, e1 - 1] = 0.0
-    for d0 in range(-min(near_radius, e0 - 1), min(near_radius, e0 - 1) + 1):
-        for d1 in range(-min(near_radius, e1 - 1), min(near_radius, e1 - 1) + 1):
+    r0, r1 = min(_NEAR_RADIUS, e0 - 1), min(_NEAR_RADIUS, e1 - 1)
+    for d0 in range(-r0, r0 + 1):
+        for d1 in range(-r1, r1 + 1):
             if (d0, d1) == (0, 0):
                 continue
             canon = tuple(sorted((abs(d0), abs(d1))))
@@ -649,17 +568,10 @@ def _dense_table(dim: int, h: float, s: float, near_radius: int, near: dict,
     return arr
 
 
-def build_kernel(lattice: Lattice, s: float, near_radius: int = 4,
-                 quad_tol: float = 1e-6) -> KernelTable:
+def build_kernel(lattice: Lattice, s: float) -> KernelTable:
     """Compute the weight table for a lattice."""
     s = _check_s(s)
-    if near_radius < 2:
-        raise ValueError(f"near_radius must be >= 2, got {near_radius}")
-    if not quad_tol > 0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
-    near = {canon: _near_weight(lattice.dim, lattice.h, s, canon, quad_tol)
-            for canon in _canonical_offsets(lattice.dim, near_radius)}
-    table = _dense_table(lattice.dim, lattice.h, s, near_radius, near,
-                         lattice.shape)
-    return KernelTable(lattice=lattice, s=s, near_radius=near_radius,
-                       near=near, table=table)
+    near = {canon: _near_weight(lattice.dim, lattice.h, s, canon)
+            for canon in _canonical_offsets(lattice.dim)}
+    table = _dense_table(lattice.dim, lattice.h, s, near, lattice.shape)
+    return KernelTable(lattice=lattice, s=s, near=near, table=table)

@@ -50,11 +50,11 @@ def far_weight(dim: int, h: float, s: float, offset) -> float:
 
 def switch_gap(kern) -> float:
     """Relative near/far mismatch at the switch radius (far-rule
-    truncation error; decays like near_radius^-2)."""
+    truncation error; decays like the radius^-2)."""
     dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
     worst = 0.0
     for canon, w in kern.near.items():
-        if max(canon) == kern.near_radius:
+        if max(canon) == K._NEAR_RADIUS:
             f = far_weight(dim, h, s, canon)
             worst = max(worst, abs(w - f) / f)
     return worst
@@ -67,7 +67,7 @@ def _weight(kern, offset) -> float:
     canon = tuple(sorted(abs(v) for v in off))
     if all(v == 0 for v in canon):
         return 0.0
-    if max(canon) <= kern.near_radius:
+    if max(canon) <= K._NEAR_RADIUS:
         return kern.near[canon]
     return far_weight(kern.lattice.dim, kern.lattice.h, kern.s, off)
 
@@ -93,7 +93,7 @@ def test_pair_scaling_in_h():
     assert w2 == pytest.approx(0.5 ** (1 - 2 * s) * w1, rel=1e-13)
     v1 = pair_weight_exact(2, 1.0, s, (1, 2))
     v2 = pair_weight_exact(2, 0.5, s, (1, 2))
-    assert v2 == pytest.approx(0.5 ** (2 - 2 * s) * v1, rel=1e-9)
+    assert v2 == pytest.approx(0.5 ** (2 - 2 * s) * v1, rel=1e-13)
 
 
 def test_pair_1d_divergent_raises():
@@ -105,23 +105,22 @@ def test_pair_1d_divergent_raises():
 @pytest.mark.parametrize("key", sorted(PAIR_2D))
 def test_pair_2d_matches_brute_force(key):
     s, off = key
-    got = pair_weight_exact(2, 1.0, s, off, tol=1e-9)
-    rel = 5e-8 if off == (0, 1) else 1e-12
-    assert got == pytest.approx(PAIR_2D[key], rel=rel)
+    got = pair_weight_exact(2, 1.0, s, off)
+    assert got == pytest.approx(PAIR_2D[key], rel=1e-12)
 
 
 def test_pair_2d_edge_touching_closed_half_matches_brute_force():
-    got = pair_weight_exact(2, 1.0, 0.25, (0, 1), tol=1e-9)
+    got = pair_weight_exact(2, 1.0, 0.25, (0, 1))
     assert got == pytest.approx(PAIR_2D[(0.25, (0, 1))], rel=1e-12)
 
 
 def test_pair_2d_edge_touching_just_below_half():
-    # the singular half is closed-form, so the panel quadrature that is
-    # left converges without reaching max_panels
+    # the weight diverges as s -> 1/2 only through the closed-form strip
+    # term, so just below it the weight stays exact to round-off
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = pair_weight_exact(2, 0.7, 0.45, (0, 1))
-    assert got == pytest.approx(13.090341733874, rel=1e-9)
+    assert got == pytest.approx(13.090341733874158, rel=1e-12)
 
 
 def test_pair_2d_offset_canonicalization():
@@ -149,6 +148,42 @@ def test_collocation_values():
         assert w_sl == pytest.approx(w_ex, rel=5e-3)
 
 
+def test_pair_weights_zero_at_zero_offset():
+    for dim, off in ((1, (0,)), (2, (0, 0))):
+        assert pair_weight_exact(dim, 1.0, 0.5, off) == 0.0
+        assert pair_weight_collocation(dim, 1.0, 0.5, off) == 0.0
+
+
+def test_pair_weights_reject_s_outside_unit_interval():
+    for weight in (pair_weight_exact, pair_weight_collocation):
+        for dim, off in ((1, (2,)), (2, (1, 2))):
+            for bad_s in (0.0, 1.0, -0.2):
+                with pytest.raises(ValueError, match="exponent"):
+                    weight(dim, 1.0, bad_s, off)
+
+
+def _hat_gauss(s, d1, d2, n=24):
+    """Pair weight at h = 1 from the hat reduction
+    int H(t1 - d1) H(t2 - d2) |t|^(-(2+2s)) dt, H(t) = max(1 - |t|, 0), by
+    tensor Gauss-Legendre with n nodes on each linear piece of each hat;
+    the integrand is smooth there when d2 >= 2."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    t = np.concatenate([0.5 * (x - 1.0), 0.5 * (x + 1.0)])
+    wt = np.concatenate([w, w]) * 0.5 * (1.0 - np.abs(t))
+    t1, t2 = d1 + t, d2 + t
+    return float(wt @ (t1[:, None] ** 2 + t2[None, :] ** 2) ** (-(1.0 + s)) @ wt)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_near_pair_weights_match_hat_reduction(s):
+    # the near weights and the tails share the unit-cell integrals of the
+    # quadrant tail; this oracle shares no code with them
+    for d2 in range(2, K._NEAR_RADIUS + 1):
+        for d1 in range(d2 + 1):
+            got = pair_weight_exact(2, 1.0, s, (d1, d2))
+            assert got == pytest.approx(_hat_gauss(s, d1, d2), rel=1e-12), (d1, d2)
+
+
 def test_far_weight_values():
     assert far_weight(1, 1.0, 0.25, (100,)) == pytest.approx(1e-3, rel=1e-14)
     assert far_weight(2, 2.0, 0.5, (3, 4)) \
@@ -161,12 +196,12 @@ def test_far_weight_values():
 
 @pytest.fixture(scope="module")
 def kern1d():
-    return build_kernel(Lattice(1, 0.5, (-8,), (8,)), 0.25, near_radius=4)
+    return build_kernel(Lattice(1, 0.5, (-8,), (8,)), 0.25)
 
 
 @pytest.fixture(scope="module")
 def kern2d():
-    return build_kernel(Lattice(2, 1.0, (0, 0), (6, 5)), 0.75, near_radius=3)
+    return build_kernel(Lattice(2, 1.0, (0, 0), (6, 5)), 0.75)
 
 
 def test_build_kernel_validation():
@@ -174,10 +209,6 @@ def test_build_kernel_validation():
     for bad_s in (0.0, 1.0, -0.2, 2.0):
         with pytest.raises(ValueError, match="exponent"):
             build_kernel(lat, bad_s)
-    with pytest.raises(ValueError, match="near_radius"):
-        build_kernel(lat, 0.5, near_radius=1)
-    with pytest.raises(ValueError, match="quad_tol"):
-        build_kernel(lat, 0.5, quad_tol=0.0)
 
 
 def test_weight_lookup_consistency(kern1d, kern2d):
@@ -222,7 +253,7 @@ def test_weight_symmetry_2d(d0, d1):
         assert w > 0
 
 
-_SYM_KERN = build_kernel(Lattice(2, 0.7, (0, 0), (8, 8)), 0.45, near_radius=3)
+_SYM_KERN = build_kernel(Lattice(2, 0.7, (0, 0), (8, 8)), 0.45)
 
 
 def test_table_for_extents_matches_and_memoizes(kern1d):
@@ -234,9 +265,10 @@ def test_table_for_extents_matches_and_memoizes(kern1d):
 
 
 def test_switch_gap_decays_quadratically():
-    lat = Lattice(1, 1.0, (0,), (24,))
-    gaps = {r: switch_gap(build_kernel(lat, 0.5, near_radius=r))
-            for r in (2, 4, 8)}
+    gaps = {}
+    for r in (2, 4, 8):
+        f = far_weight(1, 1.0, 0.5, (r,))
+        gaps[r] = abs(pair_weight_exact(1, 1.0, 0.5, (r,)) - f) / f
     assert gaps[2] == pytest.approx(0.1507, rel=1e-2)
     # midpoint-rule truncation: halving resolution quarters the gap
     assert gaps[2] / gaps[4] == pytest.approx(4.0, rel=0.2)
@@ -493,25 +525,6 @@ def test_stable_sum_compensated():
     assert stable_sum(vals) == 1.0
     arr = np.arange(12, dtype=float).reshape(3, 4)
     assert stable_sum(arr) == 66.0
-
-
-def test_adaptive_quad_smooth_exact():
-    got = K.adaptive_rect_quad(lambda x, y: x * y, (0.0, 1.0, 0.0, 2.0), 1e-12)
-    assert got == pytest.approx(1.0, rel=1e-12)
-
-
-def test_adaptive_quad_truncation_warns():
-    def f(x, y):
-        return (x * x + y * y) ** -0.75
-
-    with pytest.warns(RuntimeWarning, match="max_panels=40 with error estimate"):
-        truncated = K.adaptive_rect_quad(f, (0.0, 1.0, 0.0, 1.0), 1e-10, max_panels=40)
-    assert truncated < K.adaptive_rect_quad(f, (0.0, 1.0, 0.0, 1.0), 1e-6)
-
-
-def test_adaptive_quad_non_finite_raises():
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-        K.adaptive_rect_quad(lambda x, y: np.log(x - 0.5), (0.0, 1.0, 0.0, 1.0), 1e-8)
 
 
 def test_tails_finite_when_box_bound_misses_cell_edge_by_an_ulp():
