@@ -12,8 +12,8 @@ is block-Toeplitz and symmetric.  Split a field as u = o + f, with o its
 free part on omega and f the fixed rest; then the interaction needs only
 T(o) beyond T(f) and T(1 off omega), which stay put while a minimizer
 moves o.  Each new point costs one convolution and its gradient reuses
-it.  Every convolution multiplies by the table's spectrum, which the
-kernel caches per working extent.
+it.  Every convolution (``convolve``) multiplies by the table's spectrum,
+which the kernel caches per working extent.
 
 Fields with sampled exterior data are lifted onto the enclosing lattice
 once and evaluated there; the offset table extends to the larger box for
@@ -34,7 +34,26 @@ from .lattice import (
     ScalarField,
 )
 
-__all__ = ["EnergyModel", "energy_E"]
+__all__ = ["EnergyModel", "convolve", "energy_E"]
+
+
+def convolve(kern: KernelTable, x: np.ndarray) -> np.ndarray:
+    """Offset-table convolution: out_i = sum_j table[i-j] * x_j.
+
+    Averaged with its mirror image per axis, innermost over axis 0, so
+    reflecting the input reflects the output bit-for-bit (the FFT alone
+    does not commute exactly with reflection); commutativity of the final
+    addition makes the average exactly equivariant.
+    """
+    fshape, spec = kern.spectrum(x.shape)
+    inner = tuple(slice(n - 1, 2 * n - 1) for n in x.shape)
+
+    def sym(y, axis):
+        if axis < 0:
+            return fftconvolve(y, spec, fshape)[inner]
+        return 0.5 * (sym(y, axis - 1) + np.flip(sym(np.flip(y, axis), axis - 1), axis))
+
+    return sym(x, x.ndim - 1)
 
 
 def _check_enclosing(inner: Lattice, outer: Lattice) -> None:
@@ -99,7 +118,6 @@ class EnergyModel:
             raise TypeError(f"unsupported exterior descriptor {type(tail_ext).__name__}")
         self.t0, self.t1, self.t2 = t0, t1, t2
 
-        self._fshape, self._spec = self.kern.spectrum(work.shape)
         free = mask.astype(float)
         self._c_box = self._conv(np.ones(work.shape))
         self._c_omega = self._conv(free)
@@ -112,24 +130,8 @@ class EnergyModel:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _conv_raw(self, x: np.ndarray) -> np.ndarray:
-        out = fftconvolve(x, self._spec, self._fshape)
-        return out[tuple(slice(n - 1, 2 * n - 1) for n in x.shape)]
-
     def _conv(self, x: np.ndarray) -> np.ndarray:
-        """Offset-table convolution: out_i = sum_j table[i-j] * x_j.
-
-        Averaged with its mirror image per axis, so reflecting the input
-        reflects the output bit-for-bit (the FFT alone does not commute
-        exactly with reflection); commutativity of the final addition makes
-        the average exactly equivariant.
-        """
-        def sym(fn, y, axis):
-            return 0.5 * (fn(y) + np.flip(fn(np.flip(y, axis)), axis))
-
-        if x.ndim == 1:
-            return sym(self._conv_raw, x, 0)
-        return sym(lambda y: sym(self._conv_raw, y, 0), x, 1)
+        return convolve(self.kern, x)
 
     def _split(self, u: np.ndarray):
         """(f, T(o), T(f)) for u = o + f, o its free part and f the rest.

@@ -97,7 +97,6 @@ def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
         max_iters=cfg.max_iters,
         grad_tol=cfg.grad_tol,
         energy_tol=cfg.energy_tol,
-        seed=cfg.seed_kind,
     )
 
 
@@ -487,14 +486,16 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.corpus_size < 1:
         raise ValueError(f"corpus_size must be >= 1, got {cfg.corpus_size}")
+    for key in ("c_probes", "b_fractions"):
+        if not getattr(cfg, key):
+            raise ValueError(f"{key} must list at least one value")
     t0 = time.perf_counter()
     lat = Lattice(2, cfg.h, (0, 0), (cfg.box_cells, cfg.box_cells)) \
         if cfg.dim == 2 else Lattice(1, cfg.h, (0,), (cfg.box_cells,))
     rng = np.random.default_rng(cfg.seed)
-    fractions = cfg.b_fractions or (0.05,)
     pairs = []
     for i in range(cfg.corpus_size):
-        frac = fractions[i % len(fractions)]
+        frac = cfg.b_fractions[i % len(cfg.b_fractions)]
         a_set, b_set = setgeom.random_disjoint_pair(
             lat, rng, b_fraction=frac, max_rects=cfg.max_rects)
         pairs.append((frac, a_set, b_set))
@@ -569,7 +570,7 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
         extra_files={"corpus_manifest.json": {
             "seed": cfg.seed, "corpus_size": cfg.corpus_size,
             "box_cells": cfg.box_cells, "h": cfg.h, "dim": cfg.dim,
-            "b_fractions": list(fractions), "max_rects": cfg.max_rects,
+            "b_fractions": list(cfg.b_fractions), "max_rects": cfg.max_rects,
             "cases": [{"b_fraction": f, "count_a": a.count, "count_b": b.count}
                       for f, a, b in pairs],
         }})
@@ -692,8 +693,7 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
         Criterion("exterior-identity", exact_one,
                   "w == 1 outside the outer ball, bitwise"),
     ]
-    rho = (np.arange(1, cfg.check_samples + 1) - 0.5) \
-        * (spec.big_r / cfg.check_samples)
+    rho = bar._sample_radii(spec.big_r, cfg.check_samples)
     v_vals = bar.eval_v(rho / spec.c_o, spec.r, spec.s)
     w_vals = bar.eval_w(spec, rho)
     columns = ["radius", "v", "w"]

@@ -43,12 +43,11 @@ ENERGY_WINDOW = 10
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Stopping rules and the default initialization descriptor."""
+    """Stopping rules; the starting field comes from ``initial_field``."""
 
     max_iters: int = 1000
     grad_tol: float = 1e-7
     energy_tol: float = 1e-12
-    seed: str = "exterior-sign"
 
     def __post_init__(self):
         if self.max_iters < 1:

@@ -3,11 +3,12 @@
 Kernel mass between disjoint sets, the Loomis-Whitney projection
 inequality, the interaction lower-bound regime check, the
 complement-integral bound seen from one cell, and seeded random set
-generators.  A pair sum needs only how many pairs share each
+generators.  A set-set pair sum needs only how many pairs share each
 index offset: the cross-correlation of the two indicators, one FFT
 convolution rounded to exact integers.  Exact count-times-weight products
 reduce with compensated summation, so each sum is the correctly rounded
-sum of its pair weights, whatever the order of the sets.
+sum of its pair weights, whatever the order of the sets.  Per-cell sums
+apply the table to a field with ``energies.convolve``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len, rfftn
 
+from .energies import convolve
 from .kernels import KernelTable, fftconvolve, stable_sum
 from .lattice import CellSet, Lattice
 
@@ -46,7 +48,9 @@ def _pair_mass(kern: KernelTable, A: CellSet, D: CellSet) -> float:
     N[k] = #{(i, j) in A x D : i - j + n - 1 = k}, the full convolution of
     1_A with 1_D reversed, shares its index with the offset table.  Each
     weight splits into halves of at most 26 significant bits, so while
-    N < 2^27 both count-times-half products are exact.
+    N < 2^27 both count-times-half products are exact.  Counting pairs,
+    where ``energies.convolve`` would apply the table to a field, keeps the
+    sum correctly rounded and bitwise symmetric in A and D.
     """
     if A.count == 0 or D.count == 0:
         return 0.0
@@ -224,14 +228,14 @@ class SobolevReport:
 
 
 def _cell_position(lattice: Lattice, x) -> tuple:
+    """Index arrays that pick cell x out of an array over the box."""
     idx = tuple(int(v) for v in np.atleast_1d(x))
     if len(idx) != lattice.dim:
         raise ValueError(f"cell index {idx} has wrong dimension")
-    pos = tuple(idx[a] - lattice.lo[a] for a in range(lattice.dim))
-    for a in range(lattice.dim):
-        if not 0 <= pos[a] < lattice.shape[a]:
-            raise ValueError(f"cell index {idx} outside the box")
-    return pos
+    pos = [i - lo for i, lo in zip(idx, lattice.lo)]
+    if not all(0 <= p < n for p, n in zip(pos, lattice.shape)):
+        raise ValueError(f"cell index {idx} outside the box")
+    return tuple(np.array([p]) for p in pos)
 
 
 def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
@@ -240,7 +244,8 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
     lhs is the integral of the kernel from cell x over everything outside
     E (in-box cells plus the analytic exterior tail), per unit source
     measure: the summed pair weights carry both cell volumes, so one is
-    divided out.  The reported constant lhs * |E|^(2s/n) is the empirical
+    divided out.  The in-box part is the table convolved with 1 - 1_E,
+    read at x.  The reported constant lhs * |E|^(2s/n) is the empirical
     version of the complement integral bound.  With x None every cell of
     E is evaluated and the report is that of the first cell, in index
     order, with the smallest constant.
@@ -249,20 +254,12 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
     if E.count == 0:
         raise ValueError("E must have positive measure")
     lat = E.lattice
-    if x is None:
-        pos = np.argwhere(E.members)
-    else:
-        pos = np.array([_cell_position(lat, x)])
-    # one row of pair weights per evaluated cell, against every in-box
-    # cell outside E
-    off = (pos[:, None, :] - np.argwhere(~E.members)[None, :, :]
-           + (np.array(lat.shape) - 1))
-    vals = kern.table_for_extents(lat.shape)[tuple(np.moveaxis(off, -1, 0))]
-    inbox = np.array([math.fsum(row) for row in vals.tolist()], dtype=float)
-    lhs = (inbox + kern.tail_weights[tuple(pos.T)]) / lat.cell_volume
+    pos = np.nonzero(E.members) if x is None else _cell_position(lat, x)
+    inbox = convolve(kern, 1.0 - E.members)[pos]
+    lhs = (inbox + kern.tail_weights[pos]) / lat.cell_volume
     consts = lhs * E.measure ** (2.0 * kern.s / lat.dim)
     i = int(np.argmin(consts))
-    cell = tuple(int(pos[i, a]) + lat.lo[a] for a in range(lat.dim))
+    cell = tuple(int(p[i]) + lo for p, lo in zip(pos, lat.lo))
     return SobolevReport(lhs=float(lhs[i]), constant=float(consts[i]),
                          measure_e=E.measure, cell=cell)
 
@@ -294,13 +291,13 @@ def random_disjoint_pair(
     index order to meet the measure cap, so a seeded generator reproduces
     the pair exactly.
     """
+    if not b_fraction >= 0.0:
+        raise ValueError(f"b_fraction must be >= 0, got {b_fraction}")
     A = random_cellset(lattice, rng, max_rects)
     raw = random_cellset(lattice, rng, max_rects).difference(A)
     cap = int(b_fraction * A.count)
-    keep = np.argwhere(raw.members)[:cap]
     mask = np.zeros(lattice.shape, dtype=bool)
-    for idx in keep:
-        mask[tuple(idx)] = True
+    mask[tuple(np.argwhere(raw.members)[:cap].T)] = True
     return A, CellSet(lattice, mask)
 
 

@@ -410,6 +410,21 @@ def test_barrier_runner_small_scale():
     assert len(rep.series_rows) == 64
 
 
+def test_barrier_rows_sit_at_the_sample_radii():
+    # the series radii are the al1/al2 sample radii bit for bit; at 100
+    # samples (k - 1/2) * (R / n) would differ from them by an ulp
+    from fraclab.barrier import _sample_radii
+
+    cfg = ExperimentConfig(experiment="barrier", s=0.5, dim=1, h=1.0,
+                           tau=0.1, barrier_r=100.0, barrier_samples=32,
+                           check_samples=100)
+    rep = run_barrier(cfg)
+    radii = [row[0] for row in rep.series_rows]
+    big_r = rep.results["spec"]["big_r"]
+    assert radii == _sample_radii(big_r, 100).tolist()
+    assert radii[-1] == rep.results["al2"]["outermost_radius"]
+
+
 def test_barrier_c5_lattice_second_method():
     # the lattice operator's sup over cells approaches the sampled C5 as
     # the cells shrink
@@ -510,6 +525,21 @@ def test_cli_set_overrides(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["s"] == 0.75
     assert report["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("override, key", [
+    ("c_probes=", "c_probes"),
+    ("b_fractions=", "b_fractions"),
+    ("b_fractions=-0.5", "b_fraction"),
+])
+def test_cli_gmt_bad_sweep_exits_2(tmp_path, capsys, override, key):
+    code = main(["--out", str(tmp_path / "out"), "gmt", "--set", "dim=2",
+                 "--set", "box_cells=8", "--set", "corpus_size=2",
+                 "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_set_without_value_exits_2(tmp_path, capsys):

@@ -348,6 +348,36 @@ def test_sharp_constant_matches_per_cell_loop(sob):
         assert (rep.constant, rep.cell) == (best, best_idx)
 
 
+def _gather_complement(kern, E, pos):
+    """Oracle: lhs at the cell at box position pos, from an fsum of the pair
+    weights to every in-box cell outside E plus the cell's exterior tail."""
+    shape = np.array(E.lattice.shape)
+    off = np.array(pos) - np.argwhere(~E.members) + (shape - 1)
+    inbox = math.fsum(kern.table_for_extents(tuple(shape))[tuple(off.T)].tolist())
+    return (inbox + kern.tail_weights[tuple(pos)]) / E.lattice.cell_volume
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_sobolev_matches_gathered_complement(dim, s):
+    center = np.full(dim, 0.2)
+    lat = Lattice.covering_ball(dim, 0.5, center, 12.0 / dim)
+    kern = build_kernel(lat, s)
+    rng = np.random.default_rng(41)
+    ball = ball_mask(lat, center, 2.0)
+    for E in (ball, random_cellset(lat, rng),
+              random_equal_count_set(lat, rng, ball.count)):
+        cells = np.argwhere(E.members)
+        picks = np.sort(rng.choice(len(cells), size=min(4, len(cells)), replace=False))
+        for pos in cells[picks]:
+            idx = tuple(int(p) + lo for p, lo in zip(pos, lat.lo))
+            got = sobolev_set_bound(kern, E, idx).lhs
+            assert got == pytest.approx(_gather_complement(kern, E, pos), rel=1e-13)
+        rep = sobolev_set_bound(kern, E)
+        pos = [c - lo for c, lo in zip(rep.cell, lat.lo)]
+        assert rep.lhs == pytest.approx(_gather_complement(kern, E, pos), rel=1e-13)
+
+
 def test_sobolev_errors(sob):
     lat, kern = sob
     E = ball_mask(lat, (0.2,), 1.0)
@@ -377,6 +407,11 @@ def test_random_pair_contract():
         assert A.count > 0
         assert A.disjoint(B)
         assert B.measure <= 0.05 * A.measure
+
+
+def test_random_pair_rejects_negative_fraction():
+    with pytest.raises(ValueError, match="b_fraction"):
+        random_disjoint_pair(LAT2, np.random.default_rng(11), -0.5)
 
 
 def test_random_equal_count():
