@@ -14,10 +14,6 @@ T(o) beyond T(f) and T(1 off omega), which stay put while a minimizer
 moves o.  Each new point costs one convolution and its gradient reuses
 it.  Every convolution (``convolve``) multiplies by the table's spectrum,
 which the kernel caches per working extent.
-
-Fields with sampled exterior data are lifted onto the enclosing lattice
-once and evaluated there; the offset table extends to the larger box for
-free because the weights depend only on the index offset.
 """
 
 from __future__ import annotations
@@ -25,14 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import KernelTable, fftconvolve, stable_sum
-from .lattice import (
-    CellSet,
-    ConstantExterior,
-    HalfspaceExterior,
-    Lattice,
-    SampledExterior,
-    ScalarField,
-)
+from .lattice import CellSet, ConstantExterior, HalfspaceExterior, ScalarField
 
 __all__ = ["EnergyModel", "convolve", "energy_E"]
 
@@ -56,14 +45,6 @@ def convolve(kern: KernelTable, x: np.ndarray) -> np.ndarray:
     return sym(x, x.ndim - 1)
 
 
-def _check_enclosing(inner: Lattice, outer: Lattice) -> None:
-    if outer.dim != inner.dim or outer.h != inner.h:
-        raise ValueError("sampled exterior lattice must share dim and spacing with the box")
-    for a in range(inner.dim):
-        if outer.lo[a] > inner.lo[a] or outer.hi[a] < inner.hi[a]:
-            raise ValueError("sampled exterior lattice must enclose the box")
-
-
 class EnergyModel:
     """Workspace for repeated energy and gradient evaluation.
 
@@ -72,7 +53,8 @@ class EnergyModel:
     convolution, of the point's free part, and the gradient at the point
     last evaluated costs none.  A point whose fixed cells differ from the
     model's field pays one more.  ``omega`` defaults to every cell in the
-    box.
+    box.  Data held fixed are the box cells outside ``omega`` and, beyond
+    the box, the field's exterior descriptor.
     """
 
     def __init__(self, kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None):
@@ -82,48 +64,31 @@ class EnergyModel:
         if omega is not None and omega.lattice != lat:
             raise ValueError("omega lattice does not match the kernel lattice")
 
-        ext = u.exterior
-        if isinstance(ext, SampledExterior):
-            _check_enclosing(lat, ext.outer)
-            work = ext.outer
-            self.kern = kern.lifted(work)
-            self._base = np.array(ext.values, dtype=float)
-            tail_ext = ConstantExterior(ext.fill)
-        else:
-            work = lat
-            self.kern = kern
-            self._base = None
-            tail_ext = ext
-
+        self.kern = kern
         self.pot = pot
-        self.lat = work
-        self.inner = tuple(
-            slice(lat.lo[a] - work.lo[a], lat.hi[a] - work.lo[a]) for a in range(lat.dim)
-        )
-        mask = np.zeros(work.shape, dtype=bool)
-        mask[self.inner] = True if omega is None else omega.members
-        self.omega = mask
-        self.cell_measure = work.h**work.dim
+        self.omega = np.ones(lat.shape, dtype=bool) if omega is None else omega.members
+        self.cell_measure = lat.h**lat.dim
 
         # exterior pairing of cell i contributes t0*u_i^2 - 2*t1*u_i + t2
-        if isinstance(tail_ext, ConstantExterior):
-            t0 = self.kern.tail_weights
-            g = tail_ext.value
+        ext = u.exterior
+        if isinstance(ext, ConstantExterior):
+            t0 = kern.tail_weights
+            g = ext.value
             t1, t2 = g * t0, g * g * t0
-        elif isinstance(tail_ext, HalfspaceExterior):
-            plus, minus = self.kern.tail_halfspace(tail_ext.axis, tail_ext.threshold)
+        elif isinstance(ext, HalfspaceExterior):
+            plus, minus = kern.tail_halfspace(ext.axis, ext.threshold)
             t0 = plus + minus
             t1, t2 = plus - minus, plus + minus
         else:
-            raise TypeError(f"unsupported exterior descriptor {type(tail_ext).__name__}")
+            raise TypeError(f"unsupported exterior descriptor {type(ext).__name__}")
         self.t0, self.t1, self.t2 = t0, t1, t2
 
-        free = mask.astype(float)
-        self._c_box = self._conv(np.ones(work.shape))
+        free = self.omega.astype(float)
+        self._c_box = self._conv(np.ones(lat.shape))
         self._c_omega = self._conv(free)
         self._c_fixed = self._conv(1.0 - free)
-        # the fixed part of u (off omega, sampled block included) and T of it
-        self._f = np.where(mask, 0.0, self.lift(u.values))
+        # the fixed part of u (off omega) and T of it
+        self._f = np.where(self.omega, 0.0, u.values)
         self._tf = self._conv(self._f)
         # the free part of the last point evaluated, and T of it
         self._o = self._to = None
@@ -146,18 +111,9 @@ class EnergyModel:
         tf = self._tf if np.array_equal(f, self._f) else self._conv(f)
         return f, self._to, tf
 
-    def lift(self, values: np.ndarray) -> np.ndarray:
-        """Box values extended by the sampled exterior block, if any."""
-        if self._base is None:
-            return np.asarray(values, dtype=float)
-        out = self._base.copy()
-        out[self.inner] = values
-        return out
-
     # -- evaluation -----------------------------------------------------------
 
-    def seminorm(self, lifted: np.ndarray) -> float:
-        u = lifted
+    def seminorm(self, u: np.ndarray) -> float:
         f, to, tf = self._split(u)
         # free cells: pairs within omega (each once, as u_i (u_i - u_j)
         # summed both ways), pairs with fixed cells, pairs with the exterior;
@@ -168,17 +124,16 @@ class EnergyModel:
         fixed = f * (f * self._c_omega - to)
         return float(stable_sum(np.where(self.omega, free, fixed)))
 
-    def potential_term(self, lifted: np.ndarray) -> float:
+    def potential_term(self, u: np.ndarray) -> float:
         if self.pot is None:
             return 0.0
-        return self.cell_measure * float(stable_sum(self.pot.value(lifted[self.omega])))
+        return self.cell_measure * float(stable_sum(self.pot.value(u[self.omega])))
 
-    def energy(self, lifted: np.ndarray) -> float:
-        return self.seminorm(lifted) + self.potential_term(lifted)
+    def energy(self, u: np.ndarray) -> float:
+        return self.seminorm(u) + self.potential_term(u)
 
-    def gradient(self, lifted: np.ndarray) -> np.ndarray:
+    def gradient(self, u: np.ndarray) -> np.ndarray:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
-        u = lifted
         _, to, tf = self._split(u)
         fl = u * self._c_box - to - tf + self.t0 * u - self.t1
         g = 2.0 * fl
@@ -193,4 +148,4 @@ class EnergyModel:
 def energy_E(kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None) -> float:
     """Interaction plus the cell-measure-weighted double-well term."""
     model = EnergyModel(kern, pot, u, omega)
-    return model.energy(model.lift(u.values))
+    return model.energy(u.values)

@@ -471,7 +471,6 @@ class KernelTable:
     _tail_cache: dict = field(default_factory=dict, repr=False)
     _extent_cache: dict = field(default_factory=dict, repr=False)
     _spectrum_cache: dict = field(default_factory=dict, repr=False)
-    _lifted_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._extent_cache.setdefault(self.lattice.shape, self.table)
@@ -503,16 +502,6 @@ class KernelTable:
             spec = rfftn(self.table_for_extents(extents), fshape)
             self._spectrum_cache[extents] = (fshape, spec)
         return self._spectrum_cache[extents]
-
-    def lifted(self, outer: Lattice) -> "KernelTable":
-        """The same weights on an enclosing box of equal spacing; its
-        tails are taken against the complement of that box."""
-        key = (outer.lo, outer.hi)
-        if key not in self._lifted_cache:
-            self._lifted_cache[key] = KernelTable(
-                lattice=outer, s=self.s, near=self.near,
-                table=self.table_for_extents(outer.shape))
-        return self._lifted_cache[key]
 
     # -- tails ---------------------------------------------------------------
 

@@ -64,7 +64,6 @@ class ExperimentConfig:
     max_iters: int = 2000
     grad_tol: float = 1e-7
     energy_tol: float = 1e-12
-    seed_kind: str = "exterior-sign"
 
     slope_tol: float = 0.15
     half_band: float = 0.25

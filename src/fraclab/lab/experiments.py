@@ -154,7 +154,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, radius + 2.0)
         kern = build_kernel(lat, cfg.s)
         omega = ball_mask(lat, 0.0, radius + 2.0)
-        res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
+        res = minimize_energy(kern, pot, initial_field(lat, ext),
                               omega, mcfg)
         e_ball = energy_E(kern, pot, res.field, ball_mask(lat, 0.0, radius))
         e_psi = energy_E(kern, pot, psi_field(lat, radius), omega)
@@ -262,7 +262,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     kern = build_kernel(lat, cfg.s)
     pot = _potential(cfg)
     ext = _exterior(cfg)
-    res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
+    res = minimize_energy(kern, pot, initial_field(lat, ext),
                           ball_mask(lat, 0.0, r_max + 2.0), _minimize_cfg(cfg))
     values = res.field.values
 
@@ -399,7 +399,7 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         box_r = cfg.levelset_radius / eps
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, box_r + 2.0)
         kern = build_kernel(lat, cfg.s)
-        res = minimize_energy(kern, pot, initial_field(lat, ext, cfg.seed_kind),
+        res = minimize_energy(kern, pot, initial_field(lat, ext),
                               None, mcfg)
         band = (np.abs(res.field.values) <= cfg.levelset_theta) \
             & ball_mask(lat, 0.0, box_r).members
@@ -663,7 +663,7 @@ def _c5_lattice(spec: bar.BarrierSpec, h: float) -> float:
                    spec.r, spec.s)
     model = EnergyModel(build_kernel(lat, spec.s), None,
                         ScalarField(lat, v, ConstantExterior(1.0)))
-    pv = -0.5 * model.gradient(model.lift(v)) / lat.cell_volume
+    pv = -0.5 * model.gradient(v) / lat.cell_volume
     floor = 16.0 * spec.r ** (-2.0 * spec.s)
     return float(np.max(np.maximum(pv, 0.0) / (v + floor)))
 

@@ -25,7 +25,6 @@ __all__ = [
     "ScalarField",
     "ConstantExterior",
     "HalfspaceExterior",
-    "SampledExterior",
     "ball_mask",
     "psi_field",
 ]
@@ -91,6 +90,8 @@ class Lattice:
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis, ordered by index."""
+        if not 0 <= axis < self.dim:
+            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
         return (np.arange(self.lo[axis], self.hi[axis]) + 0.5) * self.h
 
     def center_grids(self) -> list[np.ndarray]:
@@ -191,34 +192,14 @@ class HalfspaceExterior:
     axis: int
     threshold: float
 
-
-@dataclass(frozen=True)
-class SampledExterior:
-    """Explicit samples on an enclosing lattice, constant fill beyond it.
-
-    ``outer`` must strictly contain the inner box it decorates; ``values``
-    lives on ``outer`` (only cells outside the inner box are ever consulted)
-    and the field is identically ``fill`` (-1 or +1) outside ``outer``.
-    """
-
-    outer: Lattice
-    values: np.ndarray
-    fill: float
-
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.outer.shape:
-            raise ValueError(f"value shape {v.shape} != outer box {self.outer.shape}")
-        if np.any(np.abs(v) > 1.0):
-            raise ValueError("sampled exterior values must lie in [-1, 1]")
-        if self.fill not in (-1.0, 1.0):
-            raise ValueError(f"fill must be -1 or +1, got {self.fill}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        if self.axis < 0:
+            raise ValueError(f"halfspace axis must be nonnegative, got {self.axis}")
+        if np.isnan(self.threshold):
+            raise ValueError("halfspace threshold must not be NaN")
 
 
-Exterior = ConstantExterior | HalfspaceExterior | SampledExterior
+Exterior = ConstantExterior | HalfspaceExterior
 
 
 @dataclass(frozen=True)
@@ -242,6 +223,10 @@ class ScalarField:
         v = np.clip(v, -1.0, 1.0)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        ext = self.exterior
+        if isinstance(ext, HalfspaceExterior) and ext.axis >= self.lattice.dim:
+            raise ValueError(
+                f"halfspace axis {ext.axis} out of range for dim {self.lattice.dim}")
 
 
 # -- operations ---------------------------------------------------------------

@@ -25,7 +25,6 @@ from .lattice import (
     ConstantExterior,
     HalfspaceExterior,
     Lattice,
-    SampledExterior,
     ScalarField,
 )
 
@@ -84,30 +83,18 @@ class MinimizeResult:
         return self.trace[:, 1]
 
 
-def initial_field(lattice: Lattice, exterior, kind: str = "exterior-sign") -> ScalarField:
-    """Build a starting field from a seed descriptor.
-
-    ``exterior-sign`` extends the exterior data inward (sign of the
-    halfspace coordinate, the constant value, or the sampled fill);
-    ``constant:<v>`` and ``zero`` are explicit overrides.
-    """
-    if kind == "exterior-sign":
-        if isinstance(exterior, HalfspaceExterior):
-            grids = lattice.center_grids()
-            coord = np.broadcast_to(grids[exterior.axis], lattice.shape)
-            vals = np.where(coord >= exterior.threshold, 1.0, -1.0)
-        elif isinstance(exterior, ConstantExterior):
-            vals = np.full(lattice.shape, exterior.value)
-        elif isinstance(exterior, SampledExterior):
-            vals = np.full(lattice.shape, exterior.fill)
-        else:
-            raise TypeError(f"unsupported exterior descriptor {type(exterior).__name__}")
-    elif kind == "zero":
-        vals = np.zeros(lattice.shape)
-    elif kind.startswith("constant:"):
-        vals = np.full(lattice.shape, float(kind.split(":", 1)[1]))
+def initial_field(lattice: Lattice, exterior) -> ScalarField:
+    """The exterior data extended inward: the sign of the halfspace
+    coordinate, or the constant value."""
+    if isinstance(exterior, HalfspaceExterior):
+        coord = lattice.axis_centers(exterior.axis).reshape(
+            [-1 if a == exterior.axis else 1 for a in range(lattice.dim)])
+        vals = np.broadcast_to(np.where(coord >= exterior.threshold, 1.0, -1.0),
+                               lattice.shape)
+    elif isinstance(exterior, ConstantExterior):
+        vals = np.full(lattice.shape, exterior.value)
     else:
-        raise ValueError(f"unknown seed descriptor {kind!r}")
+        raise TypeError(f"unsupported exterior descriptor {type(exterior).__name__}")
     return ScalarField(lattice, vals, exterior)
 
 
@@ -138,7 +125,7 @@ def minimize_energy(
     model = EnergyModel(kern, pot, u0, omega)
     mask = model.omega
 
-    x = model.lift(u0.values)
+    x = u0.values
     e = model.energy(x)
     if not math.isfinite(e):
         raise ValueError(f"initial field has non-finite energy {e}")
@@ -198,7 +185,7 @@ def minimize_energy(
                 converged = True
                 message = "energy decrease below tolerance"
 
-    final = ScalarField(kern.lattice, x[model.inner], u0.exterior)
+    final = ScalarField(kern.lattice, x, u0.exterior)
     return MinimizeResult(
         field=final,
         omega=omega,

@@ -13,7 +13,6 @@ from fraclab.lattice import (
     ConstantExterior,
     HalfspaceExterior,
     Lattice,
-    SampledExterior,
     ScalarField,
     ball_mask,
     psi_field,
@@ -48,14 +47,14 @@ def sign_field():
 
 def _seminorm(kern, u, omega=None):
     model = EnergyModel(kern, None, u, omega)
-    return model.seminorm(model.lift(u.values))
+    return model.seminorm(u.values)
 
 
 def _frac_laplacian(kern, u):
     """fl_i = sum_j w_ij (u_i - u_j), exterior included, on the box cells:
     half the seminorm's gradient over the full box."""
     model = EnergyModel(kern, None, u)
-    return 0.5 * model.gradient(model.lift(u.values))[model.inner]
+    return 0.5 * model.gradient(u.values)
 
 
 def random_field(lat, seed, exterior=None):
@@ -150,11 +149,11 @@ def test_energy_E_dominates_each_term(kern1):
     u = random_field(LAT1, 5)
     om = ball_mask(LAT1, 0.0, 3.0)
     model = EnergyModel(kern1, pot, u, om)
-    lifted = model.lift(u.values)
+    x = u.values
     e = energy_E(kern1, pot, u, om)
-    assert e == pytest.approx(model.seminorm(lifted) + model.potential_term(lifted))
-    assert e >= model.seminorm(lifted)
-    assert e >= model.potential_term(lifted)
+    assert e == pytest.approx(model.seminorm(x) + model.potential_term(x))
+    assert e >= model.seminorm(x)
+    assert e >= model.potential_term(x)
     assert e >= 0.0
 
 
@@ -310,36 +309,42 @@ def test_fl_is_half_gradient_of_K(kern1, kern2):
 
 
 def test_sampled_exterior_matches_direct():
+    # exterior samples are the fixed cells of a padded box, with the
+    # constant +1 beyond it; energy and operator against explicit pair sums
     outer = Lattice(dim=1, h=0.5, lo=(-12,), hi=(12,))
     pad = (LAT1.lo[0] - outer.lo[0], outer.hi[0] - LAT1.hi[0])
     rng = np.random.default_rng(15)
     big = np.clip(np.tanh(outer.axis_centers(0)) + 0.2 * rng.normal(size=outer.shape), -1, 1)
-    ext = SampledExterior(outer, big, 1.0)
-    inner_vals = big[pad[0]:outer.shape[0] - pad[1]]
-    u_inner = ScalarField(LAT1, inner_vals, ext)
-    u_outer = ScalarField(outer, big, ConstantExterior(1.0))
-    kern_in = build_kernel(LAT1, 0.5)
-    kern_out = build_kernel(outer, 0.5)
-    om_in = ball_mask(LAT1, 0.0, 1.4)
-    om_out = CellSet(outer, np.pad(om_in.members, pad))
-    assert _seminorm(kern_in, u_inner, om_in) \
-        == pytest.approx(_seminorm(kern_out, u_outer, om_out), rel=1e-13)
-    fl_in = _frac_laplacian(kern_in, u_inner)
-    fl_out = _frac_laplacian(kern_out, u_outer)[pad[0]:outer.shape[0] - pad[1]]
-    np.testing.assert_allclose(fl_in, fl_out, rtol=1e-13)
+    u = ScalarField(outer, big, ConstantExterior(1.0))
+    kern = build_kernel(outer, 0.5)
+    om = CellSet(outer, np.pad(ball_mask(LAT1, 0.0, 1.4).members, pad))
+    n = outer.shape[0]
+    w = [[kern.table[i - j + n - 1] for j in range(n)] for i in range(n)]
+    tail = kern.tail_weights
+    pairs = [w[i][j] * (big[i] - big[j]) ** 2 / (1 + om.members[j])
+             for i in range(n) if om.members[i] for j in range(n)]
+    pairs += [tail[i] * (big[i] - 1.0) ** 2 for i in range(n) if om.members[i]]
+    assert _seminorm(kern, u, om) == pytest.approx(math.fsum(pairs), rel=1e-13)
+    fl = [math.fsum([w[i][j] * (big[i] - big[j]) for j in range(n)]
+                    + [tail[i] * (big[i] - 1.0)]) for i in range(n)]
+    np.testing.assert_allclose(_frac_laplacian(kern, u), fl, rtol=1e-12,
+                               atol=1e-13 * max(map(abs, fl)))
 
 
 def test_sampled_exterior_must_enclose(kern1):
-    smaller = Lattice(dim=1, h=0.5, lo=(-4,), hi=(4,))
-    ext = SampledExterior(smaller, np.zeros(smaller.shape), 1.0)
-    u = ScalarField(LAT1, np.zeros(LAT1.shape), ext)
-    with pytest.raises(ValueError, match="enclose"):
-        _seminorm(kern1, u)
-    coarse = Lattice(dim=1, h=1.0, lo=(-12,), hi=(12,))
-    ext2 = SampledExterior(coarse, np.zeros(coarse.shape), 1.0)
-    u2 = ScalarField(LAT1, np.zeros(LAT1.shape), ext2)
-    with pytest.raises(ValueError, match="spacing"):
-        _seminorm(kern1, u2)
+    # the model works on the kernel's box: samples outside omega must be
+    # cells of that box, so a field or omega on another lattice is refused
+    pot = Quartic()
+    zeros = np.zeros(LAT1.shape)
+    for other in (Lattice(dim=1, h=0.5, lo=(-4,), hi=(4,)),
+                  Lattice(dim=1, h=0.5, lo=(-12,), hi=(12,)),
+                  Lattice(dim=1, h=1.0, lo=(-8,), hi=(8,))):
+        with pytest.raises(ValueError, match="field lattice"):
+            EnergyModel(kern1, pot, ScalarField(other, np.zeros(other.shape),
+                                                ConstantExterior(1.0)))
+        with pytest.raises(ValueError, match="omega lattice"):
+            EnergyModel(kern1, pot, ScalarField(LAT1, zeros, ConstantExterior(1.0)),
+                        CellSet.full(other))
 
 
 # ------------------------------------------------------------------ quadratic form
@@ -391,39 +396,37 @@ def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
     om = CellSet(lat, rng.random(lat.shape) < 0.5)
     vals = rng.uniform(-1.0, 1.0, lat.shape)
     if kind == "sampled":
-        outer = Lattice(dim, lat.h, tuple(a - 3 for a in lat.lo),
-                        tuple(b + 2 for b in lat.hi))
-        ext = SampledExterior(outer, rng.uniform(-1.0, 1.0, outer.shape), -1.0)
-        work = build_kernel(outer, kern.s)
-        inner = tuple(slice(3, 3 + n) for n in lat.shape)
-        lifted = ext.values.copy()
-        lifted[inner] = vals
-        omega = np.zeros(outer.shape, dtype=bool)
-        omega[inner] = om.members
-        t0 = work.tail_weights
+        # omega inside the original box, random fixed cells in a pad of 3
+        # below and 2 above, and -1 beyond the padded box
+        lat = Lattice(dim, lat.h, tuple(a - 3 for a in lat.lo),
+                      tuple(b + 2 for b in lat.hi))
+        kern = build_kernel(lat, kern.s)
+        pad = [(3, 2)] * dim
+        om = CellSet(lat, np.pad(om.members, pad))
+        vals = np.where(om.members, np.pad(vals, pad),
+                        rng.uniform(-1.0, 1.0, lat.shape))
+        ext = ConstantExterior(-1.0)
+        t0 = kern.tail_weights
         t1, t2 = -t0, t0
+    elif kind == "constant":
+        ext = ConstantExterior(-0.7)
+        t0 = kern.tail_weights
+        t1, t2 = -0.7 * t0, 0.49 * t0
     else:
-        work, lifted, omega = kern, vals, om.members
-        if kind == "constant":
-            ext = ConstantExterior(-0.7)
-            t0 = kern.tail_weights
-            t1, t2 = -0.7 * t0, 0.49 * t0
-        else:
-            ext = HalfspaceExterior(dim - 1, 0.2)
-            plus, minus = kern.tail_halfspace(dim - 1, 0.2)
-            t0, t1, t2 = plus + minus, plus - minus, plus + minus
+        ext = HalfspaceExterior(dim - 1, 0.2)
+        plus, minus = kern.tail_halfspace(dim - 1, 0.2)
+        t0, t1, t2 = plus + minus, plus - minus, plus + minus
     u = ScalarField(lat, vals, ext)
     model = EnergyModel(kern, pot, u, om)
-    x = model.lift(u.values)
-    assert np.array_equal(x, lifted)
-    k, e, grad = _pair_sum_oracle(work, pot, lifted, omega, t0, t1, t2)
+    x, omega = u.values, om.members
+    k, e, grad = _pair_sum_oracle(kern, pot, x, omega, t0, t1, t2)
     assert model.seminorm(x) == pytest.approx(k, rel=1e-12)
     assert model.energy(x) == pytest.approx(e, rel=1e-12)
     np.testing.assert_allclose(model.gradient(x), grad, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(grad)))
     # a point that also moves fixed cells is still evaluated exactly
     y = np.where(omega, x, 0.9 * x)
-    k_y, _, grad_y = _pair_sum_oracle(work, pot, y, omega, t0, t1, t2)
+    k_y, _, grad_y = _pair_sum_oracle(kern, pot, y, omega, t0, t1, t2)
     assert model.seminorm(y) == pytest.approx(k_y, rel=1e-12)
     np.testing.assert_allclose(model.gradient(y), grad_y, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(grad_y)))
@@ -433,12 +436,14 @@ def test_constant_sign_field_is_exactly_zero(kern1, kern2):
     pot = Quartic()
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
         om = ball_mask(lat, (0.0,) * lat.dim, 2.0)
+        # the same omega in a box padded by 2 below and 3 above, whose pad
+        # cells are fixed at the sign
         outer = Lattice(lat.dim, lat.h, tuple(a - 2 for a in lat.lo),
                         tuple(b + 3 for b in lat.hi))
+        outer_kern = build_kernel(outer, kern.s)
+        outer_om = CellSet(outer, np.pad(om.members, [(2, 3)] * lat.dim))
         for sign in (1.0, -1.0):
-            vals = np.full(lat.shape, sign)
-            for ext in (ConstantExterior(sign),
-                        SampledExterior(outer, np.full(outer.shape, sign), sign)):
-                u = ScalarField(lat, vals, ext)
-                assert _seminorm(kern, u, om) == 0.0
-                assert energy_E(kern, pot, u, om) == 0.0
+            for k, box, omega in ((kern, lat, om), (outer_kern, outer, outer_om)):
+                u = ScalarField(box, np.full(box.shape, sign), ConstantExterior(sign))
+                assert _seminorm(k, u, omega) == 0.0
+                assert energy_E(k, pot, u, omega) == 0.0

@@ -542,6 +542,22 @@ def test_cli_gmt_bad_sweep_exits_2(tmp_path, capsys, override, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, key", [
+    ("exterior_threshold=nan", "NaN"),
+    ("exterior_axis=1", "axis 1 out of range"),
+    ("exterior_axis=-1", "axis"),
+    ("seed_kind=zero", "seed_kind"),
+])
+def test_cli_bad_exterior_exits_2(tmp_path, capsys, override, key):
+    code = main(["--out", str(tmp_path / "out"), "energy-growth",
+                 "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_set_without_value_exits_2(tmp_path, capsys):
     code = main(["--out", str(tmp_path / "out"), "iterate", "--set", "foo"])
     assert code == 2

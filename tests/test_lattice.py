@@ -11,7 +11,6 @@ from fraclab.lattice import (
     ConstantExterior,
     HalfspaceExterior,
     Lattice,
-    SampledExterior,
     ScalarField,
     ball_mask,
     psi_field,
@@ -163,20 +162,38 @@ def test_halfspace_exterior_sign_convention():
                 u = ScalarField(lat, np.full(lat.shape, sign),
                                 HalfspaceExterior(axis, threshold))
                 model = EnergyModel(kern, None, u)
-                ks.append(model.seminorm(model.lift(u.values)))
+                ks.append(model.seminorm(u.values))
             assert all(trend * (b - a) > 0.0 for a, b in zip(ks, ks[1:]))
 
 
 def test_sampled_exterior_lookup_and_fill():
+    # fixed samples are cells of an enclosing box: the field on that box
+    # checks their shape and range, the constant beyond checks its fill
     outer = Lattice(1, 1.0, (-2,), (2,))
     vals = np.array([-1.0, -0.5, 0.5, 1.0])
-    SampledExterior(outer, vals, fill=1.0)
-    with pytest.raises(ValueError):
-        SampledExterior(outer, vals[:3], fill=1.0)
-    with pytest.raises(ValueError):
-        SampledExterior(outer, vals, fill=0.0)
-    with pytest.raises(ValueError):
-        SampledExterior(outer, vals * 3.0, fill=1.0)
+    u = ScalarField(outer, vals, ConstantExterior(1.0))
+    assert np.array_equal(u.values, vals)
+    with pytest.raises(ValueError, match="shape"):
+        ScalarField(outer, vals[:3], ConstantExterior(1.0))
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        ScalarField(outer, vals * 3.0, ConstantExterior(1.0))
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        ConstantExterior(-1.5)
+
+
+def test_halfspace_exterior_rejects_bad_input():
+    lat1 = Lattice(1, 1.0, (-2,), (2,))
+    with pytest.raises(ValueError, match="NaN"):
+        HalfspaceExterior(0, float("nan"))
+    with pytest.raises(ValueError, match="axis"):
+        HalfspaceExterior(-1, 0.0)
+    with pytest.raises(ValueError, match="axis 1 out of range"):
+        ScalarField(lat1, np.zeros(lat1.shape), HalfspaceExterior(1, 0.0))
+    lat2 = Lattice(2, 1.0, (-2, -2), (2, 2))
+    ScalarField(lat2, np.zeros(lat2.shape), HalfspaceExterior(1, 0.0))
+    # infinite thresholds stay legal: all of the exterior on one side
+    for thr in (-np.inf, np.inf):
+        ScalarField(lat1, np.zeros(lat1.shape), HalfspaceExterior(0, thr))
 
 
 # ---------------------------------------------------------------- fields
