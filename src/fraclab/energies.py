@@ -13,7 +13,7 @@ free part on omega and f the fixed rest; then the interaction needs only
 T(o) beyond T(f) and T(1 off omega), which stay put while a minimizer
 moves o.  Each new point costs one convolution and its gradient reuses
 it.  Every convolution (``convolve``) multiplies by the table's spectrum,
-which the kernel caches per working extent.
+of which the kernel caches one, at the circular length 2n - 1 per axis.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ def convolve(kern: KernelTable, x: np.ndarray) -> np.ndarray:
     does not commute exactly with reflection); commutativity of the final
     addition makes the average exactly equivariant.
     """
-    fshape, spec = kern.spectrum(x.shape)
+    if x.shape != kern.lattice.shape:
+        raise ValueError("field shape does not match the kernel lattice")
+    fshape, spec = kern.spectrum
     inner = tuple(slice(n - 1, 2 * n - 1) for n in x.shape)
 
     def sym(y, axis):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
@@ -56,14 +57,16 @@ __all__ = [
 
 def stable_sum(arr) -> float:
     """Compensated sum in fixed C order; bit-reproducible across runs."""
-    return math.fsum(np.asarray(arr, dtype=float).ravel(order="C"))
+    return math.fsum(np.asarray(arr, dtype=float).ravel(order="C").tolist())
 
 
 def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
-    """Full linear convolution of x with the array whose rfftn at fshape is
-    ``spec`` (see ``KernelTable.spectrum``), zero-padded to fshape.
-
-    Every raw in-box convolution goes through this function.
+    """Circular convolution at fshape of x with the array whose rfftn at
+    fshape is ``spec`` (see ``KernelTable.spectrum``).  A table of extent
+    2n - 1 and a field of extent n convolve linearly to extent 3n - 2; at
+    fshape >= 2n - 1 the entries past fshape wrap into [0, n - 1), so the
+    in-box window [n - 1, 2n - 1) is exact.  Every raw in-box convolution
+    goes through this function.
     """
     return irfftn(rfftn(x, fshape) * spec, fshape)
 
@@ -470,7 +473,6 @@ class KernelTable:
 
     _tail_cache: dict = field(default_factory=dict, repr=False)
     _extent_cache: dict = field(default_factory=dict, repr=False)
-    _spectrum_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._extent_cache.setdefault(self.lattice.shape, self.table)
@@ -487,21 +489,17 @@ class KernelTable:
         self._extent_cache[extents] = arr
         return arr
 
-    def spectrum(self, extents):
-        """(fshape, spectrum) for convolving fields of the given extents.
+    @cached_property
+    def spectrum(self):
+        """(fshape, spectrum) for convolving fields of the lattice's shape.
 
-        fshape is the padded full-convolution shape next_fast_len(3n - 2)
-        per axis, as SciPy's fftconvolve picks it, and spectrum the rfftn
-        of the offset table at that shape; irfftn(rfftn(x, fshape) *
-        spectrum, fshape) then equals fftconvolve(x, table) bit for bit
-        on its 3n - 2 leading entries.
+        fshape is next_fast_len(2n - 1) per axis and spectrum the rfftn of
+        the offset table at that shape.  The table spans offsets up to
+        n - 1 either way, so a circular convolution at fshape gives the
+        in-box window with no wrap-around (see ``fftconvolve``).
         """
-        extents = tuple(int(e) for e in extents)
-        if extents not in self._spectrum_cache:
-            fshape = tuple(next_fast_len(3 * e - 2, True) for e in extents)
-            spec = rfftn(self.table_for_extents(extents), fshape)
-            self._spectrum_cache[extents] = (fshape, spec)
-        return self._spectrum_cache[extents]
+        fshape = tuple(next_fast_len(2 * n - 1, True) for n in self.lattice.shape)
+        return fshape, rfftn(self.table, fshape)
 
     # -- tails ---------------------------------------------------------------
 

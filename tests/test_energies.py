@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
-from fraclab.energies import EnergyModel, energy_E
+from fraclab.energies import EnergyModel, convolve, energy_E
 from fraclab.kernels import build_kernel
 from fraclab.lattice import (
     CellSet,
@@ -350,30 +350,62 @@ def test_sampled_exterior_must_enclose(kern1):
 # ------------------------------------------------------------------ quadratic form
 
 
+def _pair_weights(kern):
+    """w[i, j] = table[i - j] for every pair of box cells, in C order."""
+    lat = kern.lattice
+    idx = np.indices(lat.shape).reshape(lat.dim, -1).T
+    off = idx[:, None, :] - idx[None, :, :] + (np.array(lat.shape) - 1)
+    return kern.table[tuple(off[..., a] for a in range(lat.dim))]
+
+
+def _pair_sum_convolution(kern, x):
+    """out_i = sum_j table[i - j] * x_j by explicit sums over every pair of
+    box cells."""
+    return (_pair_weights(kern) @ x.ravel()).reshape(x.shape)
+
+
+def _assert_close_to_max(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("lo, hi", [((-8,), (8,)), ((-8,), (9,)),
                                     ((-4, -4), (4, 4)), ((-4, -5), (5, 4))])
 def test_cached_spectrum_convolution_is_fftconvolve(lo, hi):
+    # one memoized spectrum; its circular convolution gives the in-box
+    # window of SciPy's full linear convolution and of the direct pair sum
     from scipy.signal import fftconvolve as oracle
-
-    from fraclab import energies
 
     lat = Lattice(dim=len(lo), h=0.5, lo=lo, hi=hi)
     kern = build_kernel(lat, 0.25)
-    fshape, spec = kern.spectrum(lat.shape)
-    assert kern.spectrum(lat.shape)[1] is spec
-    full = tuple(slice(3 * n - 2) for n in lat.shape)
+    assert kern.spectrum is kern.spectrum
+    inner = tuple(slice(n - 1, 2 * n - 1) for n in lat.shape)
     x = np.random.default_rng(lat.n_cells).uniform(-1.0, 1.0, lat.shape)
     for arr in (x, np.flip(x, 0)):
-        got = energies.fftconvolve(arr, spec, fshape)[full]
-        assert np.array_equal(got, oracle(arr, kern.table, mode="full"))
+        got = convolve(kern, arr)
+        _assert_close_to_max(got, oracle(arr, kern.table, mode="full")[inner])
+        _assert_close_to_max(got, _pair_sum_convolution(kern, arr))
+
+
+@pytest.mark.parametrize("lo, hi", [((-4,), (4,)), ((-4, -6), (4, 7))])
+def test_convolution_at_tightest_circular_length(lo, hi):
+    # extents 8 and 13 pad to exactly 2n - 1 = 15 and 25, so a spectrum one
+    # cell shorter would wrap the far offsets into the window
+    lat = Lattice(dim=len(lo), h=0.5, lo=lo, hi=hi)
+    kern = build_kernel(lat, 0.75)
+    assert kern.spectrum[0] == tuple(2 * n - 1 for n in lat.shape)
+    x = np.random.default_rng(lat.n_cells).uniform(-1.0, 1.0, lat.shape)
+    got = convolve(kern, x)
+    _assert_close_to_max(got, _pair_sum_convolution(kern, x))
+    for axes in [(0,), (1,), (0, 1)][:2 * lat.dim - 1]:
+        assert np.array_equal(convolve(kern, np.flip(x, axes)), np.flip(got, axes))
+    with pytest.raises(ValueError, match="field shape"):
+        convolve(kern, np.zeros(tuple(n + 1 for n in lat.shape)))
 
 
 def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):
     """Energy and gradient by explicit sums over every pair of box cells."""
     lat = kern.lattice
-    idx = np.indices(lat.shape).reshape(lat.dim, -1).T
-    off = idx[:, None, :] - idx[None, :, :] + (np.array(lat.shape) - 1)
-    w = kern.table[tuple(off[..., a] for a in range(lat.dim))]
+    w = _pair_weights(kern)
     v, m = u.ravel(), omega.ravel()
     diff = v[:, None] - v[None, :]
     pairs = w * diff * diff

@@ -525,6 +525,15 @@ def test_stable_sum_compensated():
     assert stable_sum(vals) == 1.0
     arr = np.arange(12, dtype=float).reshape(3, 4)
     assert stable_sum(arr) == 66.0
+    # bitwise math.fsum of the floats in C order, for a flipped,
+    # non-contiguous view and for a plain list
+    rng = np.random.default_rng(3)
+    big = rng.uniform(-1.0, 1.0, (6, 8)) * 10.0 ** rng.integers(-12, 12, (6, 8))
+    view = np.flip(big, 0)[:, ::3]
+    assert not view.flags.c_contiguous
+    floats = [float(view[i, j]) for i in range(view.shape[0]) for j in range(view.shape[1])]
+    assert stable_sum(view) == math.fsum(floats)
+    assert stable_sum(floats) == math.fsum(floats)
 
 
 def test_tails_finite_when_box_bound_misses_cell_edge_by_an_ulp():
