@@ -438,37 +438,18 @@ def cell_tail_halfspace(lat: Lattice, s: float, axis: int, thr: float):
 _NEAR_RADIUS = 4
 
 
-def _canonical_offsets(dim: int):
-    """Canonical (sorted absolute) near offsets, excluding the origin."""
-    if dim == 1:
-        return [(d,) for d in range(1, _NEAR_RADIUS + 1)]
-    out = []
-    for d2 in range(_NEAR_RADIUS + 1):
-        for d1 in range(d2 + 1):
-            if (d1, d2) != (0, 0):
-                out.append((d1, d2))
-    return out
-
-
-def _near_weight(dim: int, h: float, s: float, canon) -> float:
-    """Exact pair weight; collocation where the touching integral diverges."""
-    if sum(canon) == 1 and s >= 0.5:
-        return pair_weight_collocation(dim, h, s, canon)
-    return pair_weight_exact(dim, h, s, canon)
-
-
 @dataclass(eq=False)
 class KernelTable:
     """Reusable pairwise weights plus exterior tails for one lattice.
 
     ``table`` is the dense offset array, indexed by offset + (shape - 1)
     per axis, so any in-box pair weight is a direct lookup and pair sums
-    reduce to convolutions with it.
+    reduce to convolutions with it.  It is the kernel's one store of pair
+    weights, read-only, and every other view of them is a window of it.
     """
 
     lattice: Lattice
     s: float
-    near: dict
     table: np.ndarray = field(repr=False)
 
     _tail_cache: dict = field(default_factory=dict, repr=False)
@@ -480,14 +461,18 @@ class KernelTable:
     # -- weights -------------------------------------------------------------
 
     def table_for_extents(self, extents) -> np.ndarray:
-        """Dense offset array covering offsets up to extents-1 per axis."""
+        """Offsets up to extents - 1 per axis: the centred window of
+        ``table``, a view of it (``table`` itself at the lattice shape).
+        Extents beyond the lattice shape raise ``ValueError``."""
         extents = tuple(int(e) for e in extents)
-        if extents in self._extent_cache:
-            return self._extent_cache[extents]
-        arr = _dense_table(self.lattice.dim, self.lattice.h, self.s,
-                           self.near, extents)
-        self._extent_cache[extents] = arr
-        return arr
+        if extents not in self._extent_cache:
+            shape = self.lattice.shape
+            if len(extents) != len(shape) or not all(0 < e <= n for e, n in zip(extents, shape)):
+                raise ValueError(f"extents {extents} must lie within the "
+                                 f"lattice shape {shape}")
+            self._extent_cache[extents] = self.table[
+                tuple(slice(n - e, n + e - 1) for n, e in zip(shape, extents))]
+        return self._extent_cache[extents]
 
     @cached_property
     def spectrum(self):
@@ -525,40 +510,30 @@ class KernelTable:
         return self._tail_cache[key]
 
 
-def _dense_table(dim: int, h: float, s: float, near: dict, extents) -> np.ndarray:
-    """Far-rule offset array with the near block patched in."""
-    if dim == 1:
-        (e0,) = extents
-        offs = np.arange(-(e0 - 1), e0, dtype=float)
-        r = np.abs(offs) * h
-        with np.errstate(divide="ignore"):
-            arr = h ** 2 * r ** (-(1.0 + 2.0 * s))
-        arr[e0 - 1] = 0.0
-        for d in range(1, min(_NEAR_RADIUS, e0 - 1) + 1):
-            arr[e0 - 1 + d] = near[(d,)]
-            arr[e0 - 1 - d] = near[(d,)]
-        return arr
-    e0, e1 = extents
-    o0 = np.arange(-(e0 - 1), e0, dtype=float)[:, None]
-    o1 = np.arange(-(e1 - 1), e1, dtype=float)[None, :]
-    r2 = (o0 * h) ** 2 + (o1 * h) ** 2
-    with np.errstate(divide="ignore"):
-        arr = h ** 4 * r2 ** (-(1.0 + s))
-    arr[e0 - 1, e1 - 1] = 0.0
-    r0, r1 = min(_NEAR_RADIUS, e0 - 1), min(_NEAR_RADIUS, e1 - 1)
-    for d0 in range(-r0, r0 + 1):
-        for d1 in range(-r1, r1 + 1):
-            if (d0, d1) == (0, 0):
-                continue
-            canon = tuple(sorted((abs(d0), abs(d1))))
-            arr[e0 - 1 + d0, e1 - 1 + d1] = near[canon]
-    return arr
-
-
 def build_kernel(lattice: Lattice, s: float) -> KernelTable:
-    """Compute the weight table for a lattice."""
+    """Compute the weight table for a lattice: the midpoint rule at every
+    offset, then the exact weights patched into the near block."""
     s = _check_s(s)
-    near = {canon: _near_weight(lattice.dim, lattice.h, s, canon)
-            for canon in _canonical_offsets(lattice.dim)}
-    table = _dense_table(lattice.dim, lattice.h, s, near, lattice.shape)
-    return KernelTable(lattice=lattice, s=s, near=near, table=table)
+    dim, h, shape = lattice.dim, lattice.h, lattice.shape
+    o = np.ix_(*(np.arange(1 - n, n, dtype=float) for n in shape))
+    with np.errstate(divide="ignore"):
+        if dim == 1:
+            table = h ** 2 * (np.abs(o[0]) * h) ** (-(1.0 + 2.0 * s))
+        else:
+            table = h ** 4 * ((o[0] * h) ** 2 + (o[1] * h) ** 2) ** (-(1.0 + s))
+    # one quadrant of the near block: the exact weight, collocated where the
+    # touching integral diverges, each canonical (sorted) offset computed
+    # once, before its permutations; the block is even in every axis, so
+    # reflecting the quadrant fills it
+    R = _NEAR_RADIUS
+    quad = np.empty((R + 1,) * dim)
+    for d in np.ndindex(quad.shape):
+        canon = tuple(sorted(d))
+        rule = pair_weight_collocation if sum(d) == 1 and s >= 0.5 else pair_weight_exact
+        quad[d] = quad[canon] if canon != d else rule(dim, h, s, d)
+    near = np.pad(quad, R, mode="reflect")
+    r = [min(R, n - 1) for n in shape]
+    table[tuple(slice(n - 1 - k, n + k) for n, k in zip(shape, r))] = \
+        near[tuple(slice(R - k, R + k + 1) for k in r)]
+    table.setflags(write=False)
+    return KernelTable(lattice=lattice, s=s, table=table)

@@ -66,10 +66,8 @@ class ExperimentConfig:
     energy_tol: float = 1e-12
 
     slope_tol: float = 0.15
-    half_band: float = 0.25
 
     density_floor: float = 0.05
-    density_r_floor: float = 0.0
 
     levelset_theta: float = 0.9
     levelset_radius: float = 1.0

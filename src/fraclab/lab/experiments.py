@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _SNAP = 1e-9  # relative tolerance for matching swept radii
+_LOG_BAND = 0.25  # s = 1/2: largest move of E/(R^(n-1) log R) across the top radii
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
         dev = abs(norm[-1] / norm[-2] - 1.0)
         results["log_normalized_dev"] = dev
         criteria.append(Criterion(
-            "log-band", dev < cfg.half_band,
+            "log-band", dev < _LOG_BAND,
             f"E/(R^{n - 1} log R) moved {dev:.4f} across the top radii"))
 
     return ExperimentReport(
@@ -282,10 +283,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     criteria.append(Criterion("trace-monotone", True, "exact by construction",
                               vacuous=True))
 
-    r_floor = cfg.density_r_floor if cfg.density_r_floor > 0 else cfg.radii[0]
-    floored = [q for r, q in zip(trace_star.radii, trace_star.ratios)
-               if r >= r_floor * (1.0 - _SNAP)]
-    min_ratio = min(floored) if floored else 0.0
+    min_ratio = min(trace_star.ratios)
     criteria.append(Criterion(
         "density-floor", min_ratio > cfg.density_floor,
         f"min V(R)/R^{cfg.dim} = {min_ratio:.6g} vs floor {cfg.density_floor}"))

@@ -286,6 +286,44 @@ def test_fl_odd_field_antisymmetry(sign_kernels):
         assert pair[0] == pytest.approx(-pair[1], rel=1e-13)
 
 
+# worst relative error of the lattice operator against the torsion closed
+# form on |x| < R/2, at h = 1/2, 1/4, 1/8 (and 1/16 in 1D), and the observed
+# orders between them; at s >= 1/2 the collocated touching weight holds the
+# order near 2 - 2s
+TORSION = {
+    (1, 0.25): ([1.0569e-3, 3.3006e-4, 9.8058e-5, 2.6946e-5], [1.679, 1.751, 1.864]),
+    (1, 0.5): ([8.5283e-4, 4.3624e-4, 2.3111e-4, 1.2247e-4], [0.967, 0.917, 0.916]),
+    (1, 0.75): ([5.1269e-2, 3.6648e-2, 2.6041e-2, 1.8455e-2], [0.484, 0.493, 0.497]),
+    (2, 0.25): ([4.8736e-3, 1.8793e-3, 5.8039e-4], [1.375, 1.695]),
+    (2, 0.5): ([1.5028e-2, 7.4962e-3, 3.6667e-3], [1.003, 1.032]),
+    (2, 0.75): ([3.1307e-2, 2.1588e-2, 1.5134e-2], [0.536, 0.512]),
+}
+
+
+@pytest.mark.parametrize("dim, s", sorted(TORSION))
+def test_lattice_operator_matches_torsion_closed_form(dim, s):
+    # Getoor, Trans. AMS 101 (1961): for u = (1 - |x|^2/R^2)_+^s,
+    # int (u(x) - u(y)) |x - y|^(-(n+2s)) dy
+    #     = pi^(1+n/2) / (sin(pi s) Gamma(n/2)) R^(-2s)   for |x| < R;
+    # u vanishes beyond the box, so ConstantExterior(0) is exact there
+    R = 16.0 if dim == 1 else 8.0
+    exact = (math.pi ** (1 + dim / 2) / (math.sin(math.pi * s) * math.gamma(dim / 2))
+             * R ** (-2.0 * s))
+    errs = []
+    for h in (0.5, 0.25, 0.125, 0.0625)[:len(TORSION[dim, s][0])]:
+        lat = Lattice.covering_ball(dim, h, 0.0, R)
+        x = np.meshgrid(*(lat.axis_centers(a) for a in range(dim)), indexing="ij")
+        r2 = sum(c * c for c in x)
+        u = ScalarField(lat, np.maximum(1.0 - r2 / R**2, 0.0) ** s, ConstantExterior(0.0))
+        op = _frac_laplacian(build_kernel(lat, s), u) / h**dim
+        errs.append(float(np.max(np.abs(op[r2 < (R / 2) ** 2] - exact))) / exact)
+    ref_errs, ref_orders = TORSION[dim, s]
+    for got, ref in zip(errs, ref_errs):
+        assert got <= 1.1 * ref
+    for a, b, ref in zip(errs, errs[1:], ref_orders):
+        assert math.log2(a / b) >= ref - 0.05
+
+
 def test_fl_is_half_gradient_of_K(kern1, kern2):
     # directional derivative of K along delta equals 2 sum_i delta_i fl_i;
     # K is quadratic, so the central difference is exact up to round-off

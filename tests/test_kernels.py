@@ -52,24 +52,28 @@ def switch_gap(kern) -> float:
     """Relative near/far mismatch at the switch radius (far-rule
     truncation error; decays like the radius^-2)."""
     dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
+    R = K._NEAR_RADIUS
     worst = 0.0
-    for canon, w in kern.near.items():
-        if max(canon) == K._NEAR_RADIUS:
-            f = far_weight(dim, h, s, canon)
-            worst = max(worst, abs(w - f) / f)
+    for canon in [(R,)] if dim == 1 else [(d1, R) for d1 in range(R + 1)]:
+        f = far_weight(dim, h, s, canon)
+        worst = max(worst, abs(_weight(kern, canon) - f) / f)
     return worst
 
 
 def _weight(kern, offset) -> float:
-    """Oracle: pair weight at an integer index offset, from the near dict or
-    the far rule, without the dense table."""
+    """Oracle: pair weight at an integer index offset, from the scalar pair
+    weights (collocated where the touching integral diverges) or the far
+    rule, without the dense table."""
+    dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
     off = tuple(int(v) for v in np.atleast_1d(offset))
     canon = tuple(sorted(abs(v) for v in off))
     if all(v == 0 for v in canon):
         return 0.0
-    if max(canon) <= K._NEAR_RADIUS:
-        return kern.near[canon]
-    return far_weight(kern.lattice.dim, kern.lattice.h, kern.s, off)
+    if max(canon) > K._NEAR_RADIUS:
+        return far_weight(dim, h, s, off)
+    if sum(canon) == 1 and s >= 0.5:
+        return pair_weight_collocation(dim, h, s, canon)
+    return pair_weight_exact(dim, h, s, canon)
 
 
 # ------------------------------------------------------------- pair weights
@@ -232,7 +236,6 @@ def test_weight_lookup_consistency(kern1d, kern2d):
 
 def test_weights_positive_and_zero_diagonal(kern1d, kern2d):
     for kern in (kern1d, kern2d):
-        assert all(w > 0 for w in kern.near.values())
         e = [n - 1 for n in kern.lattice.shape]
         assert kern.table[tuple(e)] == 0.0
         off_diag = kern.table.copy()
@@ -256,12 +259,30 @@ def test_weight_symmetry_2d(d0, d1):
 _SYM_KERN = build_kernel(Lattice(2, 0.7, (0, 0), (8, 8)), 0.45)
 
 
-def test_table_for_extents_matches_and_memoizes(kern1d):
+def test_table_for_extents_matches_and_memoizes(kern1d, kern2d):
     arr = kern1d.table_for_extents((4,))
     assert arr.shape == (7,)
     for d in range(-3, 4):
         assert arr[3 + d] == _weight(kern1d, (d,))
     assert kern1d.table_for_extents((4,)) is arr
+    # every 2D window, entry by entry (the far rule to round-off, as the
+    # oracle takes a square root first); the lattice shape is the table itself
+    n0, n1 = kern2d.lattice.shape
+    for e0 in range(1, n0 + 1):
+        for e1 in range(1, n1 + 1):
+            arr = kern2d.table_for_extents((e0, e1))
+            assert arr.shape == (2 * e0 - 1, 2 * e1 - 1)
+            for d0 in range(1 - e0, e0):
+                for d1 in range(1 - e1, e1):
+                    assert arr[e0 - 1 + d0, e1 - 1 + d1] == pytest.approx(
+                        _weight(kern2d, (d0, d1)), rel=1e-15, abs=0.0)
+    for kern in (kern1d, kern2d):
+        shape = kern.lattice.shape
+        assert kern.table_for_extents(shape) is kern.table
+        for axis in range(len(shape)):
+            past = tuple(n + (i == axis) for i, n in enumerate(shape))
+            with pytest.raises(ValueError, match="lattice shape"):
+                kern.table_for_extents(past)
 
 
 def test_switch_gap_decays_quadratically():

@@ -137,7 +137,8 @@ def test_config_overrides_win(tmp_path):
 
 
 def test_config_rejects_unknown_key():
-    for key in ("radius", "threads", "near_radius", "quad_tol"):
+    for key in ("radius", "threads", "near_radius", "quad_tol", "half_band",
+                "density_r_floor"):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_sources("gmt", {key: "4"})
 
