@@ -11,9 +11,12 @@ The in-box pairs form a quadratic form whose matrix T, the offset table,
 is block-Toeplitz and symmetric.  Split a field as u = o + f, with o its
 free part on omega and f the fixed rest; then the interaction needs only
 T(o) beyond T(f) and T(1 off omega), which stay put while a minimizer
-moves o.  Each new point costs one convolution and its gradient reuses
-it.  Every convolution (``convolve``) multiplies by the table's spectrum,
-of which the kernel caches one, at the circular length 2n - 1 per axis.
+moves o.  A new point costs one convolution, of its free part, and its
+gradient reuses it.  On a segment u + t*d the seminorm is a quadratic in
+t, so one convolution, of d, prices every trial point on it, and moving
+to one updates T(o) by t*T(d) with none.  Every convolution
+(``convolve``) multiplies by the table's spectrum, of which the kernel
+caches one, at the circular length 2n - 1 per axis.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ class EnergyModel:
     once.  An energy at a new point then costs one reflection-symmetrized
     convolution, of the point's free part, and the gradient at the point
     last evaluated costs none.  A point whose fixed cells differ from the
-    model's field pays one more.  ``omega`` defaults to every cell in the
-    box.  Data held fixed are the box cells outside ``omega`` and, beyond
-    the box, the field's exterior descriptor.
+    model's field pays one more.  ``segment`` and ``move`` walk the model's
+    point along a segment at one convolution per segment.  ``omega``
+    defaults to every cell in the box.  Data held fixed are the box cells
+    outside ``omega`` and, beyond the box, the field's exterior descriptor.
     """
 
     def __init__(self, kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None):
@@ -94,6 +98,8 @@ class EnergyModel:
         self._tf = self._conv(self._f)
         # the free part of the last point evaluated, and T of it
         self._o = self._to = None
+        # the last segment: its start u, direction d, T(o) at u and T(d)
+        self._seg = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -134,14 +140,63 @@ class EnergyModel:
     def energy(self, u: np.ndarray) -> float:
         return self.seminorm(u) + self.potential_term(u)
 
+    def _flux(self, u: np.ndarray) -> np.ndarray:
+        # half the seminorm's gradient, on every cell
+        _, to, tf = self._split(u)
+        return u * self._c_box - to - tf + self.t0 * u - self.t1
+
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
-        _, to, tf = self._split(u)
-        fl = u * self._c_box - to - tf + self.t0 * u - self.t1
-        g = 2.0 * fl
+        g = 2.0 * self._flux(u)
         if self.pot is not None:
             g = g + self.cell_measure * self.pot.deriv(u)
         return np.where(self.omega, g, 0.0)
+
+    # -- the segment u + t*d ------------------------------------------------
+
+    def segment(self, u: np.ndarray, d: np.ndarray):
+        """Energy change along u + t*d, for a d that is zero off omega.
+
+        Costs one convolution, of d.  The seminorm is quadratic in t: per
+        free cell, slope 2*fl*d at u and curvature d*((c_box + t0)*d - T(d)).
+        The well is evaluated at each trial point.  Returns
+        delta(t) = E(u + t*d) - E(u), formed directly as the small
+        difference sum(t*slope + t^2*curvature + h^n*(W(u + t*d) - W(u)))
+        in one compensated sum.  Segment points are clipped to [-1, 1],
+        the well's domain, which moves them by round-off at most.
+        """
+        m = self.omega
+        td = self._conv(d)
+        um, dm = u[m], d[m]
+        slope = 2.0 * self._flux(u)[m] * dm
+        curv = dm * ((self._c_box + self.t0)[m] * dm - td[m])
+        w0 = None if self.pot is None else self.pot.value(um)
+        self._seg = (u, d, self._to, td)
+
+        def delta(t: float) -> float:
+            de = t * slope + (t * t) * curv
+            if w0 is not None:
+                de += self.cell_measure * (self.pot.value(np.clip(um + t * dm, -1.0, 1.0)) - w0)
+            return float(stable_sum(de))
+
+        return delta
+
+    def move(self, t: float) -> np.ndarray:
+        """Make u + t*d on the last segment the model's point and return it.
+
+        T of its free part becomes T(o) + t*T(d): no convolution, but the
+        round-off of each move stays in T(o) until ``refresh``.
+        """
+        u, d, to, td = self._seg
+        x = np.clip(u + t * d, -1.0, 1.0)
+        self._o = np.where(self.omega, x, 0.0)
+        self._to = to + t * td
+        self._seg = None
+        return x
+
+    def refresh(self) -> None:
+        """Convolve the free part of the model's point afresh."""
+        self._to = self._conv(self._o)
 
 
 # -- functional forms ---------------------------------------------------------

@@ -1,10 +1,14 @@
 """Constrained minimization of the nonlocal energy.
 
-Projected gradient with a spectral (Barzilai-Borwein) step and Armijo
-backtracking, over fields confined to [-1, 1] and fixed outside the free
-region.  The gradient is the exact discrete one (twice the operator value
-plus the well derivative), so stationarity, residuals and minimality
-checks all refer to the same energy.
+Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim.
+10, 2000) over fields confined to [-1, 1] and fixed outside the free
+region: each iteration projects one Barzilai-Borwein step,
+d = clip(x - alpha*g, -1, 1) - x, and searches the segment x + t*d with
+monotone Armijo halving of t from 1.  The operator is linear, so one
+convolution, of d, prices every trial point on the segment and the next
+gradient.  The gradient is the exact discrete one (twice the operator
+value plus the well derivative), so stationarity, residuals and
+minimality checks all refer to the same energy.
 
 Every reduction is a compensated sum and the convolutions are
 reflection-symmetrized, so a run is deterministic and mirroring the data
@@ -38,6 +42,7 @@ __all__ = [
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
 ENERGY_WINDOW = 10
+STATIONARY = "projected gradient below tolerance"
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class MinimizeResult:
     """Final iterate plus the accepted-step history.
 
     ``trace`` rows are (iteration, energy, projected-gradient sup norm,
-    step size); row 0 describes the initial field.
+    step t*alpha); row 0 describes the initial field.
     """
 
     field: ScalarField
@@ -112,12 +117,17 @@ def minimize_energy(
 ) -> MinimizeResult:
     """Minimize E over fields equal to u0 outside omega, values in [-1, 1].
 
-    Runs projected BB gradient descent with Armijo backtracking.  Converged
-    means the projected-gradient sup-norm fell below grad_tol, or the
-    relative energy decrease over the last 10 accepted steps fell below
-    energy_tol.  Exhausting max_iters, or 40 failed halvings in one line
-    search, ends the run with converged=False and a message instead of an
-    exception.
+    Runs spectral projected gradient with a monotone Armijo search on the
+    segment from x to its projected BB step, at one convolution per
+    iteration: the energy is evaluated once, at u0, and then carried
+    forward by the segment's exact energy changes.  Converged means the
+    projected-gradient sup-norm fell below grad_tol, or the relative
+    energy decrease over the last 10 accepted steps fell below
+    energy_tol.  Before the run stops for any reason the free part is
+    convolved afresh, and the reported grad_norm and the gradient verdict
+    come from that gradient; if it fails grad_tol the run goes on.
+    Exhausting max_iters, or 40 failed halvings in one line search, ends
+    the run with converged=False and a message instead of an exception.
     """
     cfg = MinimizeConfig() if cfg is None else cfg
     if omega is None:
@@ -125,15 +135,17 @@ def minimize_energy(
     model = EnergyModel(kern, pot, u0, omega)
     mask = model.omega
 
+    def pg_norm(x, g) -> float:
+        return float(np.max(np.abs(_projected_grad(x, g, mask)))) if mask.any() else 0.0
+
     x = u0.values
     e = model.energy(x)
     if not math.isfinite(e):
         raise ValueError(f"initial field has non-finite energy {e}")
 
     g = model.gradient(x)
-    pg_sup = float(np.max(np.abs(_projected_grad(x, g, mask)))) if mask.any() else 0.0
-    rows = [(0, e, pg_sup, 0.0)]
-    energies = [e]
+    pg_sup = pg_norm(x, g)
+    rows = [[0, e, pg_sup, 0.0]]
 
     # curvature-based first step: 1 / max diagonal of the energy Hessian
     diag = 2.0 * (model._c_box + model.t0)
@@ -142,48 +154,64 @@ def minimize_energy(
     alpha = 1.0 / float(np.max(diag[mask])) if mask.any() else 1.0
 
     converged = pg_sup < cfg.grad_tol
-    message = "projected gradient below tolerance" if converged else "max_iters exhausted"
+    message = STATIONARY if converged else "max_iters exhausted"
     iterations = 0
+    fresh = True  # g comes from a convolution of x's free part, not from moves
+
+    def refreshed(x):
+        # the last row keeps its energy; its gradient norm is replaced
+        model.refresh()
+        g = model.gradient(x)
+        pg_sup = pg_norm(x, g)
+        rows[-1][2] = pg_sup
+        return g, pg_sup
 
     for k in range(1, cfg.max_iters + 1):
         if converged:
             break
         step = min(max(alpha, 1e-12), 1e12)
-        accepted = False
+        d = np.where(mask, np.clip(x - step * g, -1.0, 1.0) - x, 0.0)
+        slope = float(stable_sum((g * d)[mask]))
+        delta = model.segment(x, d)
+        t = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
-            trial = np.where(mask, np.clip(x - step * g, -1.0, 1.0), x)
-            decrease = float(stable_sum(((x - trial) * g)[mask]))
-            e_trial = model.energy(trial)
-            if e_trial <= e - ARMIJO * decrease:
-                accepted = True
+            de = delta(t)
+            if de <= ARMIJO * t * slope:
                 break
-            step *= 0.5
-        if not accepted:
+            t *= 0.5
+        else:
             message = f"line search failed after {MAX_BACKTRACKS} halvings"
             break
 
-        g_new = model.gradient(trial)
-        dx = trial - x
+        x_new = model.move(t)
+        fresh = False
+        g_new = model.gradient(x_new)
+        dx = x_new - x
         dg = g_new - g
         sy = float(stable_sum((dx * dg)[mask]))
         ss = float(stable_sum((dx * dx)[mask]))
         # spectral step; along negative curvature just push harder
-        alpha = ss / sy if sy > 0 else 2.0 * step
+        alpha = ss / sy if sy > 0 else 2.0 * t * step
 
-        x, e, g = trial, e_trial, g_new
-        pg_sup = float(np.max(np.abs(_projected_grad(x, g, mask)))) if mask.any() else 0.0
+        x, e, g = x_new, e + de, g_new
+        pg_sup = pg_norm(x, g)
         iterations = k
-        rows.append((k, e, pg_sup, step))
-        energies.append(e)
+        rows.append([k, e, pg_sup, t * step])
 
+        stalled = (len(rows) > ENERGY_WINDOW and rows[-1 - ENERGY_WINDOW][1] - e
+                   < cfg.energy_tol * max(abs(e), 1e-30))
+        if pg_sup < cfg.grad_tol or stalled:
+            g, pg_sup = refreshed(x)
+            fresh = True
+            if pg_sup < cfg.grad_tol:
+                converged, message = True, STATIONARY
+            elif stalled:
+                converged, message = True, "energy decrease below tolerance"
+
+    if not fresh:
+        _, pg_sup = refreshed(x)
         if pg_sup < cfg.grad_tol:
-            converged = True
-            message = "projected gradient below tolerance"
-        elif len(energies) > ENERGY_WINDOW:
-            drop = energies[-1 - ENERGY_WINDOW] - energies[-1]
-            if drop < cfg.energy_tol * max(abs(energies[-1]), 1e-30):
-                converged = True
-                message = "energy decrease below tolerance"
+            converged, message = True, STATIONARY
 
     final = ScalarField(kern.lattice, x, u0.exterior)
     return MinimizeResult(

@@ -17,7 +17,7 @@ from fraclab.lattice import (
     ball_mask,
     psi_field,
 )
-from fraclab.potential import Quartic
+from fraclab.potential import Quartic, Tabulated
 
 LAT1 = Lattice(dim=1, h=0.5, lo=(-8,), hi=(8,))
 LAT2 = Lattice(dim=2, h=0.5, lo=(-6, -6), hi=(6, 6))
@@ -343,10 +343,10 @@ def test_fl_is_half_gradient_of_K(kern1, kern2):
             assert fd == pytest.approx(analytic, rel=1e-8)
 
 
-# ------------------------------------------------------------------ sampled exterior
+# ------------------------------------------------------------------ padded box
 
 
-def test_sampled_exterior_matches_direct():
+def test_padded_box_matches_direct():
     # exterior samples are the fixed cells of a padded box, with the
     # constant +1 beyond it; energy and operator against explicit pair sums
     outer = Lattice(dim=1, h=0.5, lo=(-12,), hi=(12,))
@@ -369,7 +369,7 @@ def test_sampled_exterior_matches_direct():
                                atol=1e-13 * max(map(abs, fl)))
 
 
-def test_sampled_exterior_must_enclose(kern1):
+def test_padded_box_must_enclose(kern1):
     # the model works on the kernel's box: samples outside omega must be
     # cells of that box, so a field or omega on another lattice is refused
     pot = Quartic()
@@ -458,14 +458,14 @@ def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("kind", ["constant", "halfspace", "sampled"])
+@pytest.mark.parametrize("kind", ["constant", "halfspace", "padded"])
 def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
     kern, lat = (kern1, LAT1) if dim == 1 else (kern2, LAT2)
     rng = np.random.default_rng(17)
     pot = Quartic()
     om = CellSet(lat, rng.random(lat.shape) < 0.5)
     vals = rng.uniform(-1.0, 1.0, lat.shape)
-    if kind == "sampled":
+    if kind == "padded":
         # omega inside the original box, random fixed cells in a pad of 3
         # below and 2 above, and -1 beyond the padded box
         lat = Lattice(dim, lat.h, tuple(a - 3 for a in lat.lo),
@@ -500,6 +500,36 @@ def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
     assert model.seminorm(y) == pytest.approx(k_y, rel=1e-12)
     np.testing.assert_allclose(model.gradient(y), grad_y, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(grad_y)))
+
+
+TAB = Tabulated(tuple(np.linspace(-1.0, 1.0, 9)),
+                tuple(0.3 * (1 - t * t) ** 2 * (1 + 0.15 * t) for t in np.linspace(-1.0, 1.0, 9)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("pot", [Quartic(), TAB], ids=["quartic", "tabulated"])
+def test_segment_change_matches_energy_difference(kern1, kern2, dim, pot):
+    # the segment's small difference against two full evaluations, and
+    # the moved T(o) against a fresh model's gradient
+    kern, lat = (kern1, LAT1) if dim == 1 else (kern2, LAT2)
+    rng = np.random.default_rng(31)
+    om = CellSet(lat, rng.random(lat.shape) < 0.6)
+    x = rng.uniform(-0.9, 0.9, lat.shape)
+    u = ScalarField(lat, x, HalfspaceExterior(dim - 1, 0.2))
+    model = EnergyModel(kern, pot, u, om)
+    e0 = model.energy(x)
+    target = np.clip(x + rng.normal(0.0, 0.5, lat.shape), -1.0, 1.0)
+    d = np.where(om.members, target - x, 0.0)
+    delta = model.segment(x, d)
+    for t in (1.0, 0.5, 0.125):
+        ref = EnergyModel(kern, pot, u, om)
+        diff = ref.energy(x + t * d) - ref.energy(x)
+        assert abs(delta(t) - diff) <= 4e-15 * abs(e0)
+    y = model.move(0.125)
+    assert np.array_equal(y, np.clip(x + 0.125 * d, -1.0, 1.0))
+    grad = EnergyModel(kern, pot, u, om).gradient(y)
+    np.testing.assert_allclose(model.gradient(y), grad, rtol=0,
+                               atol=4e-15 * np.max(np.abs(grad)))
 
 
 def test_constant_sign_field_is_exactly_zero(kern1, kern2):

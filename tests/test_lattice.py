@@ -166,7 +166,7 @@ def test_halfspace_exterior_sign_convention():
             assert all(trend * (b - a) > 0.0 for a, b in zip(ks, ks[1:]))
 
 
-def test_sampled_exterior_lookup_and_fill():
+def test_padded_box_lookup_and_fill():
     # fixed samples are cells of an enclosing box: the field on that box
     # checks their shape and range, the constant beyond checks its fill
     outer = Lattice(1, 1.0, (-2,), (2,))

@@ -19,7 +19,7 @@ from fraclab.minimize import (
     initial_field,
     minimize_energy,
 )
-from fraclab.potential import Quartic
+from fraclab.potential import Quartic, Tabulated
 
 LAT = Lattice(dim=1, h=1.0, lo=(-42,), hi=(42,))
 EXT = HalfspaceExterior(0, 0.0)
@@ -368,15 +368,18 @@ def test_subdomain_requires_containment(kern, b40):
         subdomain_check(kern, Quartic(), res, ball_mask(LAT, 0.0, 5.0), trials=0)
 
 
-def test_one_convolution_per_trial_point(kern, monkeypatch):
-    # beyond the model's fixed set-up, each energy evaluation costs at most
-    # one symmetrized convolution and the accepted point's gradient none
-    counts = {"conv": 0, "energy": 0, "gradient": 0}
+def test_one_convolution_per_iteration(kern, monkeypatch):
+    # beyond the model's fixed set-up and the start's energy, each
+    # iteration costs one symmetrized convolution (of its search
+    # direction), and stopping one more (the fresh gradient); the energy
+    # is evaluated once, at the start, and every trial comes from the
+    # segment
+    counts = {"conv": 0, "energy": 0, "gradient": 0, "refresh": 0}
 
     def counted(name, fn):
-        def wrapper(self, x):
+        def wrapper(self, *args):
             counts[name] += 1
-            return fn(self, x)
+            return fn(self, *args)
         return wrapper
 
     monkeypatch.setattr(EnergyModel, "_conv", counted("conv", EnergyModel._conv))
@@ -387,10 +390,43 @@ def test_one_convolution_per_trial_point(kern, monkeypatch):
     EnergyModel(kern, pot, u0, om)
     setup = counts["conv"]
     counts["conv"] = 0
-    monkeypatch.setattr(EnergyModel, "energy", counted("energy", EnergyModel.energy))
-    monkeypatch.setattr(EnergyModel, "gradient",
-                        counted("gradient", EnergyModel.gradient))
+    for name in ("energy", "gradient", "refresh"):
+        monkeypatch.setattr(EnergyModel, name, counted(name, getattr(EnergyModel, name)))
     res = minimize_energy(kern, pot, u0, om, MinimizeConfig(max_iters=200))
     assert res.iterations > 20
-    assert counts["gradient"] == res.iterations + 1
-    assert counts["conv"] <= setup + counts["energy"]
+    assert counts["energy"] == 1
+    assert counts["refresh"] == 1
+    assert counts["gradient"] == res.iterations + 1 + counts["refresh"]
+    assert counts["conv"] <= setup + 1 + res.iterations + counts["refresh"]
+
+
+def _fresh_projected_grad(kern, pot, res):
+    model = EnergyModel(kern, pot, res.field, res.omega)
+    x = res.field.values
+    g = model.gradient(x)
+    return float(np.max(np.abs(np.where(model.omega, x - np.clip(x - g, -1.0, 1.0), 0.0))))
+
+
+def test_converged_grad_norm_is_fresh(kern, b40):
+    # the reported norm is the projected gradient of a fresh model on the
+    # final field, bit for bit, and the carried energy is that of the field
+    res, om = b40
+    assert res.grad_norm == _fresh_projected_grad(kern, Quartic(), res)
+    assert res.trace[-1, 2] == res.grad_norm
+    fresh = energy_E(kern, Quartic(), res.field, om)
+    assert abs(res.energy - fresh) <= 1e-12 * abs(fresh)
+
+
+def test_tabulated_well_converges(kern):
+    # the segment evaluates a tabulated well pointwise, as it does a quartic
+    ts = np.linspace(-1.0, 1.0, 9)
+    pot = Tabulated(tuple(ts), tuple(0.25 * (1 - ts**2) ** 2))
+    om = ball_mask(LAT, 0.0, 30.0)
+    res = minimize_energy(kern, pot, initial_field(LAT, EXT), om,
+                          MinimizeConfig(max_iters=3000))
+    assert res.converged and "gradient" in res.message
+    assert res.grad_norm < res.config.grad_tol
+    assert res.grad_norm == _fresh_projected_grad(kern, pot, res)
+    assert np.all(np.diff(res.energy_trace) <= 0)
+    fresh = energy_E(kern, pot, res.field, om)
+    assert abs(res.energy - fresh) <= 1e-12 * abs(fresh)
