@@ -63,7 +63,6 @@ class ExperimentConfig:
 
     max_iters: int = 2000
     grad_tol: float = 1e-7
-    energy_tol: float = 1e-12
 
     slope_tol: float = 0.15
 

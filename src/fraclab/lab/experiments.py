@@ -94,11 +94,7 @@ def _exterior(cfg: ExperimentConfig):
 
 
 def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
-    return MinimizeConfig(
-        max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol,
-        energy_tol=cfg.energy_tol,
-    )
+    return MinimizeConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
 
 
 def _center_value(values: np.ndarray, lat: Lattice) -> float:
@@ -147,7 +143,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     mcfg = _minimize_cfg(cfg)
 
     columns = ["R", "n_cells", "converged", "iterations",
-               "energy_ball", "energy_competitor"]
+               "energy_ball", "energy_competitor", "grad_norm"]
     rows = []
     usable: list[tuple[float, float, float]] = []
     excluded: list[float] = []
@@ -160,7 +156,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
         e_ball = energy_E(kern, pot, res.field, ball_mask(lat, 0.0, radius))
         e_psi = energy_E(kern, pot, psi_field(lat, radius), omega)
         rows.append([radius, lat.n_cells, res.converged, res.iterations,
-                     e_ball, e_psi])
+                     e_ball, e_psi, res.grad_norm])
         # a vanishing ball energy has no log and cannot enter a power fit
         if res.converged and e_ball > 0:
             usable.append((radius, e_ball, e_psi))
@@ -269,7 +265,8 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
 
     criteria: list[Criterion] = [
         Criterion("minimized", res.converged,
-                  f"{res.iterations} iterations, {res.message}")]
+                  f"{res.iterations} iterations, {res.message}, grad_norm "
+                  f"{res.grad_norm:.3g} vs grad_tol {cfg.grad_tol:g}")]
     u0 = _center_value(values, lat)
     applicable = u0 > cfg.theta1
     status = "ok" if applicable else "inapplicable"
@@ -389,7 +386,7 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
     columns = ["eps", "box_radius", "n_cells", "converged", "iterations",
                "band_cells", "distance_phys", "distance_cells",
-               "distance_rescaled"]
+               "distance_rescaled", "grad_norm"]
     rows = []
     series: list[tuple[float, float | None]] = []
     excluded = []
@@ -412,7 +409,8 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             d_phys = d_cells = d_scaled = None
         rows.append([eps, box_r, lat.n_cells, res.converged,
-                     res.iterations, count, d_phys, d_cells, d_scaled])
+                     res.iterations, count, d_phys, d_cells, d_scaled,
+                     res.grad_norm])
         if res.converged:
             series.append((eps, d_cells))
         else:
@@ -503,12 +501,13 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
                "measure_b", "b_floored", "interaction", "bound", "ratio"]
     rows: list[list] = []
     minima: dict[str, float] = {}
-    kernels = {}
+    reports = {}
     for s in s_values:
-        kern = kernels[s] = build_kernel(lat, s)
+        kern = build_kernel(lat, s)
         for i, (_, a_set, b_set) in enumerate(pairs):
             for probe in cfg.c_probes:
-                rep = setgeom.check_gmt(kern, a_set, b_set, c_probe=probe)
+                rep = reports[s, i, probe] = setgeom.check_gmt(
+                    kern, a_set, b_set, c_probe=probe)
                 rows.append([i, s, probe, rep.regime, rep.s_branch,
                              rep.measure_a, rep.measure_b, rep.b_floored,
                              rep.interaction, rep.bound, rep.ratio])
@@ -535,9 +534,8 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
             fkern = build_kernel(fine, refine_s)
             probe = cfg.c_probes[len(cfg.c_probes) // 2]
             devs = []
-            for _, a_set, b_set in pairs[: cfg.refine_cases]:
-                coarse = setgeom.check_gmt(kernels[refine_s], a_set, b_set,
-                                           c_probe=probe)
+            for i, (_, a_set, b_set) in enumerate(pairs[: cfg.refine_cases]):
+                coarse = reports[refine_s, i, probe]
                 refined = setgeom.check_gmt(
                     fkern, _refine_set(a_set, fine), _refine_set(b_set, fine),
                     c_probe=probe)

@@ -138,7 +138,7 @@ def test_config_overrides_win(tmp_path):
 
 def test_config_rejects_unknown_key():
     for key in ("radius", "threads", "near_radius", "quad_tol", "half_band",
-                "density_r_floor"):
+                "density_r_floor", "energy_tol"):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_sources("gmt", {key: "4"})
 
@@ -260,7 +260,7 @@ def test_energy_growth_requires_four_radii():
 def test_energy_growth_excludes_nonconverged():
     cfg = ExperimentConfig(experiment="energy-growth", s=0.25, dim=1, h=0.5,
                            radii=(4.0, 6.0, 8.0, 12.0), max_iters=1,
-                           grad_tol=1e-14, energy_tol=1e-16)
+                           grad_tol=1e-14)
     rep = run_energy_growth(cfg)
     assert not rep.passed
     names = {c.name: c for c in rep.criteria}
