@@ -3,8 +3,8 @@
 The quadratic interaction of a field with itself splits into three pieces:
 pairs of cells inside the box (a convolution against the dense offset
 table), pairs between a cell and the analytic exterior (per-cell tail
-quadratics), and the local double-well term.  Final reductions all use
-compensated summation in fixed cell order, so values are reproducible
+quadratics), and the local double-well term.  Final reductions are all
+correctly rounded sums (``stable_sum``), so values are reproducible
 bit-for-bit.
 
 The in-box pairs form a quadratic form whose matrix T, the offset table,
@@ -15,15 +15,18 @@ moves o.  A new point costs one convolution, of its free part, and its
 gradient reuses it.  On a segment u + t*d the seminorm is a quadratic in
 t, so one convolution, of d, prices every trial point on it, and moving
 to one updates T(o) by t*T(d) with none.  Every convolution
-(``convolve``) multiplies by the table's spectrum, of which the kernel
-caches one, at the circular length 2n - 1 per axis.
+(``convolve``) splits the field into parity classes about the box centre
+and multiplies each class's DCT/DST by a slice of the one spectrum the
+kernel caches, so reflecting a field reflects T of it bit-for-bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import dct, dst, idct, idst
 
-from .kernels import KernelTable, fftconvolve, stable_sum
+# unused here; kept bound because perfbench/tracing.py wraps energies.fftconvolve
+from .kernels import KernelTable, fftconvolve, stable_sum  # noqa: F401
 from .lattice import CellSet, ConstantExterior, HalfspaceExterior, ScalarField
 
 __all__ = ["EnergyModel", "convolve", "energy_E"]
@@ -32,34 +35,63 @@ __all__ = ["EnergyModel", "convolve", "energy_E"]
 def convolve(kern: KernelTable, x: np.ndarray) -> np.ndarray:
     """Offset-table convolution: out_i = sum_j table[i-j] * x_j.
 
-    Averaged with its mirror image per axis, innermost over axis 0, so
-    reflecting the input reflects the output bit-for-bit (the FFT alone
-    does not commute exactly with reflection); commutativity of the final
-    addition makes the average exactly equivariant.
+    The table is even in every axis, so the convolution is symmetric
+    convolution (Martucci, IEEE Trans. Signal Process. 42, 1994).  Per
+    axis the field folds about the box centre into an even class, hi + lo
+    (the centre cell doubled ahead of it on an odd extent), and an odd
+    class, hi - lo.  Each of the 2^dim classes is transformed along every
+    axis, DCT-II/DST-II on an even extent and DCT-I/DST-I on an odd one,
+    multiplied by its window of ``kern.spectrum`` and transformed back;
+    the halves unfold as E + O above the centre and E - O, mirrored,
+    below.  Reflecting the input leaves an even class bit-identical and
+    negates an odd one exactly, so reflecting the input reflects the
+    output bit-for-bit.  A class of extent 0 (an axis of extent 1) is
+    skipped.
     """
     if x.shape != kern.lattice.shape:
         raise ValueError("field shape does not match the kernel lattice")
-    fshape, spec = kern.spectrum
-    inner = tuple(slice(n - 1, 2 * n - 1) for n in x.shape)
+    return _by_parity(x, *kern.spectrum)
 
-    def sym(y, axis):
-        if axis < 0:
-            return fftconvolve(y, spec, fshape)[inner]
-        return 0.5 * (sym(y, axis - 1) + np.flip(sym(np.flip(y, axis), axis - 1), axis))
 
-    return sym(x, x.ndim - 1)
+def _by_parity(y, Ns, K, folded=()):
+    """T of y, whose leading axes are folded: (odd, kind) per such axis,
+    with kind 2 on an even extent and 1 on an odd one."""
+    a = len(folded)
+    if a < y.ndim:
+        n, h = y.shape[a], y.shape[a] // 2
+
+        def at(*s):
+            return (slice(None),) * a + (slice(*s),)
+
+        lo, hi, c = np.flip(y[at(0, h)], a), y[at(n - h, n)], y[at(h, n - h)]
+        kind = 2 - n % 2
+        E = _by_parity(np.concatenate([c + c, hi + lo], a), Ns, K, folded + ((0, kind),))
+        O = _by_parity(hi - lo, Ns, K, folded + ((1, kind),))
+        c, E = E[at(0, n % 2)], E[at(n % 2, None)]
+        return np.concatenate([np.flip(E - O, a), c, E + O], a)
+    if y.size == 0:
+        return y
+    m, window = y.shape, []
+    for a, (N, (odd, kind)) in enumerate(zip(Ns, folded)):
+        w = slice(odd, N + odd) if kind == 2 else slice(odd, N + 1 - odd)
+        y = (dst if odd else dct)(y, kind, n=w.stop - w.start, axis=a)
+        window.append(w)
+    y = y * K[tuple(window)]
+    for a, (odd, kind) in enumerate(folded):
+        y = (idst if odd else idct)(y, kind, axis=a)
+    return y[tuple(slice(0, k) for k in m)]
 
 
 class EnergyModel:
     """Workspace for repeated energy and gradient evaluation.
 
     Fixes the kernel, the potential, the exterior data and the free region
-    once.  An energy at a new point then costs one reflection-symmetrized
-    convolution, of the point's free part, and the gradient at the point
-    last evaluated costs none.  A point whose fixed cells differ from the
-    model's field pays one more.  ``segment`` and ``move`` walk the model's
-    point along a segment at one convolution per segment.  ``omega``
-    defaults to every cell in the box.  Data held fixed are the box cells
+    once.  An energy at a new point then costs one convolution, of the
+    point's free part, and the gradient at the point last evaluated costs
+    none.  A point whose fixed cells differ from the model's field pays
+    one more.  ``segment`` and ``move`` walk the model's point along a
+    segment at one convolution per segment.  ``omega`` defaults to every
+    cell in the box.  Data held fixed are the box cells
     outside ``omega`` and, beyond the box, the field's exterior descriptor.
     """
 
@@ -162,8 +194,8 @@ class EnergyModel:
         The well is evaluated at each trial point.  Returns
         delta(t) = E(u + t*d) - E(u), formed directly as the small
         difference sum(t*slope + t^2*curvature + h^n*(W(u + t*d) - W(u)))
-        in one compensated sum.  Segment points are clipped to [-1, 1],
-        the well's domain, which moves them by round-off at most.
+        in one correctly rounded sum.  Segment points are clipped to
+        [-1, 1], the well's domain, which moves them by round-off at most.
         """
         m = self.omega
         td = self._conv(d)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import dctn, irfftn, next_fast_len, rfftn
 from scipy.special import betainc
 
 from .lattice import Lattice
@@ -56,17 +56,40 @@ __all__ = [
 
 
 def stable_sum(arr) -> float:
-    """Compensated sum in fixed C order; bit-reproducible across runs."""
-    return math.fsum(np.asarray(arr, dtype=float).ravel(order="C").tolist())
+    """Correctly rounded sum of the floats of arr, bit-identical to
+    ``math.fsum`` over them in C order.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008).  With n entries r and m = max|r| < 2^e, a pass takes
+    sigma = 2^(e + bit_length(n - 1)) and q = (sigma + r) - sigma: r
+    rounded to a multiple of ulp(sigma)/2 with |q| <= 2^e.  So q and r - q
+    are exact and the n values q sum exactly in any order.  Passes repeat
+    on r - q until it is zero, and ``math.fsum`` rounds the exact pass sums
+    once.  Input that is all zero (the sign of zero), not finite, or with m
+    outside 2^(+-900) goes to ``math.fsum`` as a list.
+    """
+    r = np.asarray(arr, dtype=float).ravel(order="C")
+    m = float(abs(r).max()) if r.size else 0.0
+    if not 2.0**-900 <= m <= 2.0**900:
+        return math.fsum(r.tolist())
+    b = (r.size - 1).bit_length()
+    parts = []
+    while m:
+        sigma = math.ldexp(1.0, math.frexp(m)[1] + b)
+        q = (sigma + r) - sigma
+        parts.append(float(q.sum()))
+        r = r - q
+        m = float(abs(r).max())
+    return math.fsum(parts)
 
 
 def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
     """Circular convolution at fshape of x with the array whose rfftn at
-    fshape is ``spec`` (see ``KernelTable.spectrum``).  A table of extent
-    2n - 1 and a field of extent n convolve linearly to extent 3n - 2; at
-    fshape >= 2n - 1 the entries past fshape wrap into [0, n - 1), so the
-    in-box window [n - 1, 2n - 1) is exact.  Every raw in-box convolution
-    goes through this function.
+    fshape is ``spec``.  An array of extent 2n - 1 and a field of extent n
+    convolve linearly to extent 3n - 2; at fshape >= 2n - 1 the entries
+    past fshape wrap into [0, n - 1), so the window [n - 1, 2n - 1) is
+    exact.  ``setgeom._pair_mass`` counts pair offsets with it; table
+    convolutions of fields are ``energies.convolve``.
     """
     return irfftn(rfftn(x, fshape) * spec, fshape)
 
@@ -476,15 +499,21 @@ class KernelTable:
 
     @cached_property
     def spectrum(self):
-        """(fshape, spectrum) for convolving fields of the lattice's shape.
+        """(Ns, K) for ``energies.convolve`` on fields of the lattice's shape.
 
-        fshape is next_fast_len(2n - 1) per axis and spectrum the rfftn of
-        the offset table at that shape.  The table spans offsets up to
-        n - 1 either way, so a circular convolution at fshape gives the
-        in-box window with no wrap-around (see ``fftconvolve``).
+        Per axis N = next_fast_len(n) >= n, so the table extended
+        2N-periodically does not alias offsets up to n - 1 into the box.
+        The table is even in every axis, so its half at offsets 0..N (zero
+        past n - 1) determines it, and K = 2^(-dim) DCT-I of that half is
+        the 2N-point DFT of the table, halved once per axis for the parity
+        fold's doubling.  A class takes the window K[0:N],
+        K[1:N+1] (DCT-II, DST-II), K[0:N+1] or K[1:N] (DCT-I, DST-I) per
+        axis.
         """
-        fshape = tuple(next_fast_len(2 * n - 1, True) for n in self.lattice.shape)
-        return fshape, rfftn(self.table, fshape)
+        shape = self.lattice.shape
+        Ns = tuple(next_fast_len(n, True) for n in shape)
+        half = self.table[tuple(slice(n - 1, None) for n in shape)]
+        return Ns, 2.0 ** -len(shape) * dctn(half, type=1, s=tuple(N + 1 for N in Ns))
 
     # -- tails ---------------------------------------------------------------
 

@@ -12,8 +12,8 @@ minimality checks all refer to the same energy.  There is one stopping
 rule, as in the method's source: a run has converged when the projected
 gradient, taken from a fresh convolution, is below grad_tol.
 
-Every reduction is a compensated sum and the convolutions are
-reflection-symmetrized, so a run is deterministic and mirroring the data
+Every reduction is a correctly rounded sum and the convolutions are
+exactly reflection-equivariant, so a run is deterministic and mirroring the data
 mirrors the iterates bit-for-bit.
 """
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -426,11 +427,12 @@ def test_cached_spectrum_convolution_is_fftconvolve(lo, hi):
 
 @pytest.mark.parametrize("lo, hi", [((-4,), (4,)), ((-4, -6), (4, 7))])
 def test_convolution_at_tightest_circular_length(lo, hi):
-    # extents 8 and 13 pad to exactly 2n - 1 = 15 and 25, so a spectrum one
-    # cell shorter would wrap the far offsets into the window
+    # extent 8 transforms at exactly N = n, the shortest period 2N that
+    # keeps the far offsets +-(n - 1) from wrapping into the window; 13
+    # rounds up to the fast length 15
     lat = Lattice(dim=len(lo), h=0.5, lo=lo, hi=hi)
     kern = build_kernel(lat, 0.75)
-    assert kern.spectrum[0] == tuple(2 * n - 1 for n in lat.shape)
+    assert kern.spectrum[0] == (8, 15)[:lat.dim]
     x = np.random.default_rng(lat.n_cells).uniform(-1.0, 1.0, lat.shape)
     got = convolve(kern, x)
     _assert_close_to_max(got, _pair_sum_convolution(kern, x))
@@ -438,6 +440,22 @@ def test_convolution_at_tightest_circular_length(lo, hi):
         assert np.array_equal(convolve(kern, np.flip(x, axes)), np.flip(got, axes))
     with pytest.raises(ValueError, match="field shape"):
         convolve(kern, np.zeros(tuple(n + 1 for n in lat.shape)))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (1, 1), (1, 5), (2, 3), (7, 4)])
+def test_convolution_on_tiny_and_odd_boxes(shape):
+    # an axis of extent 1 leaves its odd class empty, an odd extent folds
+    # about a centre cell; both against the pair sum, and exactly
+    # equivariant under every reflection and under negation
+    lat = Lattice(dim=len(shape), h=0.5, lo=(0,) * len(shape), hi=shape)
+    kern = build_kernel(lat, 0.25)
+    x = np.random.default_rng(lat.n_cells).uniform(-1.0, 1.0, shape)
+    got = convolve(kern, x)
+    _assert_close_to_max(got, _pair_sum_convolution(kern, x))
+    for r in range(1, lat.dim + 1):
+        for axes in itertools.combinations(range(lat.dim), r):
+            assert np.array_equal(convolve(kern, np.flip(x, axes)), np.flip(got, axes))
+    assert np.array_equal(convolve(kern, -x), -got)
 
 
 def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -555,6 +555,68 @@ def test_stable_sum_compensated():
     floats = [float(view[i, j]) for i in range(view.shape[0]) for j in range(view.shape[1])]
     assert stable_sum(view) == math.fsum(floats)
     assert stable_sum(floats) == math.fsum(floats)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 2.0**-1000, -2.0**-1000,
+           2.0**900, 2.0**1000, -2.0**1000, 2.0**1023, 1e16, -1e16, 1.0,
+           math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _float_arrays(draw):
+    """Float vectors: hypothesis's own floats, or up to 20 000 drawn by
+    numpy across an exponent window, cancelling in pairs, or from special
+    values and signed zeros."""
+    kind = draw(st.sampled_from(["floats", "window", "cancel", "special", "zeros"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(), max_size=40)), dtype=float)
+    n = draw(st.integers(0, 20000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "special":
+        return rng.choice(SPECIAL, n)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], n) if draw(st.booleans()) else np.full(n, -0.0)
+    lo = draw(st.integers(-1100, 1023))
+    hi = min(lo + draw(st.integers(0, 200)), 1023)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi + 1, n))
+    if kind == "cancel":
+        # each value with its negative, some off by one ulp
+        x = np.concatenate([x, -x * (1.0 + 2.0**-52 * rng.integers(0, 2, n))])
+        x = x[rng.permutation(x.size)]
+    return x
+
+
+def _fsum_outcome(fn, arg):
+    try:
+        return fn(arg)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_float_arrays(), layout=st.sampled_from(["array", "list", "view"]))
+@example(x=np.array([]), layout="list")
+@example(x=np.full(7, -0.0), layout="array")
+@example(x=np.array([2.0**1000, 2.0**1000, -(2.0**1000)]), layout="list")
+@example(x=np.array([math.inf, -math.inf, 1.0]), layout="array")
+def test_stable_sum_is_math_fsum(x, layout):
+    # bitwise the value of math.fsum over the floats in C order (signed
+    # zeros and nan included), or the same exception
+    if layout == "list":
+        arg = x.tolist()
+    elif layout == "view":
+        arg = np.zeros(2 * x.size)[::-2]  # reversed and strided
+        arg[...] = x
+    else:
+        arg = x
+    floats = [float(v) for v in np.asarray(arg).flat]
+    got, want = _fsum_outcome(stable_sum, arg), _fsum_outcome(math.fsum, floats)
+    if isinstance(want, type):
+        assert got is want
+    elif math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_tails_finite_when_box_bound_misses_cell_edge_by_an_ulp():
