@@ -16,11 +16,16 @@ gradient reuses it.  On a segment u + t*d the seminorm is a quadratic in
 t, so one convolution, of d, prices every trial point on it, and moving
 to one updates T(o) by t*T(d) with none.  Every convolution
 (``convolve``) splits the field into parity classes about the box centre
-and multiplies each class's DCT/DST by a slice of the one spectrum the
-kernel caches, so reflecting a field reflects T of it bit-for-bit.
+and multiplies each class's DCT/DST by its window of the one spectrum the
+kernel caches, so reflecting a field reflects T of it bit-for-bit.  The
+same transforms with the windows replaced by 1 / (2c + sigma - 2K) apply
+the minimizer's preconditioner (``EnergyModel.precondition``), the
+inverse of P = (2c + sigma)I - 2T truncated to the box.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, dst, idct, idst
@@ -43,43 +48,73 @@ def convolve(kern: KernelTable, x: np.ndarray) -> np.ndarray:
     axis, DCT-II/DST-II on an even extent and DCT-I/DST-I on an odd one,
     multiplied by its window of ``kern.spectrum`` and transformed back;
     the halves unfold as E + O above the centre and E - O, mirrored,
-    below.  Reflecting the input leaves an even class bit-identical and
-    negates an odd one exactly, so reflecting the input reflects the
-    output bit-for-bit.  A class of extent 0 (an axis of extent 1) is
-    skipped.
+    below.  The classes are stacked, so per axis and direction one
+    transform call serves them all on an even extent (a DST-II is the
+    DCT-II of the sign-alternated class, read reversed) and two on an odd
+    one (the DCT-I classes and the DST-I classes).  Reflecting the input
+    leaves an even class bit-identical and negates an odd one exactly, so
+    reflecting the input reflects the output bit-for-bit.  A class of
+    extent 0 (an axis of extent 1) is skipped.
     """
     if x.shape != kern.lattice.shape:
         raise ValueError("field shape does not match the kernel lattice")
-    return _by_parity(x, *kern.spectrum)
+    return _by_class(x, *kern.spectrum)
 
 
-def _by_parity(y, Ns, K, folded=()):
-    """T of y, whose leading axes are folded: (odd, kind) per such axis,
-    with kind 2 on an even extent and 1 on an odd one."""
-    a = len(folded)
-    if a < y.ndim:
-        n, h = y.shape[a], y.shape[a] // 2
+def _by_class(x, Ns, W):
+    """The even operator whose class multipliers W stacks (see
+    ``KernelTable.spectrum``) applied to x: the table's convolution for
+    the kernel's W, and any other even operator on the lattice for another
+    W of that layout.  The work array has a class axis per spatial axis,
+    shape (2,)*dim + spatial; on an odd extent the odd class sits one cell
+    up, behind a zero, at the even class's length."""
+    dim = x.ndim
 
-        def at(*s):
-            return (slice(None),) * a + (slice(*s),)
+    def sp(a, *s):  # slice s of spatial axis a
+        return (slice(None),) * (dim + a) + (slice(*s),)
 
-        lo, hi, c = np.flip(y[at(0, h)], a), y[at(n - h, n)], y[at(h, n - h)]
-        kind = 2 - n % 2
-        E = _by_parity(np.concatenate([c + c, hi + lo], a), Ns, K, folded + ((0, kind),))
-        O = _by_parity(hi - lo, Ns, K, folded + ((1, kind),))
-        c, E = E[at(0, n % 2)], E[at(n % 2, None)]
-        return np.concatenate([np.flip(E - O, a), c, E + O], a)
-    if y.size == 0:
-        return y
-    m, window = y.shape, []
-    for a, (N, (odd, kind)) in enumerate(zip(Ns, folded)):
-        w = slice(odd, N + odd) if kind == 2 else slice(odd, N + 1 - odd)
-        y = (dst if odd else dct)(y, kind, n=w.stop - w.start, axis=a)
-        window.append(w)
-    y = y * K[tuple(window)]
-    for a, (odd, kind) in enumerate(folded):
-        y = (idst if odd else idct)(y, kind, axis=a)
-    return y[tuple(slice(0, k) for k in m)]
+    def cls(a, p, *s):  # parity p on class axis a, and slice s of spatial axis a
+        return (slice(None),) * a + (slice(p, p + 1),) + (slice(None),) * (dim - 1) + (slice(*s),)
+
+    y = np.asarray(x, dtype=float).reshape((1,) * dim + x.shape)
+    for a, n in enumerate(x.shape):
+        ax, h = dim + a, n // 2
+        lo, hi = np.flip(y[sp(a, 0, h)], ax), y[sp(a, n - h, n)]
+        if n % 2:
+            c = y[sp(a, h, h + 1)]
+            E = np.concatenate([c + c, hi + lo], ax)
+            O = np.concatenate([np.zeros_like(c), hi - lo], ax)
+        else:  # the sign alternation that turns a DCT-II into a reversed DST-II
+            E, O = hi + lo, hi - lo
+            O[sp(a, 1, None, 2)] *= -1.0
+        y = np.concatenate([E, O], a)
+    for a, (n, N) in enumerate(zip(x.shape, Ns)):
+        ax = dim + a
+        if n % 2 == 0:
+            y = dct(y, 2, n=N, axis=ax, overwrite_x=True)
+            continue
+        z = np.zeros(y.shape[:ax] + (N + 1,) + y.shape[ax + 1:])
+        z[cls(a, 0, None)] = dct(y[cls(a, 0, None)], 1, n=N + 1, axis=ax)
+        if N > 1:
+            z[cls(a, 1, 1, N)] = dst(y[cls(a, 1, 1, None)], 1, n=N - 1, axis=ax)
+        y = z
+    y *= W
+    for a, (n, N) in enumerate(zip(x.shape, Ns)):
+        ax = dim + a
+        if n % 2 == 0:
+            y = idct(y, 2, axis=ax, overwrite_x=True)
+            y[cls(a, 1, 1, None, 2)] *= -1.0
+        else:
+            y[cls(a, 0, None)] = idct(y[cls(a, 0, None)], 1, axis=ax, overwrite_x=True)
+            if N > 1:
+                y[cls(a, 1, 1, N)] = idst(y[cls(a, 1, 1, N)], 1, axis=ax, overwrite_x=True)
+        y = y[sp(a, 0, n - n // 2)]
+    for a in reversed(range(dim)):
+        ax, k = dim + a, x.shape[a] % 2
+        E, O = y[cls(a, 0, None)], y[cls(a, 1, k, None)]
+        c, E = E[sp(a, 0, k)], E[sp(a, k, None)]
+        y = np.concatenate([np.flip(E - O, ax), c, E + O], ax)
+    return y.reshape(x.shape)
 
 
 class EnergyModel:
@@ -90,9 +125,11 @@ class EnergyModel:
     point's free part, and the gradient at the point last evaluated costs
     none.  A point whose fixed cells differ from the model's field pays
     one more.  ``segment`` and ``move`` walk the model's point along a
-    segment at one convolution per segment.  ``omega`` defaults to every
-    cell in the box.  Data held fixed are the box cells
-    outside ``omega`` and, beyond the box, the field's exterior descriptor.
+    segment at one convolution per segment, and ``precondition`` applies
+    the inverse of a Toeplitz approximation of the Hessian at one
+    transform pass.  ``omega`` defaults to every cell in the box.  Data
+    held fixed are the box cells outside ``omega`` and, beyond the box,
+    the field's exterior descriptor.
     """
 
     def __init__(self, kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None):
@@ -130,8 +167,12 @@ class EnergyModel:
         self._tf = self._conv(self._f)
         # the free part of the last point evaluated, and T of it
         self._o = self._to = None
-        # the last segment: its start u, direction d, T(o) at u and T(d)
+        # the last segment: its start u, direction d, T(o) and T(f) at u,
+        # T(d), and the last trial's t and well values on omega
         self._seg = None
+        # the model's point after ``move``: the field, T of its fixed part,
+        # its flux once ``gradient`` forms it, and its well values on omega
+        self._x = self._tfx = self._fl = self._w = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -146,10 +187,21 @@ class EnergyModel:
         """
         o = np.where(self.omega, u, 0.0)
         if self._o is None or not np.array_equal(o, self._o):
-            self._o, self._to = o, self._conv(o)
+            self._o, self._to, self._x = o, self._conv(o), None
         f = np.where(self.omega, 0.0, u)
         tf = self._tf if np.array_equal(f, self._f) else self._conv(f)
         return f, self._to, tf
+
+    def _pair(self, u: np.ndarray):
+        # (T(o), T(f)) at u: the model's own point's as they stand, without
+        # comparing fields, and any other point's through _split
+        if u is self._x:
+            return self._to, self._tfx
+        return self._split(u)[1:]
+
+    def _flux(self, u: np.ndarray, to: np.ndarray, tf: np.ndarray) -> np.ndarray:
+        # half the seminorm's gradient, on every cell
+        return u * self._c_box - to - tf + self.t0 * u - self.t1
 
     # -- evaluation -----------------------------------------------------------
 
@@ -172,14 +224,12 @@ class EnergyModel:
     def energy(self, u: np.ndarray) -> float:
         return self.seminorm(u) + self.potential_term(u)
 
-    def _flux(self, u: np.ndarray) -> np.ndarray:
-        # half the seminorm's gradient, on every cell
-        _, to, tf = self._split(u)
-        return u * self._c_box - to - tf + self.t0 * u - self.t1
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
-        g = 2.0 * self._flux(u)
+        fl = self._flux(u, *self._pair(u))
+        if u is self._x:
+            self._fl = fl
+        g = 2.0 * fl
         if self.pot is not None:
             g = g + self.cell_measure * self.pot.deriv(u)
         return np.where(self.omega, g, 0.0)
@@ -196,39 +246,88 @@ class EnergyModel:
         difference sum(t*slope + t^2*curvature + h^n*(W(u + t*d) - W(u)))
         in one correctly rounded sum.  Segment points are clipped to
         [-1, 1], the well's domain, which moves them by round-off at most.
+        ``delta.metric`` is <d, H0 d> with H0 = 2(diag(c_box + t0) - T)
+        + sigma*I, the Hessian that ``precondition`` approximates.  At the
+        model's own point the flux of its ``gradient`` and the well values
+        of the trial ``move`` accepted are reused.
         """
         m = self.omega
+        to, tf = self._pair(u)
+        here = u is self._x
+        fl = self._fl if here and self._fl is not None else self._flux(u, to, tf)
+        w0 = self._w if here else None
         td = self._conv(d)
         um, dm = u[m], d[m]
-        slope = 2.0 * self._flux(u)[m] * dm
+        slope = 2.0 * fl[m] * dm
         curv = dm * ((self._c_box + self.t0)[m] * dm - td[m])
-        w0 = None if self.pot is None else self.pot.value(um)
-        self._seg = (u, d, self._to, td)
+        if self.pot is not None and w0 is None:
+            w0 = self.pot.value(um)
+        seg = self._seg = [u, d, to, tf, td, None, None]
 
         def delta(t: float) -> float:
             de = t * slope + (t * t) * curv
             if w0 is not None:
-                de += self.cell_measure * (self.pot.value(np.clip(um + t * dm, -1.0, 1.0)) - w0)
+                w = self.pot.value(np.clip(um + t * dm, -1.0, 1.0))
+                seg[5:] = t, w
+                de += self.cell_measure * (w - w0)
             return float(stable_sum(de))
 
+        delta.metric = float(stable_sum(2.0 * curv + self.sigma * (dm * dm)))
         return delta
 
     def move(self, t: float) -> np.ndarray:
         """Make u + t*d on the last segment the model's point and return it.
 
         T of its free part becomes T(o) + t*T(d): no convolution, but the
-        round-off of each move stays in T(o) until ``refresh``.
+        round-off of each move stays in T(o) until ``refresh``.  Cells off
+        omega keep u's values.
         """
-        u, d, to, td = self._seg
-        x = np.clip(u + t * d, -1.0, 1.0)
+        u, d, to, tf, td, t_w, w = self._seg
+        x = np.where(self.omega, np.clip(u + t * d, -1.0, 1.0), u)
         self._o = np.where(self.omega, x, 0.0)
         self._to = to + t * td
+        self._x, self._tfx, self._fl = x, tf, None
+        self._w = w if t_w == t else None
         self._seg = None
         return x
 
     def refresh(self) -> None:
         """Convolve the free part of the model's point afresh."""
         self._to = self._conv(self._o)
+        self._fl = None
+
+    # -- preconditioning ------------------------------------------------------
+
+    @cached_property
+    def sigma(self) -> float:
+        """h^n max(W''(+-1), 0), the well's curvature at its minima; 0
+        without a well."""
+        if self.pot is None:
+            return 0.0
+        return self.cell_measure * max(float(np.max(self.pot.second(np.array([-1.0, 1.0])))), 0.0)
+
+    @cached_property
+    def _inverse(self):
+        # (Ns, M): the class multipliers of P^-1, P = (2c + sigma) I - 2T,
+        # laid out as the kernel's stacked windows W = 2^-dim * spectrum
+        Ns, W = self.kern.spectrum
+        dim = self.kern.lattice.dim
+        c = float(np.max((self._c_box + self.t0)[self.omega], initial=0.0))
+        return Ns, 2.0 ** (-2 * dim) / ((2.0 * c + self.sigma) * 2.0 ** -dim - 2.0 * W)
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        """P^-1 g, with P = (2c + sigma) I - 2T, c = max over omega of
+        c_box + t0 and sigma as in ``sigma``.
+
+        P is the energy's Hessian with every cell's diagonal raised to the
+        largest and the well's curvature taken at its minima; its inverse,
+        truncated to the box, is diagonal in the parity classes' transforms
+        (Chan and Ng, SIAM Review 38, 1996), so applying it costs one pass
+        through the transforms of ``convolve``, with the kernel's windows
+        replaced by 1 / (2c + sigma - 2 * spectrum).  Symmetric positive
+        definite, and reflection-equivariant and odd bit-for-bit.
+        """
+        return _by_class(g, *self._inverse)
 
 
 # -- functional forms ---------------------------------------------------------

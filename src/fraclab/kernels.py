@@ -65,21 +65,25 @@ def stable_sum(arr) -> float:
     rounded to a multiple of ulp(sigma)/2 with |q| <= 2^e.  So q and r - q
     are exact and the n values q sum exactly in any order.  Passes repeat
     on r - q until it is zero, and ``math.fsum`` rounds the exact pass sums
-    once.  Input that is all zero (the sign of zero), not finite, or with m
-    outside 2^(+-900) goes to ``math.fsum`` as a list.
+    once.  A pass updates one copy of the input in place and reuses one
+    scratch array, for q and then for |r - q|.  Input that is all zero
+    (the sign of zero), not finite, or with m outside 2^(+-900) goes to
+    ``math.fsum`` as a list.
     """
-    r = np.asarray(arr, dtype=float).ravel(order="C")
-    m = float(abs(r).max()) if r.size else 0.0
+    r = np.array(arr, dtype=float).ravel(order="C")
+    q = np.abs(r)
+    m = q.max() if r.size else 0.0
     if not 2.0**-900 <= m <= 2.0**900:
         return math.fsum(r.tolist())
     b = (r.size - 1).bit_length()
     parts = []
     while m:
         sigma = math.ldexp(1.0, math.frexp(m)[1] + b)
-        q = (sigma + r) - sigma
-        parts.append(float(q.sum()))
-        r = r - q
-        m = float(abs(r).max())
+        np.add(r, sigma, out=q)
+        q -= sigma
+        parts.append(q.sum())
+        r -= q
+        m = np.abs(r, out=q).max()
     return math.fsum(parts)
 
 
@@ -499,21 +503,31 @@ class KernelTable:
 
     @cached_property
     def spectrum(self):
-        """(Ns, K) for ``energies.convolve`` on fields of the lattice's shape.
+        """(Ns, W) for ``energies.convolve`` on fields of the lattice's shape.
 
         Per axis N = next_fast_len(n) >= n, so the table extended
         2N-periodically does not alias offsets up to n - 1 into the box.
         The table is even in every axis, so its half at offsets 0..N (zero
         past n - 1) determines it, and K = 2^(-dim) DCT-I of that half is
         the 2N-point DFT of the table, halved once per axis for the parity
-        fold's doubling.  A class takes the window K[0:N],
-        K[1:N+1] (DCT-II, DST-II), K[0:N+1] or K[1:N] (DCT-I, DST-I) per
-        axis.
+        fold's doubling.  W stacks K's window for every parity class,
+        shape (2,)*dim + L, class p at W[p].  Per axis, on an even extent
+        (L = N) the even class takes K[0:N] (DCT-II) and the odd class
+        K[1:N+1] reversed, because its DST-II is taken as a DCT-II of the
+        sign-alternated class, read reversed; on an odd extent
+        (L = N + 1) both take K[0:N+1], the DCT-I window, which holds the
+        DST-I window K[1:N] at the same places.
         """
         shape = self.lattice.shape
         Ns = tuple(next_fast_len(n, True) for n in shape)
         half = self.table[tuple(slice(n - 1, None) for n in shape)]
-        return Ns, 2.0 ** -len(shape) * dctn(half, type=1, s=tuple(N + 1 for N in Ns))
+        K = 2.0 ** -len(shape) * dctn(half, type=1, s=tuple(N + 1 for N in Ns))
+        index = []
+        for a, (n, N) in enumerate(zip(shape, Ns)):
+            both = [np.arange(N), np.arange(N, 0, -1)] if n % 2 == 0 else [np.arange(N + 1)] * 2
+            index.append(np.reshape(both, (1,) * a + (2,) + (1,) * (len(shape) - 1)
+                                    + (-1,) + (1,) * (len(shape) - 1 - a)))
+        return Ns, K[tuple(index)]
 
     # -- tails ---------------------------------------------------------------
 

@@ -131,7 +131,10 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
 
     For each R the energy is minimized over B_{R+2} and reported on B_R,
     alongside the two-interface comparison profile whose energy bounds the
-    minimum from above.  Away from s = 1/2 the fit is a log-log line with
+    minimum from above.  The sweep continues from radius to radius: each
+    run starts from the exterior data extended inward, overwritten on the
+    cells of B_{R+2} that the previous radius's box covers by that
+    radius's minimizer.  Away from s = 1/2 the fit is a log-log line with
     the smallest radius dropped; at s = 1/2 the series E / (R^{n-1} log R)
     is checked for stability across the two largest radii.
     """
@@ -147,12 +150,19 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     usable: list[tuple[float, float, float]] = []
     excluded: list[float] = []
+    res = None
     for radius in cfg.radii:
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, radius + 2.0)
         kern = build_kernel(lat, cfg.s)
         omega = ball_mask(lat, 0.0, radius + 2.0)
-        res = minimize_energy(kern, pot, initial_field(lat, ext),
-                              omega, mcfg)
+        u0 = initial_field(lat, ext)
+        if res is not None:  # the radii increase, so the last box lies inside
+            prev = res.field.lattice
+            box = tuple(slice(a - b, c - b) for a, c, b in zip(prev.lo, prev.hi, lat.lo))
+            vals = u0.values.copy()
+            vals[box] = np.where(omega.members[box], res.field.values, vals[box])
+            u0 = ScalarField(lat, vals, ext)
+        res = minimize_energy(kern, pot, u0, omega, mcfg)
         e_ball = energy_E(kern, pot, res.field, ball_mask(lat, 0.0, radius))
         e_psi = energy_E(kern, pot, psi_field(lat, radius), omega)
         rows.append([radius, lat.n_cells, res.converged, res.iterations,

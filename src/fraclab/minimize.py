@@ -1,20 +1,29 @@
 """Constrained minimization of the nonlocal energy.
 
-Spectral projected gradient (Birgin, Martinez and Raydan, SIAM J. Optim.
-10, 2000) over fields confined to [-1, 1] and fixed outside the free
-region: each iteration projects one Barzilai-Borwein step,
-d = clip(x - alpha*g, -1, 1) - x, and searches the segment x + t*d with
-monotone Armijo halving of t from 1.  The operator is linear, so one
-convolution, of d, prices every trial point on the segment and the next
-gradient.  The gradient is the exact discrete one (twice the operator
-value plus the well derivative), so stationarity, residuals and
-minimality checks all refer to the same energy.  There is one stopping
-rule, as in the method's source: a run has converged when the projected
-gradient, taken from a fresh convolution, is below grad_tol.
+Preconditioned spectral projected gradient (Birgin, Martinez and Raydan,
+SIAM J. Optim. 10, 2000) over fields confined to [-1, 1] and fixed
+outside the free region.  Each iteration projects one preconditioned
+step, d = clip(x - alpha*P^-1 g, -1, 1) - x, and searches the segment
+x + t*d with monotone Armijo halving of t from 1.  P = (2c + sigma)I - 2T
+is the Hessian with every diagonal raised to the largest and the well's
+curvature taken at +-1; the parity classes' transforms diagonalize it up
+to truncation (Chan and Ng, SIAM Review 38, 1996), so P^-1 g costs one
+transform pass (``EnergyModel.precondition``).  alpha starts at 1 and is
+the Barzilai-Borwein quotient <s, H0 s> / <s, y> in the metric
+H0 = 2(diag(c_box + t0) - T) + sigma*I, which the segment's T(d) gives.
+An iteration whose clipped step does not descend takes the plain
+projected-gradient step 1 / max diagonal instead.  The operator is
+linear, so one convolution, of d, prices every trial point on the
+segment and the next gradient.  The gradient is the exact discrete one
+(twice the operator value plus the well derivative), so stationarity,
+residuals and minimality checks all refer to the same energy.  There is
+one stopping rule, as in the method's source: a run has converged when
+the projected gradient, taken from a fresh convolution, is below
+grad_tol.
 
-Every reduction is a correctly rounded sum and the convolutions are
-exactly reflection-equivariant, so a run is deterministic and mirroring the data
-mirrors the iterates bit-for-bit.
+Every reduction is a correctly rounded sum, and the convolutions and the
+preconditioner are exactly reflection-equivariant, so a run is
+deterministic and mirroring the data mirrors the iterates bit-for-bit.
 """
 
 from __future__ import annotations
@@ -120,10 +129,11 @@ def minimize_energy(
 ) -> MinimizeResult:
     """Minimize E over fields equal to u0 outside omega, values in [-1, 1].
 
-    Runs spectral projected gradient with a monotone Armijo search on the
-    segment from x to its projected BB step, at one convolution per
-    iteration: the energy is evaluated once, at u0, and then carried
-    forward by the segment's exact energy changes.  Converged means the
+    Runs preconditioned spectral projected gradient with a monotone
+    Armijo search on the segment from x to its projected step, at one
+    convolution and one preconditioner solve per iteration: the energy is
+    evaluated once, at u0, and then carried forward by the segment's
+    exact energy changes.  Converged means the
     projected-gradient sup-norm is below grad_tol.  When the carried
     gradient passes, or the run is about to stop for any reason, the free
     part is convolved afresh and grad_norm comes from that gradient; a
@@ -150,18 +160,25 @@ def minimize_energy(
     pg_sup = pg_norm(x, g)
     rows = [[0, e, pg_sup, 0.0]]
 
-    # curvature-based first step: 1 / max diagonal of the energy Hessian
+    # the plain projected-gradient step: 1 / max diagonal of the Hessian
     diag = 2.0 * (model._c_box + model.t0)
     if pot is not None:
         diag = diag + model.cell_measure * np.abs(pot.second(x))
-    alpha = 1.0 / float(np.max(diag[mask])) if mask.any() else 1.0
+    plain = 1.0 / float(np.max(diag[mask])) if mask.any() else 1.0
 
+    alpha = 1.0
     iterations = 0
     failed = False
     while not pg_sup < cfg.grad_tol:  # the start's gradient is fresh
         step = min(max(alpha, 1e-12), 1e12)
-        d = np.where(mask, np.clip(x - step * g, -1.0, 1.0) - x, 0.0)
+        d = np.where(mask, np.clip(x - step * model.precondition(g), -1.0, 1.0) - x, 0.0)
         slope = float(stable_sum((g * d)[mask]))
+        if not slope < 0.0:
+            # the clipped preconditioned step does not descend; the
+            # projected gradient does
+            step = plain
+            d = np.where(mask, np.clip(x - step * g, -1.0, 1.0) - x, 0.0)
+            slope = float(stable_sum((g * d)[mask]))
         delta = model.segment(x, d)
         t = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
@@ -175,12 +192,10 @@ def minimize_energy(
         if not failed:
             x_new = model.move(t)
             g_new = model.gradient(x_new)
-            dx = x_new - x
-            dg = g_new - g
-            sy = float(stable_sum((dx * dg)[mask]))
-            ss = float(stable_sum((dx * dx)[mask]))
-            # spectral step; along negative curvature just push harder
-            alpha = ss / sy if sy > 0 else 2.0 * t * step
+            # spectral step in the metric H0 of the segment, s = t*d; along
+            # negative curvature just push harder
+            sy = t * float(stable_sum((d * (g_new - g))[mask]))
+            alpha = t * t * delta.metric / sy if sy > 0 else 2.0 * t * alpha
             x, e, g = x_new, e + de, g_new
             iterations += 1
             pg_sup = pg_norm(x, g)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct, dctn, dst, idct, idst, next_fast_len
 from scipy.stats import linregress
 
 from fraclab.energies import EnergyModel, convolve, energy_E
@@ -456,6 +457,111 @@ def test_convolution_on_tiny_and_odd_boxes(shape):
         for axes in itertools.combinations(range(lat.dim), r):
             assert np.array_equal(convolve(kern, np.flip(x, axes)), np.flip(got, axes))
     assert np.array_equal(convolve(kern, -x), -got)
+
+
+def _parity_spectrum(kern):
+    """(Ns, K) with K = 2^-dim DCT-I of the table's half at period 2N."""
+    shape = kern.lattice.shape
+    Ns = tuple(next_fast_len(n, True) for n in shape)
+    half = kern.table[tuple(slice(n - 1, None) for n in shape)]
+    return Ns, 2.0 ** -len(shape) * dctn(half, type=1, s=tuple(N + 1 for N in Ns))
+
+
+def _by_parity(y, Ns, K, folded=()):
+    """T of y by recursion over the parity classes, one class at a time,
+    each through its own DCT/DST calls; the leading axes are folded:
+    (odd, kind) per such axis, with kind 2 on an even extent and 1 on an
+    odd one."""
+    a = len(folded)
+    if a < y.ndim:
+        n, h = y.shape[a], y.shape[a] // 2
+
+        def at(*s):
+            return (slice(None),) * a + (slice(*s),)
+
+        lo, hi, c = np.flip(y[at(0, h)], a), y[at(n - h, n)], y[at(h, n - h)]
+        kind = 2 - n % 2
+        E = _by_parity(np.concatenate([c + c, hi + lo], a), Ns, K, folded + ((0, kind),))
+        O = _by_parity(hi - lo, Ns, K, folded + ((1, kind),))
+        c, E = E[at(0, n % 2)], E[at(n % 2, None)]
+        return np.concatenate([np.flip(E - O, a), c, E + O], a)
+    if y.size == 0:
+        return y
+    m, window = y.shape, []
+    for a, (N, (odd, kind)) in enumerate(zip(Ns, folded)):
+        w = slice(odd, N + odd) if kind == 2 else slice(odd, N + 1 - odd)
+        y = (dst if odd else dct)(y, kind, n=w.stop - w.start, axis=a)
+        window.append(w)
+    y = y * K[tuple(window)]
+    for a, (odd, kind) in enumerate(folded):
+        y = (idst if odd else idct)(y, kind, axis=a)
+    return y[tuple(slice(0, k) for k in m)]
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (1, 1), (1, 5), (2, 3), (7, 4),
+                                   (9,), (145,), (5, 9), (63, 65),
+                                   (144,), (1040,), (4112,), (64, 60), (128, 128)])
+def test_convolve_is_the_parity_recursion_bit_for_bit(shape):
+    # the stacked classes (one DCT-II call for both parities on an even
+    # extent, the DST-II read off a sign-alternated DCT-II) against the
+    # class-by-class recursion, to the bit, sign of zero included: tiny,
+    # odd and the benchmark's shapes
+    lat = Lattice(dim=len(shape), h=0.5, lo=(0,) * len(shape), hi=shape)
+    rng = np.random.default_rng(lat.n_cells)
+    for s in (0.25, 0.75):
+        kern = build_kernel(lat, s)
+        spectrum = _parity_spectrum(kern)
+        assert spectrum[0] == kern.spectrum[0]
+        x = rng.uniform(-1.0, 1.0, shape)
+        for field in (x, np.where(rng.random(shape) < 0.3, 0.0, x)):
+            got, want = convolve(kern, field), _by_parity(field, *spectrum)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _preconditioned(shape, s=0.75, seed=3):
+    lat = Lattice(dim=len(shape), h=0.5, lo=(0,) * len(shape), hi=shape)
+    rng = np.random.default_rng(seed)
+    om = CellSet(lat, rng.random(shape) < 0.7)
+    u = ScalarField(lat, rng.uniform(-1.0, 1.0, shape), HalfspaceExterior(0, 1.0))
+    return EnergyModel(build_kernel(lat, s), Quartic(), u, om)
+
+
+@pytest.mark.parametrize("shape", [(8,), (9,), (6, 8), (7, 5), (1, 4)])
+def test_precondition_symmetric_positive_equivariant(shape):
+    model = _preconditioned(shape)
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        x, y = rng.normal(size=shape), rng.normal(size=shape)
+        px, py = model.precondition(x), model.precondition(y)
+        scale = np.linalg.norm(x) * np.linalg.norm(py) + np.linalg.norm(y) * np.linalg.norm(px)
+        assert abs(np.vdot(y, px) - np.vdot(x, py)) <= 1e-13 * scale
+        assert np.vdot(x, px) > 0.0
+        for r in range(1, len(shape) + 1):
+            for axes in itertools.combinations(range(len(shape)), r):
+                assert np.array_equal(model.precondition(np.flip(x, axes)), np.flip(px, axes))
+        assert np.array_equal(model.precondition(-x), -px)
+
+
+@pytest.mark.parametrize("shape", [(8,), (9,), (4, 5)])
+def test_precondition_is_the_periodic_inverse(shape):
+    # P^-1 is the box block of ((2c + sigma) I - 2C)^-1, C the table's
+    # circulant at period 2N per axis, which wraps no offset of the box
+    model = _preconditioned(shape)
+    kern, lat = model.kern, model.kern.lattice
+    plus, minus = kern.tail_halfspace(0, 1.0)
+    c = np.max((convolve(kern, np.ones(shape)) + plus + minus)[model.omega])
+    assert model.sigma == 2.0 * lat.h ** lat.dim  # Quartic: W''(+-1) = 2
+    period = np.array([2 * N for N in kern.spectrum[0]])
+    cells = np.indices(period).reshape(len(shape), -1).T
+    off = (cells[:, None, :] - cells[None, :, :] + period // 2) % period - period // 2
+    inside = np.all(np.abs(off) < np.array(shape), axis=-1)
+    index = tuple(np.where(inside, off[..., a] + n - 1, 0) for a, n in enumerate(shape))
+    C = np.where(inside, kern.table[index], 0.0)
+    inverse = np.linalg.inv((2.0 * c + model.sigma) * np.eye(len(cells)) - 2.0 * C)
+    box = np.all(cells < np.array(shape), axis=-1)
+    x = np.random.default_rng(5).normal(size=shape)
+    want = (inverse[np.ix_(box, box)] @ x.ravel()).reshape(shape)
+    _assert_close_to_max(model.precondition(x), want)
 
 
 def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):

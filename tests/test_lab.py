@@ -19,8 +19,10 @@ from fraclab.lab import (
     run_levelset_convergence,
     run_sobolev_suite,
 )
+from fraclab.lab import experiments
 from fraclab.lab.cli import main
 from fraclab.lab.config import read_pairs_csv
+from fraclab.minimize import initial_field
 
 DYADIC = [(2.0 ** k, (2.0 ** k) ** 2) for k in range(1, 8)]
 
@@ -248,6 +250,37 @@ def test_energy_growth_small_sweep():
         0.6744409825860688, rel=1e-9)
     assert rep.results["theory_exponent"] == 0.5
     assert len(rep.series_rows) == 5
+
+
+# iterations of the sweep below, measured at 61 (24, 14, 12, 11), plus 5%
+# for round-off from another FFT build; a cold start at every radius takes
+# 82, and plain spectral projected gradient took 207
+GROWTH_ITERATION_BUDGET = 64
+
+
+def test_energy_growth_continuation_cost_guard(monkeypatch):
+    # the sweep carries each minimizer to the next radius: it stays within
+    # its iteration budget, and every energy and verdict is that of
+    # starting each radius afresh from the exterior data
+    cfg = ExperimentConfig(experiment="energy-growth", s=0.75, dim=1, h=0.25,
+                           radii=(16.0, 32.0, 64.0, 128.0), max_iters=5000)
+    warm = run_energy_growth(cfg)
+    minimize = experiments.minimize_energy
+
+    def cold(kern, pot, u0, omega, mcfg):
+        return minimize(kern, pot, initial_field(u0.lattice, u0.exterior), omega, mcfg)
+
+    monkeypatch.setattr(experiments, "minimize_energy", cold)
+    fresh = run_energy_growth(cfg)
+    iterations = [row[3] for row in warm.series_rows]
+    assert sum(iterations) <= GROWTH_ITERATION_BUDGET
+    assert sum(iterations) < sum(row[3] for row in fresh.series_rows)
+    for row, ref in zip(warm.series_rows, fresh.series_rows):
+        assert row[2] and ref[2]
+        assert abs(row[4] - ref[4]) <= 1e-9 * abs(ref[4])
+        assert row[5] == ref[5]
+    assert [(c.name, c.passed) for c in warm.criteria] == \
+        [(c.name, c.passed) for c in fresh.criteria]
 
 
 def test_energy_growth_requires_four_radii():

@@ -397,6 +397,58 @@ def test_one_convolution_per_iteration(kern, monkeypatch):
     assert counts["conv"] <= setup + 1 + res.iterations + counts["refresh"]
 
 
+def test_one_solve_per_iteration(kern, monkeypatch):
+    # each iteration applies the preconditioner once, to its gradient, and
+    # the solve makes no convolution: those stay one per iteration, one for
+    # the start's energy and one for the stopping check
+    counts = {"conv": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            counts[name] += 1
+            return fn(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(EnergyModel, "_conv", counted("conv", EnergyModel._conv))
+    pot = Quartic()
+    rng = np.random.default_rng(3)
+    u0 = ScalarField(LAT, rng.uniform(-1.0, 1.0, LAT.shape), EXT)
+    om = ball_mask(LAT, 0.0, 30.0)
+    EnergyModel(kern, pot, u0, om)
+    setup = counts["conv"]
+    counts["conv"] = 0
+    monkeypatch.setattr(EnergyModel, "precondition",
+                        counted("solve", EnergyModel.precondition))
+    res = minimize_energy(kern, pot, u0, om, MinimizeConfig(max_iters=200))
+    assert res.converged and res.iterations > 5
+    assert counts["solve"] == res.iterations
+    assert counts["conv"] == setup + 1 + res.iterations + 1
+
+
+def test_non_descent_solve_falls_back_to_projected_gradient(kern, b40, monkeypatch):
+    # a negated multiplier turns every solve uphill; each iteration then
+    # takes the plain projected-gradient step, 1 / max diagonal, and the
+    # run still reaches the minimizer
+    inverse = EnergyModel._inverse.func
+
+    def negated(self):
+        Ns, M = inverse(self)
+        return Ns, -M
+
+    monkeypatch.setattr(EnergyModel, "_inverse", property(negated))
+    pot = Quartic()
+    ref, om = b40
+    seed = initial_field(LAT, EXT)
+    res = minimize_energy(kern, pot, seed, om, MinimizeConfig(max_iters=3000))
+    assert res.converged and res.grad_norm < res.config.grad_tol
+    assert np.all(np.diff(res.energy_trace) <= 0)
+    assert abs(res.energy - ref.energy) <= 1e-9 * abs(ref.energy)
+    model = EnergyModel(kern, pot, seed, om)
+    diag = 2.0 * (model._c_box + model.t0) + model.cell_measure * np.abs(pot.second(seed.values))
+    assert np.all(res.trace[1:, 3] <= 1.0 / np.max(diag[om.members]))
+    assert res.iterations > ref.iterations
+
+
 def _fresh_projected_grad(kern, pot, res):
     model = EnergyModel(kern, pot, res.field, res.omega)
     x = res.field.values
