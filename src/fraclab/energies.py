@@ -167,12 +167,8 @@ class EnergyModel:
         self._tf = self._conv(self._f)
         # the free part of the last point evaluated, and T of it
         self._o = self._to = None
-        # the last segment: its start u, direction d, T(o) and T(f) at u,
-        # T(d), and the last trial's t and well values on omega
+        # the last segment: its start u, direction d, T(o) at u and T(d)
         self._seg = None
-        # the model's point after ``move``: the field, T of its fixed part,
-        # its flux once ``gradient`` forms it, and its well values on omega
-        self._x = self._tfx = self._fl = self._w = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -187,21 +183,10 @@ class EnergyModel:
         """
         o = np.where(self.omega, u, 0.0)
         if self._o is None or not np.array_equal(o, self._o):
-            self._o, self._to, self._x = o, self._conv(o), None
+            self._o, self._to = o, self._conv(o)
         f = np.where(self.omega, 0.0, u)
         tf = self._tf if np.array_equal(f, self._f) else self._conv(f)
         return f, self._to, tf
-
-    def _pair(self, u: np.ndarray):
-        # (T(o), T(f)) at u: the model's own point's as they stand, without
-        # comparing fields, and any other point's through _split
-        if u is self._x:
-            return self._to, self._tfx
-        return self._split(u)[1:]
-
-    def _flux(self, u: np.ndarray, to: np.ndarray, tf: np.ndarray) -> np.ndarray:
-        # half the seminorm's gradient, on every cell
-        return u * self._c_box - to - tf + self.t0 * u - self.t1
 
     # -- evaluation -----------------------------------------------------------
 
@@ -224,12 +209,14 @@ class EnergyModel:
     def energy(self, u: np.ndarray) -> float:
         return self.seminorm(u) + self.potential_term(u)
 
+    def _flux(self, u: np.ndarray) -> np.ndarray:
+        # half the seminorm's gradient, on every cell
+        _, to, tf = self._split(u)
+        return u * self._c_box - to - tf + self.t0 * u - self.t1
+
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
-        fl = self._flux(u, *self._pair(u))
-        if u is self._x:
-            self._fl = fl
-        g = 2.0 * fl
+        g = 2.0 * self._flux(u)
         if self.pot is not None:
             g = g + self.cell_measure * self.pot.deriv(u)
         return np.where(self.omega, g, 0.0)
@@ -247,29 +234,20 @@ class EnergyModel:
         in one correctly rounded sum.  Segment points are clipped to
         [-1, 1], the well's domain, which moves them by round-off at most.
         ``delta.metric`` is <d, H0 d> with H0 = 2(diag(c_box + t0) - T)
-        + sigma*I, the Hessian that ``precondition`` approximates.  At the
-        model's own point the flux of its ``gradient`` and the well values
-        of the trial ``move`` accepted are reused.
+        + sigma*I, the Hessian that ``precondition`` approximates.
         """
         m = self.omega
-        to, tf = self._pair(u)
-        here = u is self._x
-        fl = self._fl if here and self._fl is not None else self._flux(u, to, tf)
-        w0 = self._w if here else None
         td = self._conv(d)
         um, dm = u[m], d[m]
-        slope = 2.0 * fl[m] * dm
+        slope = 2.0 * self._flux(u)[m] * dm
         curv = dm * ((self._c_box + self.t0)[m] * dm - td[m])
-        if self.pot is not None and w0 is None:
-            w0 = self.pot.value(um)
-        seg = self._seg = [u, d, to, tf, td, None, None]
+        w0 = None if self.pot is None else self.pot.value(um)
+        self._seg = (u, d, self._to, td)
 
         def delta(t: float) -> float:
             de = t * slope + (t * t) * curv
             if w0 is not None:
-                w = self.pot.value(np.clip(um + t * dm, -1.0, 1.0))
-                seg[5:] = t, w
-                de += self.cell_measure * (w - w0)
+                de += self.cell_measure * (self.pot.value(np.clip(um + t * dm, -1.0, 1.0)) - w0)
             return float(stable_sum(de))
 
         delta.metric = float(stable_sum(2.0 * curv + self.sigma * (dm * dm)))
@@ -279,22 +257,18 @@ class EnergyModel:
         """Make u + t*d on the last segment the model's point and return it.
 
         T of its free part becomes T(o) + t*T(d): no convolution, but the
-        round-off of each move stays in T(o) until ``refresh``.  Cells off
-        omega keep u's values.
+        round-off of each move stays in T(o) until ``refresh``.
         """
-        u, d, to, tf, td, t_w, w = self._seg
-        x = np.where(self.omega, np.clip(u + t * d, -1.0, 1.0), u)
+        u, d, to, td = self._seg
+        x = np.clip(u + t * d, -1.0, 1.0)
         self._o = np.where(self.omega, x, 0.0)
         self._to = to + t * td
-        self._x, self._tfx, self._fl = x, tf, None
-        self._w = w if t_w == t else None
         self._seg = None
         return x
 
     def refresh(self) -> None:
         """Convolve the free part of the model's point afresh."""
         self._to = self._conv(self._o)
-        self._fl = None
 
     # -- preconditioning ------------------------------------------------------
 

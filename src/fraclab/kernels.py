@@ -65,25 +65,21 @@ def stable_sum(arr) -> float:
     rounded to a multiple of ulp(sigma)/2 with |q| <= 2^e.  So q and r - q
     are exact and the n values q sum exactly in any order.  Passes repeat
     on r - q until it is zero, and ``math.fsum`` rounds the exact pass sums
-    once.  A pass updates one copy of the input in place and reuses one
-    scratch array, for q and then for |r - q|.  Input that is all zero
-    (the sign of zero), not finite, or with m outside 2^(+-900) goes to
-    ``math.fsum`` as a list.
+    once.  Input that is all zero (the sign of zero), not finite, or with m
+    outside 2^(+-900) goes to ``math.fsum`` as a list.
     """
-    r = np.array(arr, dtype=float).ravel(order="C")
-    q = np.abs(r)
-    m = q.max() if r.size else 0.0
+    r = np.asarray(arr, dtype=float).ravel(order="C")
+    m = float(abs(r).max()) if r.size else 0.0
     if not 2.0**-900 <= m <= 2.0**900:
         return math.fsum(r.tolist())
     b = (r.size - 1).bit_length()
     parts = []
     while m:
         sigma = math.ldexp(1.0, math.frexp(m)[1] + b)
-        np.add(r, sigma, out=q)
-        q -= sigma
-        parts.append(q.sum())
-        r -= q
-        m = np.abs(r, out=q).max()
+        q = (sigma + r) - sigma
+        parts.append(float(q.sum()))
+        r = r - q
+        m = float(abs(r).max())
     return math.fsum(parts)
 
 
