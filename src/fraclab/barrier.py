@@ -20,7 +20,10 @@ Gauss-Jacobi rules: Davis & Rabinowitz, Methods of Numerical Integration,
 1984; geometric grading toward a nearby singularity: Schwab, p- and
 hp-Finite Element Methods, 1998).  The grading reaches t*/4, a quarter of
 the distance t* from the clamp kink to the singularity of h at |y| = r;
-the same rule graded to t*/2 gives each value an error estimate.
+the same rule graded to t*/2 gives each value an error estimate.  That
+rule has one level fewer at each graded end, so it shares every sub-panel
+but the at most two per panel that span an edge it drops: only those are
+integrated for the estimate.
 """
 
 from __future__ import annotations
@@ -111,12 +114,17 @@ def _reference_rules(s: float):
     return (t, w), (tj, wj * (1.0 + tj) ** (2.0 * s - 1.0))
 
 
-def _subpanels(lo, hi, first, last):
-    """Sub-panels of each panel [lo, hi], graded geometrically toward both ends.
+def _graded_edges(lo, hi, first, last):
+    """Sub-panel edges of each panel [lo, hi], graded geometrically toward
+    both ends, and where the coarser grading differs.
 
     Widths double from ``first`` at lo and from ``last`` at hi, up to one
-    middle sub-panel.  Returns the ends of the sub-panels of nonzero width
-    and the panel each one belongs to.
+    middle sub-panel.  Row i holds the edges of panel i in order; a
+    sub-panel is a pair of neighbouring edges of nonzero width.  The
+    coarser grading doubles both floors, which takes one level off each
+    graded end: its edges are these with the first graded edge of each
+    end (step 2^0 from it) moved onto the end itself.  Returns the edges,
+    the coarser grading's edges and the mask of the moved ones.
     """
     half = 0.5 * (hi - lo)
     # edge k of an end sits step 2^k from it, for the k with step 2^k <
@@ -125,14 +133,16 @@ def _subpanels(lo, hi, first, last):
     ends = (first, last)
     levels = [np.maximum(0.0, np.ceil(np.log2(half / step))) for step in ends]
     k = np.arange(int(max(lv.max(initial=0.0) for lv in levels)))
-    reach = [np.where(lv[:, None] > 0.0,
-                      step[:, None] * 2.0 ** np.minimum(k, lv[:, None] - 1.0), 0.0)
-             for step, lv in zip(ends, levels)]
+    power = [np.minimum(k, lv[:, None] - 1.0) for lv in levels]
+    reach = [np.where(lv[:, None] > 0.0, step[:, None] * 2.0 ** p, 0.0)
+             for step, lv, p in zip(ends, levels, power)]
     edges = np.column_stack([lo, lo[:, None] + reach[0],
                              hi[:, None] - reach[1][:, ::-1], hi])
-    a, b = edges[:, :-1], edges[:, 1:]
-    keep = b > a
-    return a[keep], b[keep], np.nonzero(keep)[0]
+    first_edge = [(lv[:, None] > 0.0) & (p == 0.0) for lv, p in zip(levels, power)]
+    none = np.zeros((lo.size, 1), dtype=bool)
+    moved = np.hstack([none, first_edge[0], first_edge[1][:, ::-1], none])
+    end = np.where(np.arange(edges.shape[1]) <= k.size, lo[:, None], hi[:, None])
+    return edges, np.where(moved, end, edges), moved
 
 
 def quad(x, c, sn, r: float, s: float):
@@ -148,7 +158,9 @@ def quad(x, c, sn, r: float, s: float):
     sub-panel carries 12 Gauss-Legendre nodes, except the one at u = 0,
     which carries 12 Gauss-Jacobi nodes for the weight u^(1-2s).  Returns
     the integrals and, per pair, their differences from the same rule
-    graded half as deep (every floor doubled).
+    graded half as deep (every floor doubled).  That rule shares every
+    sub-panel but the at most two per panel that span an edge it drops,
+    so only those are integrated on top.
     """
     x, c, sn = (np.asarray(a, dtype=float) for a in (x, c, sn))
     n = x.size
@@ -170,11 +182,19 @@ def quad(x, c, sn, r: float, s: float):
 
     step = np.full(lo.size, 0.25 * (r - clamp_radius(r, s)))
     first = np.where(lo > 0.0, np.minimum(step, lo), step)
-    fine = _subpanels(lo, hi, first, step)
-    coarse = _subpanels(lo, hi, 2.0 * first, 2.0 * step)
-    sub_a = np.concatenate([fine[0], coarse[0]])
-    sub_b = np.concatenate([fine[1], coarse[1]])
-    sub_pair = pair[np.concatenate([fine[2], coarse[2]])]
+    fine, coarse, moved = _graded_edges(lo, hi, first, step)
+    keep = fine[:, 1:] > fine[:, :-1]
+    keep_coarse = coarse[:, 1:] > coarse[:, :-1]
+    # a coarse sub-panel next to a moved edge spans a dropped fine edge;
+    # every other one is the fine sub-panel in the same place
+    merged = keep_coarse & (moved[:, :-1] | moved[:, 1:])
+    n_fine = np.count_nonzero(keep)
+    piece_of = np.zeros(keep.shape, dtype=np.intp)
+    piece_of[keep] = np.arange(n_fine)
+    piece_of[merged] = n_fine + np.arange(np.count_nonzero(merged))
+    sub_a = np.concatenate([fine[:, :-1][keep], coarse[:, :-1][merged]])
+    sub_b = np.concatenate([fine[:, 1:][keep], coarse[:, 1:][merged]])
+    sub_pair = pair[np.concatenate([np.nonzero(keep)[0], np.nonzero(merged)[0]])]
 
     (t, w), (tj, wj) = _reference_rules(s)
     jacobi = (sub_a == 0.0)[:, None]
@@ -186,9 +206,9 @@ def quad(x, c, sn, r: float, s: float):
     back = eval_v(np.hypot(xl - u * cl, u * sl), r, s)
     f = (fwd + back - 2.0 * vx[sub_pair][:, None]) * u ** (-1.0 - 2.0 * s)
     piece = np.sum(half * np.where(jacobi, wj, w) * f, axis=1)
-    n_fine = fine[0].size
     value = np.bincount(sub_pair[:n_fine], weights=piece[:n_fine], minlength=n)
-    coarser = np.bincount(sub_pair[n_fine:], weights=piece[n_fine:], minlength=n)
+    index = piece_of[keep_coarse]
+    coarser = np.bincount(sub_pair[index], weights=piece[index], minlength=n)
     return value, value - coarser
 
 

@@ -292,6 +292,9 @@ def _rect_integrals(a0, a1, b0, b1, s: float) -> np.ndarray:
     return out
 
 
+_CORNERS: dict = {}  # s -> the largest square corner table built so far
+
+
 def _corner_table(n0: int, n1: int, s: float) -> np.ndarray:
     """q[m, k] = int of Q over the unit cell [m, m+1] x [k, k+1], m < n0,
     k < n1: the tail against a corner quadrant of the cell at offset (m, k)
@@ -299,16 +302,23 @@ def _corner_table(n0: int, n1: int, s: float) -> np.ndarray:
 
     Computed for m <= k and mirrored, so a square table is bitwise
     symmetric.  At s >= 1/2, q[0, 0] is the collocated Q(1/2, 1/2): the
-    corner cell collocates the quadrant of the corner it occupies.
+    corner cell collocates the quadrant of the corner it occupies.  q
+    depends on neither h nor the box, so one read-only square table per s,
+    at the largest size asked for so far, serves every box; the result is
+    a window of it.
     """
-    hi = max(n0, n1)
-    m, k = np.triu_indices(min(n0, n1), m=hi)
-    vals = _rect_integrals(m + 0.0, m + 1.0, k + 0.0, k + 1.0, s)
-    q = np.empty((hi, hi))
-    q[m, k] = vals
-    q[k, m] = vals
-    if s >= 0.5:
-        q[0, 0] = quadrant_tail(0.5, 0.5, s)
+    q = _CORNERS.get(s)
+    if q is None or q.shape[0] < max(n0, n1):
+        n = max(n0, n1, 0 if q is None else q.shape[0])
+        m, k = np.triu_indices(n)
+        vals = _rect_integrals(m + 0.0, m + 1.0, k + 0.0, k + 1.0, s)
+        q = np.empty((n, n))
+        q[m, k] = vals
+        q[k, m] = vals
+        if s >= 0.5:
+            q[0, 0] = quadrant_tail(0.5, 0.5, s)
+        q.setflags(write=False)
+        _CORNERS[s] = q
     return q[:n0, :n1]
 
 

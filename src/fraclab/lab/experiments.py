@@ -484,11 +484,12 @@ def _refine_set(cells: CellSet, fine: Lattice) -> CellSet:
 def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Batch the disjoint-pair interaction bound over a random corpus.
 
-    Every case is checked at each probe fraction and exponent; the report
-    aggregates the minimum ratio per regime.  Optionally the first cases
-    are re-run at half the lattice spacing to confirm the ratios are
-    resolution-stable.  Every nonempty set of the corpus is also checked
-    against the Loomis-Whitney projection inequality.
+    Every case is checked at each probe fraction and exponent, in one
+    ``check_gmt`` call per case; the report aggregates the minimum ratio
+    per regime.  Optionally the first cases are re-run at half the
+    lattice spacing to confirm the ratios are resolution-stable.  Every
+    nonempty set of the corpus is also checked against the Loomis-Whitney
+    projection inequality.
     """
     if cfg.corpus_size < 1:
         raise ValueError(f"corpus_size must be >= 1, got {cfg.corpus_size}")
@@ -511,13 +512,13 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
                "measure_b", "b_floored", "interaction", "bound", "ratio"]
     rows: list[list] = []
     minima: dict[str, float] = {}
-    reports = {}
-    for s in s_values:
-        kern = build_kernel(lat, s)
-        for i, (_, a_set, b_set) in enumerate(pairs):
-            for probe in cfg.c_probes:
-                rep = reports[s, i, probe] = setgeom.check_gmt(
-                    kern, a_set, b_set, c_probe=probe)
+    kernels = [build_kernel(lat, s) for s in s_values]
+    # reports[i][k][p]: case i, exponent k, probe p; one check per case
+    reports = [setgeom.check_gmt(kernels, a_set, b_set, cfg.c_probes)
+               for _, a_set, b_set in pairs]
+    for k, s in enumerate(s_values):
+        for i, by_kernel in enumerate(reports):
+            for probe, rep in zip(cfg.c_probes, by_kernel[k]):
                 rows.append([i, s, probe, rep.regime, rep.s_branch,
                              rep.measure_a, rep.measure_b, rep.b_floored,
                              rep.interaction, rep.bound, rep.ratio])
@@ -542,13 +543,14 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             fine = _refine_lattice(lat)
             fkern = build_kernel(fine, refine_s)
-            probe = cfg.c_probes[len(cfg.c_probes) // 2]
+            p = len(cfg.c_probes) // 2
+            probe = cfg.c_probes[p]
             devs = []
             for i, (_, a_set, b_set) in enumerate(pairs[: cfg.refine_cases]):
-                coarse = reports[refine_s, i, probe]
-                refined = setgeom.check_gmt(
-                    fkern, _refine_set(a_set, fine), _refine_set(b_set, fine),
-                    c_probe=probe)
+                coarse = reports[i][s_values.index(refine_s)][p]
+                [[refined]] = setgeom.check_gmt(
+                    [fkern], _refine_set(a_set, fine), _refine_set(b_set, fine),
+                    (probe,))
                 # the floor is resolution-dependent
                 if not (coarse.b_floored or refined.b_floored):
                     devs.append(abs(refined.ratio / coarse.ratio - 1.0))

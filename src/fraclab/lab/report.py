@@ -76,9 +76,7 @@ class ExperimentReport:
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
         report_path = os.path.join(out_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(report_path, self.to_json_dict())
         paths["report"] = report_path
         series_path = os.path.join(out_dir, "series.csv")
         with open(series_path, "w", encoding="utf-8", newline="") as fh:
@@ -89,11 +87,17 @@ class ExperimentReport:
         paths["series"] = series_path
         for name, payload in self.extra_files.items():
             path = os.path.join(out_dir, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(path, payload)
             paths[name] = path
         return paths
+
+
+def _write_json(path, payload) -> None:
+    # one serialization and one write: json.dump would hand the file each
+    # of its thousands of chunks
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _jsonable(x):

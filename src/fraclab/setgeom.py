@@ -7,8 +7,10 @@ generators.  A set-set pair sum needs only how many pairs share each
 index offset: the cross-correlation of the two indicators, one FFT
 convolution rounded to exact integers.  Exact count-times-weight products
 reduce with compensated summation, so each sum is the correctly rounded
-sum of its pair weights, whatever the order of the sets.  Per-cell sums
-apply the table to a field with ``energies.convolve``.
+sum of its pair weights, whatever the order of the sets.  The histogram
+depends on the sets alone, so ``check_gmt`` counts it once per set pair
+and weighs it once per kernel, whatever the number of probe fractions.
+Per-cell sums apply the table to a field with ``energies.convolve``.
 """
 
 from __future__ import annotations
@@ -42,19 +44,18 @@ def _check_kernel_lattice(kern: KernelTable, cells: CellSet) -> None:
         raise ValueError("cell set lattice does not match the kernel lattice")
 
 
-def _pair_mass(kern: KernelTable, A: CellSet, D: CellSet) -> float:
-    """Sum of pair weights between two in-box sets, from offset counts.
+def _offset_counts(A: CellSet, D: CellSet):
+    """(hit, n): the offsets at which pairs of A x D fall, as a mask over
+    the offset table, and how many pairs fall at each.
 
     N[k] = #{(i, j) in A x D : i - j + n - 1 = k}, the full convolution of
-    1_A with 1_D reversed, shares its index with the offset table.  Each
-    weight splits into halves of at most 26 significant bits, so while
-    N < 2^27 both count-times-half products are exact.  Counting pairs,
-    where ``energies.convolve`` would apply the table to a field, keeps the
-    sum correctly rounded and bitwise symmetric in A and D.
+    1_A with 1_D reversed, shares its index with the offset table.  It
+    depends on the two sets alone, so one histogram serves every kernel
+    on their lattice.
     """
-    if A.count == 0 or D.count == 0:
-        return 0.0
     shape = A.lattice.shape
+    if A.count == 0 or D.count == 0:
+        return np.zeros(tuple(2 * n - 1 for n in shape), dtype=bool), np.zeros(0)
     fshape = tuple(next_fast_len(2 * n - 1, True) for n in shape)
     spec = rfftn(np.flip(D.members).astype(float), fshape)
     raw = fftconvolve(A.members.astype(float), spec, fshape)
@@ -64,11 +65,27 @@ def _pair_mass(kern: KernelTable, A: CellSet, D: CellSet) -> float:
             or counts.max() >= 2.0**27):
         raise FloatingPointError("offset histogram is not an exact pair count")
     hit = counts > 0
-    n = counts[hit]
-    w = kern.table_for_extents(shape)[hit]
+    return hit, counts[hit]
+
+
+def _weigh_counts(kern: KernelTable, hit: np.ndarray, n: np.ndarray) -> float:
+    """Sum of pair weights over an offset histogram (``_offset_counts``).
+
+    Each weight splits into halves of at most 26 significant bits, so while
+    N < 2^27 both count-times-half products are exact and ``stable_sum``
+    rounds their sum once.  Counting pairs, where ``energies.convolve``
+    would apply the table to a field, keeps the sum correctly rounded and
+    bitwise symmetric in the two sets.
+    """
+    w = kern.table_for_extents(kern.lattice.shape)[hit]
     c = 134217729.0 * w  # Veltkamp split w = hi + (w - hi)
     hi = c - (c - w)
-    return math.fsum(np.concatenate([n * hi, n * (w - hi)]).tolist())
+    return stable_sum(np.concatenate([n * hi, n * (w - hi)]))
+
+
+def _pair_mass(kern: KernelTable, A: CellSet, D: CellSet) -> float:
+    """Sum of pair weights between two in-box sets, from offset counts."""
+    return _weigh_counts(kern, *_offset_counts(A, D))
 
 
 def L_interaction(kern: KernelTable, A: CellSet, D: CellSet) -> float:
@@ -158,62 +175,72 @@ def _s_branch(s: float) -> str:
     return "superhalf"
 
 
-def check_gmt(kern: KernelTable, A: CellSet, B: CellSet, c_probe: float = 0.05) -> GmtReport:
+def _gmt_bound(n: int, s: float, a: float, b: float, cell: float, c_probe: float):
+    """(regime, bound, floored): the lower-bound expression for sets of
+    measures a and b, B empty floored at one cell where it divides."""
+    if b > c_probe * a:
+        return "large_b", a ** ((n - 2.0 * s) / n) * (b / a) ** (-2.0 * s / n), False
+    if s < 0.5:
+        return "small_b", a ** ((n - 2.0 * s) / n), False
+    floored = b <= 0.0
+    b_eff = cell if floored else b
+    if s == 0.5:
+        return "small_b", a ** ((n - 1.0) / n) * math.log(a / b_eff), floored
+    return "small_b", a ** ((n - 2.0 * s) / n) * (b_eff / a) ** (1.0 - 2.0 * s), floored
+
+
+def check_gmt(kernels: list[KernelTable], A: CellSet, B: CellSet,
+              c_probes: tuple[float, ...] = (0.05,)) -> list[list[GmtReport]]:
     """Interaction of A against the complement of A and B, versus the
-    regime lower-bound expression.
+    regime lower-bound expression, for every kernel and probe fraction.
 
     D is everything outside A and B: the in-box remainder plus the
     analytic exterior of the box, so truncation never undershoots the
-    mass.  The regime splits on measure(B) <= c_probe * measure(A); the
-    returned ratio interaction/bound is the empirical constant.  An empty
+    mass.  The regime splits on measure(B) <= c_probe * measure(A); each
+    report's ratio interaction/bound is the empirical constant.  An empty
     B in the branches that divide by it is floored at one cell measure
-    and flagged.
+    and flagged.  Returns the reports as ``[kernel][probe]``.
+
+    The sets are checked and their offset histogram counted once, the
+    interaction is weighed once per kernel, and only the bound is worked
+    out per probe.
     """
-    _check_kernel_lattice(kern, A)
-    _check_kernel_lattice(kern, B)
-    if not 0.0 < c_probe < 1.0:
-        raise ValueError(f"c_probe must lie in (0, 1), got {c_probe}")
+    for kern in kernels:
+        _check_kernel_lattice(kern, A)
+        _check_kernel_lattice(kern, B)
+    for c_probe in c_probes:
+        if not 0.0 < c_probe < 1.0:
+            raise ValueError(f"c_probe must lie in (0, 1), got {c_probe}")
     if A.count == 0:
         raise ValueError("A must have positive measure")
     if not A.disjoint(B):
         raise ValueError("sets overlap; A and B must be disjoint")
     D = A.union(B).complement()
-    tail = stable_sum(kern.tail_weights[A.members])
-    interaction = _pair_mass(kern, A, D) + tail
+    counts = _offset_counts(A, D)
 
-    n = A.lattice.dim
-    s = kern.s
-    a, b = A.measure, B.measure
-    cell = A.lattice.cell_volume
-    floored = False
-    if b <= c_probe * a:
-        regime = "small_b"
-        if s < 0.5:
-            bound = a ** ((n - 2.0 * s) / n)
-        else:
-            b_eff = b
-            if b_eff <= 0.0:
-                b_eff = cell
-                floored = True
-            if s == 0.5:
-                bound = a ** ((n - 1.0) / n) * math.log(a / b_eff)
-            else:
-                bound = a ** ((n - 2.0 * s) / n) * (b_eff / a) ** (1.0 - 2.0 * s)
-    else:
-        regime = "large_b"
-        bound = a ** ((n - 2.0 * s) / n) * (b / a) ** (-2.0 * s / n)
-    return GmtReport(
-        regime=regime,
-        s_branch=_s_branch(s),
-        measure_a=a,
-        measure_b=b,
-        measure_d=D.measure,
-        c_probe=c_probe,
-        interaction=interaction,
-        bound=bound,
-        ratio=interaction / bound,
-        b_floored=floored,
-    )
+    n, cell = A.lattice.dim, A.lattice.cell_volume
+    a, b, d = A.measure, B.measure, D.measure
+    out = []
+    for kern in kernels:
+        tail = stable_sum(kern.tail_weights[A.members])
+        interaction = _weigh_counts(kern, *counts) + tail
+        reports = []
+        for c_probe in c_probes:
+            regime, bound, floored = _gmt_bound(n, kern.s, a, b, cell, c_probe)
+            reports.append(GmtReport(
+                regime=regime,
+                s_branch=_s_branch(kern.s),
+                measure_a=a,
+                measure_b=b,
+                measure_d=d,
+                c_probe=c_probe,
+                interaction=interaction,
+                bound=bound,
+                ratio=interaction / bound,
+                b_floored=floored,
+            ))
+        out.append(reports)
+    return out
 
 
 # -- complement integral bound -------------------------------------------------

@@ -169,6 +169,86 @@ def test_pv_rule_mirror_directions_bitwise_on_kink_circle():
     assert pv[0] == pytest.approx(0.0200118357, rel=1e-9)
 
 
+def _two_gradings(lo, hi, first, last):
+    """Oracle: the ends and panels of each grading's sub-panels, built on
+    their own; the graded levels of every panel's two ends."""
+    half = 0.5 * (hi - lo)
+    out = []
+    for f, l in ((first, last), (2.0 * first, 2.0 * last)):
+        levels = [np.maximum(0.0, np.ceil(np.log2(half / step))) for step in (f, l)]
+        k = np.arange(int(max(lv.max(initial=0.0) for lv in levels)))
+        reach = [np.where(lv[:, None] > 0.0,
+                          step[:, None] * 2.0 ** np.minimum(k, lv[:, None] - 1.0), 0.0)
+                 for step, lv in zip((f, l), levels)]
+        edges = np.column_stack([lo, lo[:, None] + reach[0],
+                                 hi[:, None] - reach[1][:, ::-1], hi])
+        a, b = edges[:, :-1], edges[:, 1:]
+        keep = b > a
+        out.append((a[keep], b[keep], np.nonzero(keep)[0], levels))
+    return out
+
+
+def _quad_oracle(x, c, sn, r, s):
+    """Oracle: ``barrier.quad`` with each grading's sub-panels built and
+    integrated on their own.  Also returns the graded levels of every
+    panel's two ends."""
+    n, upper = x.size, np.abs(x) + r
+    cuts = [np.zeros(n)]
+    for radius in (clamp_radius(r, s), 0.5 * r, r):
+        disc = radius * radius - (x * sn) ** 2
+        root = np.sqrt(np.maximum(disc, 0.0))
+        for u in (-x * c - root, -x * c + root, x * c - root, x * c + root):
+            ok = (disc >= 0.0) & (u > 1e-9 * upper) & (u < upper)
+            cuts.append(np.where(ok, u, upper))
+    cuts.append(upper)
+    edges = np.sort(np.column_stack(cuts), axis=1)
+    pair, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    lo, hi = edges[pair, col], edges[pair, col + 1]
+    step = np.full(lo.size, 0.25 * (r - clamp_radius(r, s)))
+    first = np.where(lo > 0.0, np.minimum(step, lo), step)
+    fine, coarse = _two_gradings(lo, hi, first, step)
+    sub_a = np.concatenate([fine[0], coarse[0]])
+    sub_b = np.concatenate([fine[1], coarse[1]])
+    sub_pair = pair[np.concatenate([fine[2], coarse[2]])]
+    (t, w), (tj, wj) = barrier._reference_rules(s)
+    jacobi = (sub_a == 0.0)[:, None]
+    half = 0.5 * (sub_b - sub_a)[:, None]
+    u = sub_a[:, None] + half * (1.0 + np.where(jacobi, tj, t))
+    xl, cl, sl = x[sub_pair][:, None], c[sub_pair][:, None], sn[sub_pair][:, None]
+    fwd = eval_v(np.hypot(xl + u * cl, u * sl), r, s)
+    back = eval_v(np.hypot(xl - u * cl, u * sl), r, s)
+    f = (fwd + back - 2.0 * eval_v(x, r, s)[sub_pair][:, None]) * u ** (-1.0 - 2.0 * s)
+    piece = np.sum(half * np.where(jacobi, wj, w) * f, axis=1)
+    m = fine[0].size
+    value = np.bincount(sub_pair[:m], weights=piece[:m], minlength=n)
+    coarser = np.bincount(sub_pair[m:], weights=piece[m:], minlength=n)
+    return value, value - coarser, np.concatenate(fine[3])
+
+
+@pytest.mark.parametrize("r,s", [(400.0, 0.5), (60.0, 0.25), (100.0, 0.75),
+                                 (50.0, 0.1), (400.0, 0.9)])
+def test_quad_shares_pieces_bit_for_bit(r, s):
+    # the coarse grading read off the fine one, plus its merged pieces,
+    # against both gradings integrated on their own: 1D rays and 2D
+    # directions, with panels graded 0, 1 and more levels at an end
+    rng = np.random.default_rng(int(r) + int(100 * s))
+    levels = set()
+    for trial in range(12):
+        x = rng.uniform(0.0, 1.2 * r, barrier._BATCH)
+        x[:3] = (0.5 * r, clamp_radius(r, s), 0.5 * r + 1e-3)  # on and by a kink
+        if trial % 2:
+            theta = rng.uniform(0.0, 0.5 * math.pi, x.size)
+            c, sn = np.cos(theta), np.sin(theta)
+        else:
+            c, sn = np.ones(x.size), np.zeros(x.size)
+        value, delta = barrier.quad(x, c, sn, r, s)
+        want_value, want_delta, lv = _quad_oracle(x, c, sn, r, s)
+        assert np.array_equal(value.view(np.uint64), want_value.view(np.uint64))
+        assert np.array_equal(delta.view(np.uint64), want_delta.view(np.uint64))
+        levels.update(lv.tolist())
+    assert {0.0, 1.0, 2.0} <= levels
+
+
 # -- C5 estimation -------------------------------------------------------
 
 

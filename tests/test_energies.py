@@ -500,7 +500,8 @@ def _by_parity(y, Ns, K, folded=()):
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (1, 1), (1, 5), (2, 3), (7, 4),
                                    (9,), (145,), (5, 9), (63, 65),
-                                   (144,), (1040,), (4112,), (64, 60), (128, 128)])
+                                   (144,), (1040,), (4112,), (64, 60), (128, 128),
+                                   (61, 61)])
 def test_convolve_is_the_parity_recursion_bit_for_bit(shape):
     # the stacked classes (one DCT-II call for both parities on an even
     # extent, the DST-II read off a sign-alternated DCT-II) against the

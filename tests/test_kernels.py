@@ -367,6 +367,40 @@ def test_quadrant_tail_symmetric_and_matches_angular_integral(s):
     assert np.max(np.abs(q - ref) / ref) < 1e-13
 
 
+def _fresh_corner_table(n0, n1, s):
+    """Oracle: the corner table of one size, built on its own."""
+    hi = max(n0, n1)
+    m, k = np.triu_indices(min(n0, n1), m=hi)
+    vals = K._rect_integrals(m + 0.0, m + 1.0, k + 0.0, k + 1.0, s)
+    q = np.empty((hi, hi))
+    q[m, k] = vals
+    q[k, m] = vals
+    if s >= 0.5:
+        q[0, 0] = K.quadrant_tail(0.5, 0.5, s)
+    return q[:n0, :n1]
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_corner_table_windows_are_fresh_builds(s, monkeypatch):
+    # one read-only table per exponent, at the largest size asked for so
+    # far; its windows equal a fresh build of each size bit for bit,
+    # whatever order the sizes come in
+    sizes = [(32, 32), (61, 61), (34, 60), (64, 64), (1, 1), (9, 2)]
+    fresh = {n: _fresh_corner_table(*n, s) for n in sizes}
+    for order in (sizes, sizes[::-1], sorted(sizes, key=lambda n: n[1])):
+        monkeypatch.setattr(K, "_CORNERS", {})
+        for n in order:
+            q = K._corner_table(*n, s)
+            assert q.shape == n
+            assert np.array_equal(q.view(np.uint64), fresh[n].view(np.uint64))
+            assert not q.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                q[0, 0] = 1.0
+        assert list(K._CORNERS) == [s]
+        assert K._CORNERS[s].shape == (64, 64)
+        assert not K._CORNERS[s].flags.writeable
+
+
 def _exit_tail(x, y, s, box):
     """Point tail against the complement of the box: (1/2s) times the
     integral over directions of the exit distance^(-2s), split at the

@@ -5,13 +5,16 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len, rfftn
 
 from cellsets import from_indices
 import fraclab
 from fraclab import setgeom
 from fraclab.kernels import build_kernel, stable_sum
+from fraclab.lab import ExperimentConfig, run_gmt_suite
 from fraclab.lattice import CellSet, Lattice, ball_mask
 from fraclab.setgeom import (
+    GmtReport,
     L_interaction,
     _shadow_counts,
     check_gmt,
@@ -232,7 +235,7 @@ def test_gmt_empty_b_subhalf(kern2):
     mask = np.zeros((32, 32), dtype=bool)
     mask[8:16, 8:16] = True
     A = CellSet(LAT2, mask)
-    rep = check_gmt(kern2, A, CellSet.empty(LAT2), c_probe=0.05)
+    [[rep]] = check_gmt([kern2], A, CellSet.empty(LAT2), [0.05])
     assert rep.regime == "small_b" and rep.s_branch == "subhalf"
     assert not rep.b_floored
     assert rep.bound == pytest.approx(64.0 ** 0.75, rel=1e-12)
@@ -245,12 +248,13 @@ def test_gmt_refinement_stable(kern2):
     # same physical square at two lattice resolutions
     mask = np.zeros((32, 32), dtype=bool)
     mask[8:16, 8:16] = True
-    coarse = check_gmt(kern2, CellSet(LAT2, mask), CellSet.empty(LAT2), 0.05)
+    [[coarse]] = check_gmt([kern2], CellSet(LAT2, mask), CellSet.empty(LAT2), [0.05])
     fine_lat = Lattice(2, 0.5, (0, 0), (64, 64))
     fine_kern = build_kernel(fine_lat, 0.25)
     fmask = np.zeros((64, 64), dtype=bool)
     fmask[16:32, 16:32] = True
-    fine = check_gmt(fine_kern, CellSet(fine_lat, fmask), CellSet.empty(fine_lat), 0.05)
+    [[fine]] = check_gmt([fine_kern], CellSet(fine_lat, fmask), CellSet.empty(fine_lat),
+                         [0.05])
     assert fine.measure_a == coarse.measure_a
     assert abs(fine.ratio - coarse.ratio) / coarse.ratio < 0.05
 
@@ -260,7 +264,7 @@ def test_gmt_large_b_regime(kern2):
     amask[2:6, 2:6] = True
     bmask = np.zeros((32, 32), dtype=bool)
     bmask[10:20, 10:20] = True
-    rep = check_gmt(kern2, CellSet(LAT2, amask), CellSet(LAT2, bmask), c_probe=0.05)
+    [[rep]] = check_gmt([kern2], CellSet(LAT2, amask), CellSet(LAT2, bmask), [0.05])
     assert rep.regime == "large_b"
     a, b = rep.measure_a, rep.measure_b
     assert rep.bound == pytest.approx(a ** 0.75 * (b / a) ** (-0.25), rel=1e-12)
@@ -272,23 +276,121 @@ def test_gmt_floored_branches(qkern50, qkern75):
     amask[4:12, 4:12] = True
     A = CellSet(QLAT, amask)
     B = CellSet.empty(QLAT)
-    half = check_gmt(qkern50, A, B, 0.05)
+    [[half]] = check_gmt([qkern50], A, B, [0.05])
     assert half.s_branch == "half" and half.b_floored
     assert half.bound == pytest.approx(64.0 ** 0.5 * math.log(64.0), rel=1e-12)
-    sup = check_gmt(qkern75, A, B, 0.05)
+    [[sup]] = check_gmt([qkern75], A, B, [0.05])
     assert sup.s_branch == "superhalf" and sup.b_floored
     assert sup.bound == pytest.approx(64.0 ** 0.25 * (1.0 / 64.0) ** (-0.5), rel=1e-12)
     assert half.ratio > 0.0 and sup.ratio > 0.0
 
 
+def _one_gmt(kern, A, B, c_probe):
+    """Oracle: the check of one kernel at one probe, its pair mass the
+    ``math.fsum`` of the count-times-half products as a list."""
+    D = A.union(B).complement()
+    mass = 0.0
+    if D.count:
+        shape = A.lattice.shape
+        fshape = tuple(next_fast_len(2 * n - 1, True) for n in shape)
+        spec = rfftn(np.flip(D.members).astype(float), fshape)
+        raw = setgeom.fftconvolve(A.members.astype(float), spec, fshape)
+        counts = np.rint(raw[tuple(slice(0, 2 * n - 1) for n in shape)])
+        hit = counts > 0
+        n = counts[hit]
+        w = kern.table_for_extents(shape)[hit]
+        c = 134217729.0 * w
+        hi = c - (c - w)
+        mass = math.fsum(np.concatenate([n * hi, n * (w - hi)]).tolist())
+    interaction = mass + stable_sum(kern.tail_weights[A.members])
+    n, s = A.lattice.dim, kern.s
+    a, b = A.measure, B.measure
+    floored = False
+    if b <= c_probe * a:
+        regime = "small_b"
+        if s < 0.5:
+            bound = a ** ((n - 2.0 * s) / n)
+        else:
+            b_eff = b
+            if b_eff <= 0.0:
+                b_eff = A.lattice.cell_volume
+                floored = True
+            if s == 0.5:
+                bound = a ** ((n - 1.0) / n) * math.log(a / b_eff)
+            else:
+                bound = a ** ((n - 2.0 * s) / n) * (b_eff / a) ** (1.0 - 2.0 * s)
+    else:
+        regime = "large_b"
+        bound = a ** ((n - 2.0 * s) / n) * (b / a) ** (-2.0 * s / n)
+    return GmtReport(
+        regime=regime, s_branch=setgeom._s_branch(s), measure_a=a, measure_b=b,
+        measure_d=D.measure, c_probe=c_probe, interaction=interaction,
+        bound=bound, ratio=interaction / bound, b_floored=floored)
+
+
+def test_batched_gmt_is_the_one_kernel_one_probe_check(qkern50, qkern75):
+    # seeded pairs with B empty (floored at s >= 1/2), small and large, and
+    # one pair that leaves D empty; every field equal, the floats bitwise
+    kernels = [build_kernel(QLAT, 0.25), qkern50, qkern75]
+    probes = (0.01, 0.05, 0.1, 0.6)
+    rng = np.random.default_rng(23)
+    pairs = [random_disjoint_pair(QLAT, rng, frac) for frac in (0.0, 0.02, 0.5, 0.0, 1.0)]
+    full = np.ones(QLAT.shape, dtype=bool)
+    full[:2] = False
+    pairs.append((CellSet(QLAT, full), CellSet(QLAT, ~full)))
+    seen = set()
+    for A, B in pairs:
+        got = check_gmt(kernels, A, B, probes)
+        assert len(got) == len(kernels)
+        for kern, reports in zip(kernels, got):
+            assert [rep.c_probe for rep in reports] == list(probes)
+            for probe, rep in zip(probes, reports):
+                assert rep == _one_gmt(kern, A, B, probe)
+                seen.add((rep.regime, rep.b_floored, rep.measure_d == 0.0))
+    assert {("small_b", True, False), ("small_b", False, False),
+            ("large_b", False, False), ("large_b", False, True)} <= seen
+
+
+def test_gmt_suite_counts_one_histogram_per_set_pair(monkeypatch):
+    # one offset histogram per corpus pair and per refined pair, whatever
+    # the number of exponents and probes; rows in (s, case, probe) order
+    calls = []
+    counts = setgeom._offset_counts
+
+    def counted(A, D):
+        calls.append(A.lattice)
+        return counts(A, D)
+
+    monkeypatch.setattr(setgeom, "_offset_counts", counted)
+    cfg = ExperimentConfig(experiment="gmt", dim=2, h=1.0, s=0.25,
+                           s_list=(0.25, 0.5), corpus_size=5, box_cells=10,
+                           b_fractions=(0.02, 0.5), refine_cases=2, seed=11)
+    rep = run_gmt_suite(cfg)
+    assert len(calls) == cfg.corpus_size + cfg.refine_cases
+    lat = calls[0]
+    gen = np.random.default_rng(cfg.seed)
+    pairs = [random_disjoint_pair(lat, gen, cfg.b_fractions[i % 2], cfg.max_rects)
+             for i in range(cfg.corpus_size)]
+    want = []
+    for s in cfg.s_list:
+        kern = build_kernel(lat, s)
+        for i, (A, B) in enumerate(pairs):
+            for probe in cfg.c_probes:
+                r = _one_gmt(kern, A, B, probe)
+                want.append([i, s, probe, r.regime, r.s_branch, r.measure_a,
+                             r.measure_b, r.b_floored, r.interaction, r.bound,
+                             r.ratio])
+    assert rep.series_rows == want
+
+
 def test_gmt_errors(kern2):
     A = from_indices(LAT2, [(1, 1)])
     with pytest.raises(ValueError, match="positive measure"):
-        check_gmt(kern2, CellSet.empty(LAT2), A, 0.05)
+        check_gmt([kern2], CellSet.empty(LAT2), A, [0.05])
     with pytest.raises(ValueError, match="overlap"):
-        check_gmt(kern2, A, A, 0.05)
+        check_gmt([kern2], A, A, [0.05])
     with pytest.raises(ValueError, match="c_probe"):
-        check_gmt(kern2, A, CellSet.empty(LAT2), 1.5)
+        check_gmt([kern2], A, CellSet.empty(LAT2), [1.5])
 
 
 # -- complement integral bound -------------------------------------------------
