@@ -32,7 +32,7 @@ from scipy.fft import dct, dst, idct, idst
 
 # unused here; kept bound because perfbench/tracing.py wraps energies.fftconvolve
 from .kernels import KernelTable, fftconvolve, stable_sum  # noqa: F401
-from .lattice import CellSet, ConstantExterior, HalfspaceExterior, ScalarField
+from .lattice import CellSet, ScalarField
 
 __all__ = ["EnergyModel", "convolve", "energy_E"]
 
@@ -144,19 +144,14 @@ class EnergyModel:
         self.omega = np.ones(lat.shape, dtype=bool) if omega is None else omega.members
         self.cell_measure = lat.h**lat.dim
 
-        # exterior pairing of cell i contributes t0*u_i^2 - 2*t1*u_i + t2
+        # exterior pairing of cell i contributes t0*u_i^2 - 2*t1*u_i + t2,
+        # the tails weighted by the exterior value on each side
         ext = u.exterior
-        if isinstance(ext, ConstantExterior):
-            t0 = kern.tail_weights
-            g = ext.value
-            t1, t2 = g * t0, g * g * t0
-        elif isinstance(ext, HalfspaceExterior):
-            plus, minus = kern.tail_halfspace(ext.axis, ext.threshold)
-            t0 = plus + minus
-            t1, t2 = plus - minus, plus + minus
-        else:
-            raise TypeError(f"unsupported exterior descriptor {type(ext).__name__}")
-        self.t0, self.t1, self.t2 = t0, t1, t2
+        a, b = ext.above, ext.below
+        plus, minus = kern.tail_halfspace(ext.axis, ext.threshold)
+        self.t0 = plus + minus
+        self.t1 = a * plus + b * minus
+        self.t2 = a * a * plus + b * b * minus
 
         free = self.omega.astype(float)
         self._c_box = self._conv(np.ones(lat.shape))

@@ -48,7 +48,6 @@ __all__ = [
     "build_kernel",
     "pair_weight_exact",
     "pair_weight_collocation",
-    "cell_tail_weights",
     "cell_tail_halfspace",
     "quadrant_tail",
     "stable_sum",
@@ -88,7 +87,7 @@ def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
     fshape is ``spec``.  An array of extent 2n - 1 and a field of extent n
     convolve linearly to extent 3n - 2; at fshape >= 2n - 1 the entries
     past fshape wrap into [0, n - 1), so the window [n - 1, 2n - 1) is
-    exact.  ``setgeom._pair_mass`` counts pair offsets with it; table
+    exact.  ``setgeom._offset_counts`` counts pair offsets with it; table
     convolutions of fields are ``energies.convolve``.
     """
     return irfftn(rfftn(x, fshape) * spec, fshape)
@@ -424,11 +423,6 @@ def _tails_plus(lo, hi, t: float, h: float, s: float, q, sides) -> np.ndarray:
     return hb * cols + (C + C[:, ::-1]) - scale * (q[::-1, :] + q[::-1, ::-1])
 
 
-def cell_tail_weights(lat: Lattice, s: float) -> np.ndarray:
-    """Per-cell tail weight against the whole box complement."""
-    return cell_tail_halfspace(lat, s, 0, -np.inf)[0]
-
-
 def cell_tail_halfspace(lat: Lattice, s: float, axis: int, thr: float):
     """(plus, minus) tail weights split by the halfspace {y[axis] >= thr},
     each of the lattice shape.
@@ -543,7 +537,7 @@ class KernelTable:
         double integral; collocation on divergent face-touching sides)."""
         key = "total"
         if key not in self._tail_cache:
-            out = cell_tail_weights(self.lattice, self.s)
+            out = cell_tail_halfspace(self.lattice, self.s, 0, -np.inf)[0]
             out.setflags(write=False)
             self._tail_cache[key] = out
         return self._tail_cache[key]

@@ -20,8 +20,7 @@ from ..energies import EnergyModel, energy_E
 from ..kernels import build_kernel
 from ..lattice import (
     CellSet,
-    ConstantExterior,
-    HalfspaceExterior,
+    Exterior,
     Lattice,
     ScalarField,
     ball_mask,
@@ -87,10 +86,10 @@ def _potential(cfg: ExperimentConfig):
     return pot
 
 
-def _exterior(cfg: ExperimentConfig):
+def _exterior(cfg: ExperimentConfig) -> Exterior:
     if cfg.exterior == "halfspace":
-        return HalfspaceExterior(cfg.exterior_axis, cfg.exterior_threshold)
-    return ConstantExterior(cfg.exterior_value)
+        return Exterior(1.0, -1.0, cfg.exterior_axis, cfg.exterior_threshold)
+    return Exterior(cfg.exterior_value, cfg.exterior_value)
 
 
 def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
@@ -388,6 +387,8 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"need at least 2 eps values, got {len(cfg.eps)}")
     if any(b >= a for a, b in zip(cfg.eps, cfg.eps[1:])):
         raise ValueError(f"eps must be strictly decreasing, got {cfg.eps}")
+    if not all(eps > 0 for eps in cfg.eps):
+        raise ValueError(f"eps must be positive, got {cfg.eps}")
     t0 = time.perf_counter()
     pot = _potential(cfg)
     ext = _exterior(cfg)
@@ -493,6 +494,8 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.corpus_size < 1:
         raise ValueError(f"corpus_size must be >= 1, got {cfg.corpus_size}")
+    if cfg.refine_cases < 0:
+        raise ValueError(f"refine_cases must be >= 0, got {cfg.refine_cases}")
     for key in ("c_probes", "b_fractions"):
         if not getattr(cfg, key):
             raise ValueError(f"{key} must list at least one value")
@@ -670,7 +673,7 @@ def _c5_lattice(spec: bar.BarrierSpec, h: float) -> float:
     v = bar.eval_v(np.sqrt(sum(g * g for g in lat.center_grids())),
                    spec.r, spec.s)
     model = EnergyModel(build_kernel(lat, spec.s), None,
-                        ScalarField(lat, v, ConstantExterior(1.0)))
+                        ScalarField(lat, v, Exterior(1.0, 1.0)))
     pv = -0.5 * model.gradient(v) / lat.cell_volume
     floor = 16.0 * spec.r ** (-2.0 * spec.s)
     return float(np.max(np.maximum(pv, 0.0) / (v + floor)))

@@ -23,8 +23,7 @@ __all__ = [
     "Lattice",
     "CellSet",
     "ScalarField",
-    "ConstantExterior",
-    "HalfspaceExterior",
+    "Exterior",
     "ball_mask",
     "psi_field",
 ]
@@ -175,31 +174,28 @@ class CellSet:
 
 
 @dataclass(frozen=True)
-class ConstantExterior:
-    """u = value everywhere outside the lattice box."""
+class Exterior:
+    """u = above where x[axis] >= threshold and below elsewhere, outside
+    the box.
 
-    value: float
+    A halfspace sign is Exterior(1, -1, axis, t), +1 on the threshold;
+    constant data g is Exterior(g, g), whose threshold -inf puts every
+    exterior point above.
+    """
 
-    def __post_init__(self):
-        if not -1.0 <= self.value <= 1.0:
-            raise ValueError(f"exterior value must lie in [-1, 1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class HalfspaceExterior:
-    """u = sign(x[axis] - threshold) outside the box; +1 on the threshold."""
-
-    axis: int
-    threshold: float
+    above: float
+    below: float
+    axis: int = 0
+    threshold: float = -np.inf
 
     def __post_init__(self):
+        for value in (self.above, self.below):
+            if not -1.0 <= value <= 1.0:
+                raise ValueError(f"exterior value must lie in [-1, 1], got {value}")
         if self.axis < 0:
-            raise ValueError(f"halfspace axis must be nonnegative, got {self.axis}")
+            raise ValueError(f"exterior axis must be nonnegative, got {self.axis}")
         if np.isnan(self.threshold):
-            raise ValueError("halfspace threshold must not be NaN")
-
-
-Exterior = ConstantExterior | HalfspaceExterior
+            raise ValueError("exterior threshold must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,7 @@ class ScalarField:
     """Cell values in [-1, 1] on a lattice plus an exterior descriptor.
 
     The values give the field inside the box and the descriptor gives it
-    outside.
+    outside; the descriptor's axis must be an axis of the lattice.
     """
 
     lattice: Lattice
@@ -223,10 +219,9 @@ class ScalarField:
         v = np.clip(v, -1.0, 1.0)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        ext = self.exterior
-        if isinstance(ext, HalfspaceExterior) and ext.axis >= self.lattice.dim:
-            raise ValueError(
-                f"halfspace axis {ext.axis} out of range for dim {self.lattice.dim}")
+        if self.exterior.axis >= self.lattice.dim:
+            raise ValueError(f"exterior axis {self.exterior.axis} out of range "
+                             f"for dim {self.lattice.dim}")
 
 
 # -- operations ---------------------------------------------------------------
@@ -264,7 +259,7 @@ def psi_field(lattice: Lattice, R: float) -> ScalarField:
     """Radial comparison profile: -1 inside B_{R+1}, +1 outside B_{R+2}.
 
     psi(x) = -1 + 2 * min{ (|x| - R - 1)^+ , 1 }, sampled at cell centers,
-    with exterior identically +1.
+    with exterior Exterior(1, 1), identically +1.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
@@ -275,4 +270,4 @@ def psi_field(lattice: Lattice, R: float) -> ScalarField:
     rad = np.sqrt(sum(np.broadcast_to(g, lattice.shape) ** 2 for g in grids)) \
         if lattice.dim == 2 else np.abs(np.broadcast_to(grids[0], lattice.shape))
     vals = -1.0 + 2.0 * np.minimum(np.maximum(rad - R - 1.0, 0.0), 1.0)
-    return ScalarField(lattice, vals, ConstantExterior(1.0))
+    return ScalarField(lattice, vals, Exterior(1.0, 1.0))

@@ -35,13 +35,7 @@ import numpy as np
 
 from .energies import EnergyModel
 from .kernels import KernelTable, stable_sum
-from .lattice import (
-    CellSet,
-    ConstantExterior,
-    HalfspaceExterior,
-    Lattice,
-    ScalarField,
-)
+from .lattice import CellSet, Exterior, Lattice, ScalarField
 
 __all__ = [
     "MinimizeConfig",
@@ -100,19 +94,13 @@ class MinimizeResult:
         return self.trace[:, 1]
 
 
-def initial_field(lattice: Lattice, exterior) -> ScalarField:
-    """The exterior data extended inward: the sign of the halfspace
-    coordinate, or the constant value."""
-    if isinstance(exterior, HalfspaceExterior):
-        coord = lattice.axis_centers(exterior.axis).reshape(
-            [-1 if a == exterior.axis else 1 for a in range(lattice.dim)])
-        vals = np.broadcast_to(np.where(coord >= exterior.threshold, 1.0, -1.0),
-                               lattice.shape)
-    elif isinstance(exterior, ConstantExterior):
-        vals = np.full(lattice.shape, exterior.value)
-    else:
-        raise TypeError(f"unsupported exterior descriptor {type(exterior).__name__}")
-    return ScalarField(lattice, vals, exterior)
+def initial_field(lattice: Lattice, exterior: Exterior) -> ScalarField:
+    """The exterior data extended inward: ``above`` at cell centres with
+    x[axis] >= threshold, ``below`` elsewhere."""
+    coord = lattice.axis_centers(exterior.axis).reshape(
+        [-1 if a == exterior.axis else 1 for a in range(lattice.dim)])
+    vals = np.where(coord >= exterior.threshold, exterior.above, exterior.below)
+    return ScalarField(lattice, np.broadcast_to(vals, lattice.shape), exterior)
 
 
 def _projected_grad(x, g, mask) -> np.ndarray:

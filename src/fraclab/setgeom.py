@@ -83,13 +83,9 @@ def _weigh_counts(kern: KernelTable, hit: np.ndarray, n: np.ndarray) -> float:
     return stable_sum(np.concatenate([n * hi, n * (w - hi)]))
 
 
-def _pair_mass(kern: KernelTable, A: CellSet, D: CellSet) -> float:
-    """Sum of pair weights between two in-box sets, from offset counts."""
-    return _weigh_counts(kern, *_offset_counts(A, D))
-
-
 def L_interaction(kern: KernelTable, A: CellSet, D: CellSet) -> float:
-    """Kernel mass between two disjoint in-box sets.
+    """Kernel mass between two disjoint in-box sets: the sum of pair
+    weights, from offset counts.
 
     Symmetric in the two arguments (the summed multiset of weights is the
     same either way) and additive over disjoint splits of either argument
@@ -99,7 +95,7 @@ def L_interaction(kern: KernelTable, A: CellSet, D: CellSet) -> float:
     _check_kernel_lattice(kern, D)
     if not A.disjoint(D):
         raise ValueError("sets overlap; interaction mass needs disjoint sets")
-    return _pair_mass(kern, A, D)
+    return _weigh_counts(kern, *_offset_counts(A, D))
 
 
 # -- projections and Loomis-Whitney -------------------------------------------

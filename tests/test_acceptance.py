@@ -26,7 +26,7 @@ from fraclab.lab import (
     run_levelset_convergence,
     run_sobolev_suite,
 )
-from fraclab.lattice import ConstantExterior, Lattice, ScalarField
+from fraclab.lattice import Exterior, Lattice, ScalarField
 from fraclab.minimize import MinimizeConfig, initial_field, minimize_energy
 from fraclab.potential import Quartic
 
@@ -334,7 +334,7 @@ def test_criterion_10_numerical_hygiene(tmp_path):
     pot = Quartic(1.0)
     rng = np.random.default_rng(99)
     u = ScalarField(lat, rng.uniform(-0.8, 0.8, lat.shape),
-                    ConstantExterior(1.0))
+                    Exterior(1.0, 1.0))
     model = EnergyModel(kern, pot, u)
     x = u.values
     g = model.gradient(x)
@@ -350,7 +350,7 @@ def test_criterion_10_numerical_hygiene(tmp_path):
 
     # accepted-step energy trace never increases
     res = minimize_energy(kern, pot, initial_field(
-        lat, ConstantExterior(1.0)), None,
+        lat, Exterior(1.0, 1.0)), None,
         MinimizeConfig(max_iters=500))
     steps = np.diff(res.energy_trace)
     ok_trace = bool(np.all(steps <= 0.0))

@@ -12,8 +12,7 @@ from fraclab.energies import EnergyModel, convolve, energy_E
 from fraclab.kernels import build_kernel
 from fraclab.lattice import (
     CellSet,
-    ConstantExterior,
-    HalfspaceExterior,
+    Exterior,
     Lattice,
     ScalarField,
     ball_mask,
@@ -44,7 +43,7 @@ def sign_kernels():
 def sign_field():
     vals = np.sign(LATS.axis_centers(0))
     vals[vals == 0] = 1.0
-    return ScalarField(LATS, vals, HalfspaceExterior(0, 0.0))
+    return ScalarField(LATS, vals, Exterior(1.0, -1.0, 0, 0.0))
 
 
 def _seminorm(kern, u, omega=None):
@@ -61,7 +60,7 @@ def _frac_laplacian(kern, u):
 
 def random_field(lat, seed, exterior=None):
     rng = np.random.default_rng(seed)
-    ext = ConstantExterior(-1.0) if exterior is None else exterior
+    ext = Exterior(-1.0, -1.0) if exterior is None else exterior
     return ScalarField(lat, rng.uniform(-1.0, 1.0, lat.shape), ext)
 
 
@@ -73,24 +72,24 @@ def test_two_cell_value():
     # continuum double integral is exactly 32 = 4*(8-4*sqrt2) + 4*(4*sqrt2)
     lat = Lattice(dim=1, h=1.0, lo=(0,), hi=(2,))
     kern = build_kernel(lat, 0.25)
-    u = ScalarField(lat, np.array([-1.0, 1.0]), ConstantExterior(1.0))
+    u = ScalarField(lat, np.array([-1.0, 1.0]), Exterior(1.0, 1.0))
     k = _seminorm(kern, u, CellSet.full(lat))
     assert k == pytest.approx(32.0, rel=1e-12)
 
 
 def test_constant_field_is_zero(kern1, kern2):
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
-        u = ScalarField(lat, np.ones(lat.shape), ConstantExterior(1.0))
+        u = ScalarField(lat, np.ones(lat.shape), Exterior(1.0, 1.0))
         assert _seminorm(kern, u) == 0.0
         assert energy_E(kern, Quartic(), u) == 0.0
     # interior constant, exterior matching but not a minimum of the well
-    u = ScalarField(LAT1, np.full(LAT1.shape, 0.3), ConstantExterior(0.3))
+    u = ScalarField(LAT1, np.full(LAT1.shape, 0.3), Exterior(0.3, 0.3))
     assert abs(_seminorm(kern1, u)) < 1e-10
 
 
 def test_negation_symmetry(kern1):
     u = random_field(LAT1, 0)
-    un = ScalarField(LAT1, -u.values, ConstantExterior(1.0))
+    un = ScalarField(LAT1, -u.values, Exterior(1.0, 1.0))
     om = ball_mask(LAT1, 0.0, 2.0)
     assert _seminorm(kern1, un, om) == pytest.approx(_seminorm(kern1, u, om), rel=1e-13)
 
@@ -102,7 +101,7 @@ def test_omega_defaults_to_full_box(kern1):
 
 def test_mismatched_lattice_errors(kern1):
     other = Lattice(dim=1, h=0.5, lo=(-10,), hi=(10,))
-    u_other = ScalarField(other, np.zeros(other.shape), ConstantExterior(0.0))
+    u_other = ScalarField(other, np.zeros(other.shape), Exterior(0.0, 0.0))
     with pytest.raises(ValueError, match="lattice"):
         _seminorm(kern1, u_other)
     with pytest.raises(ValueError, match="lattice"):
@@ -112,7 +111,7 @@ def test_mismatched_lattice_errors(kern1):
 def test_domain_monotonicity(kern1, kern2):
     # dropping cells from omega removes pair terms, never adds any
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
-        u = random_field(lat, 3, HalfspaceExterior(0, 0.2))
+        u = random_field(lat, 3, Exterior(1.0, -1.0, 0, 0.2))
         for seed in range(5):
             rng = np.random.default_rng(seed)
             small = rng.random(lat.shape) < 0.4
@@ -125,10 +124,10 @@ def test_domain_monotonicity(kern1, kern2):
 @settings(max_examples=25, deadline=None)
 @given(lam=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 def test_quadratic_scaling(kern1, lam):
-    base = random_field(LAT1, 4, ConstantExterior(0.0))
+    base = random_field(LAT1, 4, Exterior(0.0, 0.0))
     om = ball_mask(LAT1, 0.0, 3.0)
     k1 = _seminorm(kern1, base, om)
-    scaled = ScalarField(LAT1, lam * base.values, ConstantExterior(0.0))
+    scaled = ScalarField(LAT1, lam * base.values, Exterior(0.0, 0.0))
     assert _seminorm(kern1, scaled, om) == pytest.approx(lam * lam * k1, rel=1e-12, abs=1e-13)
 
 
@@ -138,7 +137,7 @@ def test_refinement_convergence():
     for h in (0.5, 0.25):
         lat = Lattice(dim=1, h=h, lo=(int(-8 / h),), hi=(int(8 / h),))
         kern = build_kernel(lat, 0.5)
-        u = ScalarField(lat, np.tanh(lat.axis_centers(0)), HalfspaceExterior(0, 0.0))
+        u = ScalarField(lat, np.tanh(lat.axis_centers(0)), Exterior(1.0, -1.0, 0, 0.0))
         vals[h] = _seminorm(kern, u, ball_mask(lat, 0.0, 4.0))
     assert abs(vals[0.25] - vals[0.5]) / vals[0.25] < 0.05
 
@@ -202,7 +201,7 @@ def _exterior_mass(kern, u, a):
 
 
 def test_interaction_symmetry(kern1):
-    u = random_field(LAT1, 7, HalfspaceExterior(0, 0.0))
+    u = random_field(LAT1, 7, Exterior(1.0, -1.0, 0, 0.0))
     a = ball_mask(LAT1, -1.0, 1.0)
     b = ball_mask(LAT1, 2.0, 1.2)
     sab = _interaction(kern1, u, a, b)
@@ -213,7 +212,7 @@ def test_interaction_symmetry(kern1):
 
 def test_interaction_constant_on_both_sets(kern1):
     vals = np.where(np.abs(LAT1.axis_centers(0)) < 2.5, 0.7, -0.4)
-    u = ScalarField(LAT1, vals, ConstantExterior(-1.0))
+    u = ScalarField(LAT1, vals, Exterior(-1.0, -1.0))
     a = ball_mask(LAT1, -1.0, 0.9)
     b = ball_mask(LAT1, 1.0, 0.9)
     # u is 0.7 across a and b: every pair difference vanishes
@@ -235,8 +234,8 @@ def test_interaction_complement_default(kern1):
 def test_decomposition_identity(kern1, kern2):
     # K(u; om) = u(om, om)/2 + u(om, complement incl. exterior)
     cases = [
-        (kern1, random_field(LAT1, 9, HalfspaceExterior(0, 0.0)), ball_mask(LAT1, 0.0, 2.0)),
-        (kern2, random_field(LAT2, 10, HalfspaceExterior(1, 0.3)), ball_mask(LAT2, (0.0, 0.0), 2.0)),
+        (kern1, random_field(LAT1, 9, Exterior(1.0, -1.0, 0, 0.0)), ball_mask(LAT1, 0.0, 2.0)),
+        (kern2, random_field(LAT2, 10, Exterior(1.0, -1.0, 1, 0.3)), ball_mask(LAT2, (0.0, 0.0), 2.0)),
     ]
     for kern, u, om in cases:
         k = _seminorm(kern, u, om)
@@ -258,7 +257,7 @@ def test_interaction_lattice_mismatch(kern1):
 
 
 def test_fl_constant_field_zero(sign_kernels):
-    u = ScalarField(LATS, np.full(LATS.shape, 0.4), ConstantExterior(0.4))
+    u = ScalarField(LATS, np.full(LATS.shape, 0.4), Exterior(0.4, 0.4))
     assert np.max(np.abs(_frac_laplacian(sign_kernels[0.5], u))) < 1e-13
 
 
@@ -307,7 +306,7 @@ def test_lattice_operator_matches_torsion_closed_form(dim, s):
     # Getoor, Trans. AMS 101 (1961): for u = (1 - |x|^2/R^2)_+^s,
     # int (u(x) - u(y)) |x - y|^(-(n+2s)) dy
     #     = pi^(1+n/2) / (sin(pi s) Gamma(n/2)) R^(-2s)   for |x| < R;
-    # u vanishes beyond the box, so ConstantExterior(0) is exact there
+    # u vanishes beyond the box, so Exterior(0, 0) is exact there
     R = 16.0 if dim == 1 else 8.0
     exact = (math.pi ** (1 + dim / 2) / (math.sin(math.pi * s) * math.gamma(dim / 2))
              * R ** (-2.0 * s))
@@ -316,7 +315,7 @@ def test_lattice_operator_matches_torsion_closed_form(dim, s):
         lat = Lattice.covering_ball(dim, h, 0.0, R)
         x = np.meshgrid(*(lat.axis_centers(a) for a in range(dim)), indexing="ij")
         r2 = sum(c * c for c in x)
-        u = ScalarField(lat, np.maximum(1.0 - r2 / R**2, 0.0) ** s, ConstantExterior(0.0))
+        u = ScalarField(lat, np.maximum(1.0 - r2 / R**2, 0.0) ** s, Exterior(0.0, 0.0))
         op = _frac_laplacian(build_kernel(lat, s), u) / h**dim
         errs.append(float(np.max(np.abs(op[r2 < (R / 2) ** 2] - exact))) / exact)
     ref_errs, ref_orders = TORSION[dim, s]
@@ -330,7 +329,7 @@ def test_fl_is_half_gradient_of_K(kern1, kern2):
     # directional derivative of K along delta equals 2 sum_i delta_i fl_i;
     # K is quadratic, so the central difference is exact up to round-off
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
-        u = random_field(lat, 12, HalfspaceExterior(0, 0.1))
+        u = random_field(lat, 12, Exterior(1.0, -1.0, 0, 0.1))
         om = ball_mask(lat, 0.0 if lat.dim == 1 else (0.0, 0.0), 2.0)
         scaled = ScalarField(lat, 0.5 * u.values, u.exterior)
         fl = _frac_laplacian(kern, scaled)
@@ -355,7 +354,7 @@ def test_padded_box_matches_direct():
     pad = (LAT1.lo[0] - outer.lo[0], outer.hi[0] - LAT1.hi[0])
     rng = np.random.default_rng(15)
     big = np.clip(np.tanh(outer.axis_centers(0)) + 0.2 * rng.normal(size=outer.shape), -1, 1)
-    u = ScalarField(outer, big, ConstantExterior(1.0))
+    u = ScalarField(outer, big, Exterior(1.0, 1.0))
     kern = build_kernel(outer, 0.5)
     om = CellSet(outer, np.pad(ball_mask(LAT1, 0.0, 1.4).members, pad))
     n = outer.shape[0]
@@ -381,9 +380,9 @@ def test_padded_box_must_enclose(kern1):
                   Lattice(dim=1, h=1.0, lo=(-8,), hi=(8,))):
         with pytest.raises(ValueError, match="field lattice"):
             EnergyModel(kern1, pot, ScalarField(other, np.zeros(other.shape),
-                                                ConstantExterior(1.0)))
+                                                Exterior(1.0, 1.0)))
         with pytest.raises(ValueError, match="omega lattice"):
-            EnergyModel(kern1, pot, ScalarField(LAT1, zeros, ConstantExterior(1.0)),
+            EnergyModel(kern1, pot, ScalarField(LAT1, zeros, Exterior(1.0, 1.0)),
                         CellSet.full(other))
 
 
@@ -523,7 +522,7 @@ def _preconditioned(shape, s=0.75, seed=3):
     lat = Lattice(dim=len(shape), h=0.5, lo=(0,) * len(shape), hi=shape)
     rng = np.random.default_rng(seed)
     om = CellSet(lat, rng.random(shape) < 0.7)
-    u = ScalarField(lat, rng.uniform(-1.0, 1.0, shape), HalfspaceExterior(0, 1.0))
+    u = ScalarField(lat, rng.uniform(-1.0, 1.0, shape), Exterior(1.0, -1.0, 0, 1.0))
     return EnergyModel(build_kernel(lat, s), Quartic(), u, om)
 
 
@@ -583,7 +582,7 @@ def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("kind", ["constant", "halfspace", "padded"])
+@pytest.mark.parametrize("kind", ["constant", "halfspace", "padded", "two-valued"])
 def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
     kern, lat = (kern1, LAT1) if dim == 1 else (kern2, LAT2)
     rng = np.random.default_rng(17)
@@ -600,17 +599,22 @@ def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
         om = CellSet(lat, np.pad(om.members, pad))
         vals = np.where(om.members, np.pad(vals, pad),
                         rng.uniform(-1.0, 1.0, lat.shape))
-        ext = ConstantExterior(-1.0)
+        ext = Exterior(-1.0, -1.0)
         t0 = kern.tail_weights
         t1, t2 = -t0, t0
     elif kind == "constant":
-        ext = ConstantExterior(-0.7)
+        ext = Exterior(-0.7, -0.7)
         t0 = kern.tail_weights
         t1, t2 = -0.7 * t0, 0.49 * t0
-    else:
-        ext = HalfspaceExterior(dim - 1, 0.2)
+    elif kind == "halfspace":
+        ext = Exterior(1.0, -1.0, dim - 1, 0.2)
         plus, minus = kern.tail_halfspace(dim - 1, 0.2)
         t0, t1, t2 = plus + minus, plus - minus, plus + minus
+    else:
+        # 0.3 where x[dim - 1] >= 0.2 and -0.7 below
+        ext = Exterior(0.3, -0.7, dim - 1, 0.2)
+        plus, minus = kern.tail_halfspace(dim - 1, 0.2)
+        t0, t1, t2 = plus + minus, 0.3 * plus - 0.7 * minus, 0.09 * plus + 0.49 * minus
     u = ScalarField(lat, vals, ext)
     model = EnergyModel(kern, pot, u, om)
     x, omega = u.values, om.members
@@ -640,7 +644,7 @@ def test_segment_change_matches_energy_difference(kern1, kern2, dim, pot):
     rng = np.random.default_rng(31)
     om = CellSet(lat, rng.random(lat.shape) < 0.6)
     x = rng.uniform(-0.9, 0.9, lat.shape)
-    u = ScalarField(lat, x, HalfspaceExterior(dim - 1, 0.2))
+    u = ScalarField(lat, x, Exterior(1.0, -1.0, dim - 1, 0.2))
     model = EnergyModel(kern, pot, u, om)
     e0 = model.energy(x)
     target = np.clip(x + rng.normal(0.0, 0.5, lat.shape), -1.0, 1.0)
@@ -669,6 +673,6 @@ def test_constant_sign_field_is_exactly_zero(kern1, kern2):
         outer_om = CellSet(outer, np.pad(om.members, [(2, 3)] * lat.dim))
         for sign in (1.0, -1.0):
             for k, box, omega in ((kern, lat, om), (outer_kern, outer, outer_om)):
-                u = ScalarField(box, np.full(box.shape, sign), ConstantExterior(sign))
+                u = ScalarField(box, np.full(box.shape, sign), Exterior(sign, sign))
                 assert _seminorm(k, u, omega) == 0.0
                 assert energy_E(k, pot, u, omega) == 0.0

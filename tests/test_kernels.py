@@ -113,11 +113,6 @@ def test_pair_2d_matches_brute_force(key):
     assert got == pytest.approx(PAIR_2D[key], rel=1e-12)
 
 
-def test_pair_2d_edge_touching_closed_half_matches_brute_force():
-    got = pair_weight_exact(2, 1.0, 0.25, (0, 1))
-    assert got == pytest.approx(PAIR_2D[(0.25, (0, 1))], rel=1e-12)
-
-
 def test_pair_2d_edge_touching_just_below_half():
     # the weight diverges as s -> 1/2 only through the closed-form strip
     # term, so just below it the weight stays exact to round-off
@@ -451,7 +446,7 @@ def test_tail_2d_face_cells_collocate_touching_terms(s):
     # average of every other term
     h = 0.5
     X1, Y1 = 4 * h, 3 * h
-    tails = K.cell_tail_weights(Lattice(2, h, (0, 0), (4, 3)), s)
+    tails = K.cell_tail_halfspace(Lattice(2, h, (0, 0), (4, 3)), s, 0, -np.inf)[0]
     for i, j in ((3, 2), (1, 2), (3, 1), (0, 0), (2, 1)):
         x0, y0 = i * h, j * h
         cx, cy = x0 + 0.5 * h, y0 + 0.5 * h
@@ -481,8 +476,8 @@ def test_tail_2d_refinement_identity():
     coarse = Lattice(2, 1.0, (0, 0), (4, 3))
     fine = Lattice(2, 0.5, (0, 0), (8, 6))
     for s in (0.25, 0.75):
-        tc = K.cell_tail_weights(coarse, s)
-        tf = K.cell_tail_weights(fine, s)
+        tc = K.cell_tail_halfspace(coarse, s, 0, -np.inf)[0]
+        tf = K.cell_tail_halfspace(fine, s, 0, -np.inf)[0]
         agg = (tf[0::2, 0::2] + tf[1::2, 0::2]
                + tf[0::2, 1::2] + tf[1::2, 1::2])
         if s < 0.5:
@@ -496,7 +491,7 @@ def test_tail_2d_refinement_identity():
 def test_tail_symmetry_and_positivity():
     lat = Lattice(2, 0.5, (-3, -2), (3, 2))
     for s in (0.25, 0.5, 0.75):
-        t = K.cell_tail_weights(lat, s)
+        t = K.cell_tail_halfspace(lat, s, 0, -np.inf)[0]
         assert np.all(t > 0)
         assert np.allclose(t, t[::-1, :], rtol=1e-11)
         assert np.allclose(t, t[:, ::-1], rtol=1e-11)
@@ -522,7 +517,7 @@ def test_tail_halfspace_additivity(dim):
         lat = Lattice(2, 0.5, (-3, -2), (4, 5))
         axes = [0, 1]
     for s in (0.25, 0.5, 0.75):
-        total = K.cell_tail_weights(lat, s)
+        total = K.cell_tail_halfspace(lat, s, 0, -np.inf)[0]
         for axis in axes:
             for thr in (-0.8, 0.0, 0.13, 2.6, 9.0, -np.inf):
                 plus, minus = K.cell_tail_halfspace(lat, s, axis, thr)
@@ -702,7 +697,7 @@ TAIL_1D_HEX = {
 @pytest.mark.parametrize("s", sorted(TAIL_1D_HEX))
 def test_tail_1d_bitwise_on_dyadic_spacing(s):
     lat = Lattice(1, 0.5, (-4,), (6,))
-    t = K.cell_tail_weights(lat, s)
+    t = K.cell_tail_halfspace(lat, s, 0, -np.inf)[0]
     p, m = K.cell_tail_halfspace(lat, s, 0, 0.13)
     p2, m2 = K.cell_tail_halfspace(lat, s, 0, -3.3)
     got = (t[0], t[4], p[2], m[7], p2[0], m2[9])
@@ -714,13 +709,13 @@ def test_tails_exact_when_box_face_misses_cell_edge_by_an_ulp(s):
     # -39 * 0.1 and the lower edge of cell 0 differ in the last bit; a gap
     # of an ulp raised to the power 1 - 2s is far from 0 near s = 1/2
     h, n, p = 0.1, 25, 1.0 - 2.0 * s
-    tails = K.cell_tail_weights(Lattice(1, h, (-39,), (-14,)), s)
+    tails = K.cell_tail_halfspace(Lattice(1, h, (-39,), (-14,)), s, 0, -np.inf)[0]
     # cell 0 against (-inf, face], which it touches, and [face + n h, inf)
     want = (h ** p + (n * h) ** p - ((n - 1) * h) ** p) / (p * 2.0 * s)
     assert tails[0] == pytest.approx(want, rel=1e-13)
     # 2D: the same integer box at h = 1 has exact gaps, and tails scale as
     # h^(2-2s)
     lo, hi = (-3, -10), (12, 2)
-    t7 = K.cell_tail_weights(Lattice(2, 0.7, lo, hi), s)
-    t1 = K.cell_tail_weights(Lattice(2, 1.0, lo, hi), s)
+    t7 = K.cell_tail_halfspace(Lattice(2, 0.7, lo, hi), s, 0, -np.inf)[0]
+    t1 = K.cell_tail_halfspace(Lattice(2, 1.0, lo, hi), s, 0, -np.inf)[0]
     assert np.max(np.abs(t7 - 0.7 ** (2.0 - 2.0 * s) * t1) / t7) < 1e-12

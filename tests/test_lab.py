@@ -565,6 +565,7 @@ def test_cli_set_overrides(tmp_path):
     ("c_probes=", "c_probes"),
     ("b_fractions=", "b_fractions"),
     ("b_fractions=-0.5", "b_fraction"),
+    ("refine_cases=-1", "refine_cases"),
 ])
 def test_cli_gmt_bad_sweep_exits_2(tmp_path, capsys, override, key):
     code = main(["--out", str(tmp_path / "out"), "gmt", "--set", "dim=2",
@@ -588,6 +589,16 @@ def test_cli_bad_exterior_exits_2(tmp_path, capsys, override, key):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("eps", ["0.1,0", "0.1,-0.1"])
+def test_cli_levelset_nonpositive_eps_exits_2(tmp_path, capsys, eps):
+    code = main(["--out", str(tmp_path / "out"), "levelset", "--set", f"eps={eps}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps must be positive" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -8,8 +8,7 @@ from fraclab.energies import EnergyModel
 from fraclab.kernels import build_kernel
 from fraclab.lattice import (
     CellSet,
-    ConstantExterior,
-    HalfspaceExterior,
+    Exterior,
     Lattice,
     ScalarField,
     ball_mask,
@@ -145,9 +144,11 @@ def test_ball_mask_monotone_in_radius(r1, r2, cx):
 
 
 def test_constant_exterior():
-    ConstantExterior(-1.0)
+    Exterior(-1.0, -1.0)
     with pytest.raises(ValueError):
-        ConstantExterior(1.5)
+        Exterior(1.5, 1.5)
+    with pytest.raises(ValueError):
+        Exterior(1.0, -1.5)
 
 
 def test_halfspace_exterior_sign_convention():
@@ -160,7 +161,7 @@ def test_halfspace_exterior_sign_convention():
             ks = []
             for threshold in (3.0, 0.0, -3.0):
                 u = ScalarField(lat, np.full(lat.shape, sign),
-                                HalfspaceExterior(axis, threshold))
+                                Exterior(1.0, -1.0, axis, threshold))
                 model = EnergyModel(kern, None, u)
                 ks.append(model.seminorm(u.values))
             assert all(trend * (b - a) > 0.0 for a, b in zip(ks, ks[1:]))
@@ -171,29 +172,29 @@ def test_padded_box_lookup_and_fill():
     # checks their shape and range, the constant beyond checks its fill
     outer = Lattice(1, 1.0, (-2,), (2,))
     vals = np.array([-1.0, -0.5, 0.5, 1.0])
-    u = ScalarField(outer, vals, ConstantExterior(1.0))
+    u = ScalarField(outer, vals, Exterior(1.0, 1.0))
     assert np.array_equal(u.values, vals)
     with pytest.raises(ValueError, match="shape"):
-        ScalarField(outer, vals[:3], ConstantExterior(1.0))
+        ScalarField(outer, vals[:3], Exterior(1.0, 1.0))
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        ScalarField(outer, vals * 3.0, ConstantExterior(1.0))
+        ScalarField(outer, vals * 3.0, Exterior(1.0, 1.0))
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        ConstantExterior(-1.5)
+        Exterior(-1.5, -1.5)
 
 
 def test_halfspace_exterior_rejects_bad_input():
     lat1 = Lattice(1, 1.0, (-2,), (2,))
     with pytest.raises(ValueError, match="NaN"):
-        HalfspaceExterior(0, float("nan"))
+        Exterior(1.0, -1.0, 0, float("nan"))
     with pytest.raises(ValueError, match="axis"):
-        HalfspaceExterior(-1, 0.0)
+        Exterior(1.0, -1.0, -1, 0.0)
     with pytest.raises(ValueError, match="axis 1 out of range"):
-        ScalarField(lat1, np.zeros(lat1.shape), HalfspaceExterior(1, 0.0))
+        ScalarField(lat1, np.zeros(lat1.shape), Exterior(1.0, -1.0, 1, 0.0))
     lat2 = Lattice(2, 1.0, (-2, -2), (2, 2))
-    ScalarField(lat2, np.zeros(lat2.shape), HalfspaceExterior(1, 0.0))
+    ScalarField(lat2, np.zeros(lat2.shape), Exterior(1.0, -1.0, 1, 0.0))
     # infinite thresholds stay legal: all of the exterior on one side
     for thr in (-np.inf, np.inf):
-        ScalarField(lat1, np.zeros(lat1.shape), HalfspaceExterior(0, thr))
+        ScalarField(lat1, np.zeros(lat1.shape), Exterior(1.0, -1.0, 0, thr))
 
 
 # ---------------------------------------------------------------- fields
@@ -202,10 +203,10 @@ def test_halfspace_exterior_rejects_bad_input():
 def test_scalar_field_validation():
     lat = Lattice(1, 1.0, (0,), (2,))
     with pytest.raises(ValueError):
-        ScalarField(lat, np.array([0.0, 1.5]), ConstantExterior(1.0))
+        ScalarField(lat, np.array([0.0, 1.5]), Exterior(1.0, 1.0))
     with pytest.raises(ValueError):
-        ScalarField(lat, np.zeros(3), ConstantExterior(1.0))
-    f = ScalarField(lat, np.zeros(2), ConstantExterior(1.0))
+        ScalarField(lat, np.zeros(3), Exterior(1.0, 1.0))
+    f = ScalarField(lat, np.zeros(2), Exterior(1.0, 1.0))
     with pytest.raises(ValueError):
         f.values[0] = 1.0  # frozen storage
 
@@ -223,7 +224,7 @@ def test_psi_field_profile():
     assert np.all(vals[np.abs(x) >= R + 2.0] == 1.0)
     ramp = (np.abs(x) > R + 1.0) & (np.abs(x) < R + 2.0)
     assert np.allclose(vals[ramp], -1.0 + 2.0 * (np.abs(x[ramp]) - R - 1.0))
-    assert f.exterior == ConstantExterior(1.0)
+    assert f.exterior == Exterior(1.0, 1.0)
 
 
 def test_psi_field_requires_room():

@@ -7,8 +7,7 @@ from fraclab.energies import EnergyModel, energy_E
 from fraclab.kernels import KernelTable, build_kernel
 from fraclab.lattice import (
     CellSet,
-    ConstantExterior,
-    HalfspaceExterior,
+    Exterior,
     Lattice,
     ScalarField,
     ball_mask,
@@ -22,7 +21,7 @@ from fraclab.minimize import (
 from fraclab.potential import Quartic, Tabulated
 
 LAT = Lattice(dim=1, h=1.0, lo=(-42,), hi=(42,))
-EXT = HalfspaceExterior(0, 0.0)
+EXT = Exterior(1.0, -1.0, 0, 0.0)
 
 
 # -- oracles: stationarity residual and subdomain minimality probes ----------
@@ -154,20 +153,23 @@ def test_initial_field_descriptors():
     u = initial_field(LAT, EXT)
     assert set(np.unique(u.values)) == {-1.0, 1.0}
     assert np.all(u.values[LAT.axis_centers(0) >= 0] == 1.0)
-    assert np.all(initial_field(LAT, ConstantExterior(0.25)).values == 0.25)
+    assert np.all(initial_field(LAT, Exterior(0.25, 0.25)).values == 0.25)
     with pytest.raises(ValueError, match="axis 1 out of range"):
-        initial_field(LAT, HalfspaceExterior(1, 0.0))
+        initial_field(LAT, Exterior(1.0, -1.0, 1, 0.0))
     lat2 = Lattice(dim=2, h=1.0, lo=(-2, -3), hi=(2, 3))
     sign = np.where(lat2.axis_centers(1) >= 0.5, 1.0, -1.0)
-    assert np.array_equal(initial_field(lat2, HalfspaceExterior(1, 0.5)).values,
+    assert np.array_equal(initial_field(lat2, Exterior(1.0, -1.0, 1, 0.5)).values,
                           np.broadcast_to(sign, lat2.shape))
+    two = np.where(lat2.axis_centers(1) >= 0.5, 0.3, -0.7)
+    assert np.array_equal(initial_field(lat2, Exterior(0.3, -0.7, 1, 0.5)).values,
+                          np.broadcast_to(two, lat2.shape))
 
 
 # ------------------------------------------------------------------ minimize
 
 
 def test_global_minimum_is_fixed_point(kern):
-    u0 = ScalarField(LAT, np.ones(LAT.shape), ConstantExterior(1.0))
+    u0 = ScalarField(LAT, np.ones(LAT.shape), Exterior(1.0, 1.0))
     res = minimize_energy(kern, Quartic(), u0)
     assert res.converged and res.iterations == 0
     assert res.energy == 0.0
@@ -176,7 +178,7 @@ def test_global_minimum_is_fixed_point(kern):
 
 def test_comparison_principle(kern):
     # exterior +1 pulls everything to the global minimum u = +1
-    u0 = ScalarField(LAT, np.zeros(LAT.shape), ConstantExterior(1.0))
+    u0 = ScalarField(LAT, np.zeros(LAT.shape), Exterior(1.0, 1.0))
     res = minimize_energy(kern, Quartic(), u0, cfg=MinimizeConfig(max_iters=5000))
     assert res.converged
     assert np.all(res.field.values >= 1.0 - 1e-6)
@@ -256,7 +258,7 @@ def test_reflection_equivariance_bit_exact(kern):
     rng = np.random.default_rng(5)
     vals = rng.uniform(-1.0, 1.0, LAT.shape)
     mask = rng.random(LAT.shape) < 0.6
-    ext = ConstantExterior(0.2)
+    ext = Exterior(0.2, 0.2)
     cfg = MinimizeConfig(max_iters=60)
     res = minimize_energy(kern, pot, ScalarField(LAT, vals, ext), CellSet(LAT, mask), cfg)
     res_r = minimize_energy(
@@ -294,7 +296,7 @@ def test_residual_on_minimizer_small(kern, b40):
 
 def test_residual_nowhere_reported_at_constraint(kern):
     om = ball_mask(LAT, 0.0, 40.0)
-    u = ScalarField(LAT, np.ones(LAT.shape), ConstantExterior(1.0))
+    u = ScalarField(LAT, np.ones(LAT.shape), Exterior(1.0, 1.0))
     rep = el_residual(kern, Quartic(), u, om)
     assert not rep.reported.any()
     assert rep.sup == 0.0

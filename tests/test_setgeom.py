@@ -102,8 +102,8 @@ def test_histogram_pair_mass_matches_gather(s):
 def test_histogram_empty_set_is_zero(kern2):
     A = from_indices(LAT2, [(3, 4), (10, 2)])
     empty = CellSet.empty(LAT2)
-    assert setgeom._pair_mass(kern2, A, empty) == 0.0
-    assert setgeom._pair_mass(kern2, empty, A) == 0.0
+    assert L_interaction(kern2, A, empty) == 0.0
+    assert L_interaction(kern2, empty, A) == 0.0
 
 
 def test_histogram_integrality_guard(kern2, monkeypatch):
