@@ -113,6 +113,11 @@ def test_pair_2d_matches_brute_force(key):
     assert got == pytest.approx(PAIR_2D[key], rel=1e-12)
 
 
+def test_pair_2d_edge_touching_closed_half_matches_brute_force():
+    got = pair_weight_exact(2, 1.0, 0.25, (0, 1))
+    assert got == pytest.approx(PAIR_2D[(0.25, (0, 1))], rel=1e-12)
+
+
 def test_pair_2d_edge_touching_just_below_half():
     # the weight diverges as s -> 1/2 only through the closed-form strip
     # term, so just below it the weight stays exact to round-off
