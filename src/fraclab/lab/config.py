@@ -46,13 +46,12 @@ class ExperimentConfig:
     out_dir: str = "runs"
     seed: int = 0
 
-    potential: str = "quartic"
     amplitude: float = 1.0
     potential_csv: str = ""
-    exterior: str = "halfspace"
+    exterior_above: float = 1.0
+    exterior_below: float = -1.0
     exterior_axis: int = 0
     exterior_threshold: float = 0.0
-    exterior_value: float = 1.0
 
     theta1: float = 0.0
     theta2: float = 0.0
@@ -123,14 +122,10 @@ class ExperimentConfig:
                 f"theta_star must not exceed min(theta1, theta2), got "
                 f"{self.theta_star} > {min(self.theta1, self.theta2)}"
             )
-        if len(self.radii) and any(
-            b <= a for a, b in zip(self.radii, self.radii[1:])
-        ):
+        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError(f"radii must be strictly increasing, got {self.radii}")
-        if self.potential not in ("quartic", "tabulated"):
-            raise ValueError(f"unknown potential kind {self.potential!r}")
-        if self.exterior not in ("halfspace", "constant"):
-            raise ValueError(f"unknown exterior kind {self.exterior!r}")
+        if any(not r > 0 for r in self.radii):
+            raise ValueError(f"radii must be positive, got {self.radii}")
         if not self.density_floor > 0:
             raise ValueError(
                 f"density_floor must be positive, got {self.density_floor}"

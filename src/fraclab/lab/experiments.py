@@ -75,10 +75,11 @@ class DensityTrace:
 
 
 def _potential(cfg: ExperimentConfig):
-    if cfg.potential == "quartic":
+    """The quartic well, or the well sampled in potential_csv; amplitude scales either."""
+    if not cfg.potential_csv:
         return Quartic(cfg.amplitude)
     ts, ws = zip(*read_pairs_csv(cfg.potential_csv))
-    pot = Tabulated(ts, ws)
+    pot = Tabulated(ts, tuple(cfg.amplitude * w for w in ws))
     well = check_wcond(pot)
     if not well:
         raise ValueError(f"{cfg.potential_csv}: not a double well, "
@@ -87,9 +88,8 @@ def _potential(cfg: ExperimentConfig):
 
 
 def _exterior(cfg: ExperimentConfig) -> Exterior:
-    if cfg.exterior == "halfspace":
-        return Exterior(1.0, -1.0, cfg.exterior_axis, cfg.exterior_threshold)
-    return Exterior(cfg.exterior_value, cfg.exterior_value)
+    return Exterior(cfg.exterior_above, cfg.exterior_below,
+                    cfg.exterior_axis, cfg.exterior_threshold)
 
 
 def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
@@ -389,11 +389,15 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"eps must be strictly decreasing, got {cfg.eps}")
     if not all(eps > 0 for eps in cfg.eps):
         raise ValueError(f"eps must be positive, got {cfg.eps}")
+    if not cfg.levelset_radius > 0:
+        raise ValueError(f"levelset_radius must be positive, got {cfg.levelset_radius}")
+    if not 0.0 < cfg.levelset_theta < 1.0:
+        raise ValueError(f"levelset_theta must lie in (0, 1), got {cfg.levelset_theta}")
     t0 = time.perf_counter()
     pot = _potential(cfg)
     ext = _exterior(cfg)
     mcfg = _minimize_cfg(cfg)
-    has_interface = cfg.exterior == "halfspace"
+    has_interface = ext.above != ext.below
 
     columns = ["eps", "box_radius", "n_cells", "converged", "iterations",
                "band_cells", "distance_phys", "distance_cells",
@@ -411,10 +415,8 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
             & ball_mask(lat, 0.0, box_r).members
         count = int(np.count_nonzero(band))
         if count and has_interface:
-            coord = np.broadcast_to(
-                lat.center_grids()[cfg.exterior_axis], lat.shape)
-            d_phys = float(np.max(
-                np.abs(coord[band] - cfg.exterior_threshold)))
+            coord = np.broadcast_to(lat.center_grids()[ext.axis], lat.shape)
+            d_phys = float(np.max(np.abs(coord[band] - ext.threshold)))
             d_cells = d_phys / cfg.h
             d_scaled = d_phys * eps
         else:
@@ -432,33 +434,30 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     measured = [(e, d) for e, d in series if d is not None]
     vacuous = [e for e, d in series if d is None]
     if not has_interface:
-        empty = all(d is None for _, d in series)
+        empty = not measured
         criteria.append(Criterion(
             "band-empty", empty,
             "no interface declared; containment vacuous" if empty else
-            f"level band nonempty at eps={[e for e, d in series if d is not None]}",
+            f"level band nonempty at eps={[e for e, _ in measured]}",
             vacuous=empty))
         results["distances_cells"] = None
+    elif vacuous:
+        criteria.append(Criterion(
+            "band-present", False, f"empty level band at eps={vacuous}"))
+    elif len(measured) < 2:
+        criteria.append(Criterion(
+            "usable-points", False,
+            f"{len(measured)} converged eps of {len(cfg.eps)}, need 2"))
     else:
-        bad = [e for e in vacuous]
-        if bad:
-            criteria.append(Criterion(
-                "band-present", False, f"empty level band at eps={bad}"))
-        elif len(measured) < 2:
-            criteria.append(Criterion(
-                "usable-points", False,
-                f"{len(measured)} converged eps of {len(cfg.eps)}, need 2"))
-        else:
-            dists = [d for _, d in measured]
-            worst_rise = max(b - a for a, b in zip(dists, dists[1:]))
-            criteria.append(Criterion(
-                "distance-nonincreasing",
-                worst_rise <= cfg.levelset_tol_cells,
-                f"max rise {worst_rise:.4g} cells vs tol {cfg.levelset_tol_cells}"))
-            criteria.append(Criterion(
-                "final-distance", dists[-1] <= cfg.delta_cells,
-                f"final band reaches {dists[-1]:.4g} cells vs {cfg.delta_cells}"))
-            results["distances_cells"] = dists
+        dists = [d for _, d in measured]
+        worst_rise = max(b - a for a, b in zip(dists, dists[1:]))
+        criteria.append(Criterion(
+            "distance-nonincreasing", worst_rise <= cfg.levelset_tol_cells,
+            f"max rise {worst_rise:.4g} cells vs tol {cfg.levelset_tol_cells}"))
+        criteria.append(Criterion(
+            "final-distance", dists[-1] <= cfg.delta_cells,
+            f"final band reaches {dists[-1]:.4g} cells vs {cfg.delta_cells}"))
+        results["distances_cells"] = dists
     return ExperimentReport(
         experiment="levelset", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,

@@ -179,8 +179,8 @@ class Exterior:
     the box.
 
     A halfspace sign is Exterior(1, -1, axis, t), +1 on the threshold;
-    constant data g is Exterior(g, g), whose threshold -inf puts every
-    exterior point above.
+    constant data g is Exterior(g, g), stored always with axis 0 and
+    threshold -inf, which puts every exterior point above.
     """
 
     above: float
@@ -196,6 +196,9 @@ class Exterior:
             raise ValueError(f"exterior axis must be nonnegative, got {self.axis}")
         if np.isnan(self.threshold):
             raise ValueError("exterior threshold must not be NaN")
+        if self.above == self.below:
+            object.__setattr__(self, "axis", 0)
+            object.__setattr__(self, "threshold", -np.inf)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import os
+import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from fraclab.lab import (
@@ -24,6 +27,7 @@ from fraclab.lab.cli import main
 from fraclab.lab.config import read_pairs_csv
 from fraclab.minimize import initial_field
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 DYADIC = [(2.0 ** k, (2.0 ** k) ** 2) for k in range(1, 8)]
 
 
@@ -156,8 +160,19 @@ def test_config_invariants():
         ExperimentConfig(s=1.0)
     with pytest.raises(ValueError, match="density_floor"):
         ExperimentConfig(density_floor=0.0)
-    with pytest.raises(ValueError, match="potential"):
-        ExperimentConfig(potential="sextic")
+
+
+def test_readme_names_only_config_keys():
+    # keys in --set examples, the config-file example and backticked
+    # key=value text; energy_tol is the documented unknown key
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"--set\s+([a-z_][a-z0-9_]*)=", text))
+    named |= set(re.findall(r"`([a-z_][a-z0-9_]*)=[^`]*`", text))
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        named |= set(re.findall(r"^\s*([a-z_][a-z0-9_]*)\s*=", block, re.M))
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert {"s", "radii", "max_iters", "potential_csv"} <= named
+    assert named - fields <= {"energy_tol"}
 
 
 def test_config_bad_line_reports_location(tmp_path):
@@ -199,11 +214,20 @@ def test_cli_rejects_tabulated_non_well(tmp_path, capsys):
     well = tmp_path / "well.csv"
     well.write_text("t,W\n-1,1\n-0.5,0.5\n0,0.2\n0.5,0.5\n1,1\n")
     code = main(["--out", str(tmp_path / "out"), "energy-growth",
-                 "--set", "potential=tabulated",
                  "--set", f"potential_csv={well}"])
     assert code == 2
     err = capsys.readouterr().err
     assert "not a double well" in err and "W(+-1) = 0" in err
+
+
+def test_amplitude_scales_tabulated_well(tmp_path):
+    well = tmp_path / "well.csv"
+    well.write_text("t,W\n-1,0\n-0.5,0.5625\n0,1\n0.5,0.5625\n1,0\n")
+    t = np.linspace(-1.0, 1.0, 101)
+    one, two = (experiments._potential(ExperimentConfig(
+        potential_csv=str(well), amplitude=a)) for a in (1.0, 2.0))
+    assert two.ws == tuple(2.0 * w for w in one.ws) == (0.0, 1.125, 2.0, 1.125, 0.0)
+    assert np.array_equal(two.value(t), 2.0 * one.value(t))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +349,8 @@ def test_density_halfline_ratio_near_one():
 
 def test_density_saturated_phase():
     cfg = ExperimentConfig(experiment="density", s=0.25, dim=1, h=0.5,
-                           radii=(4.0, 8.0, 16.0), exterior="constant",
-                           exterior_value=1.0, density_floor=1.5,
+                           radii=(4.0, 8.0, 16.0), exterior_above=1.0,
+                           exterior_below=1.0, density_floor=1.5,
                            max_iters=2000)
     rep = run_density(cfg)
     # u stays pinned at +1, so every ball is entirely above threshold
@@ -337,8 +361,8 @@ def test_density_saturated_phase():
 
 def test_density_inapplicable_when_center_below_theta1():
     cfg = ExperimentConfig(experiment="density", s=0.25, dim=1, h=0.5,
-                           radii=(4.0, 8.0, 16.0), exterior="constant",
-                           exterior_value=-1.0, max_iters=2000)
+                           radii=(4.0, 8.0, 16.0), exterior_above=-1.0,
+                           exterior_below=-1.0, max_iters=2000)
     rep = run_density(cfg)
     assert rep.results["status"] == "inapplicable"
     assert not rep.passed
@@ -374,8 +398,8 @@ def test_levelset_band_shrinks_in_rescaled_units():
 
 def test_levelset_constant_exterior_is_vacuous():
     cfg = ExperimentConfig(experiment="levelset", s=0.75, dim=1, h=1.0,
-                           eps=(0.25, 0.125), exterior="constant",
-                           exterior_value=1.0, max_iters=2000)
+                           eps=(0.25, 0.125), exterior_above=1.0,
+                           exterior_below=1.0, max_iters=2000)
     rep = run_levelset_convergence(cfg)
     assert rep.passed
     names = {c.name: c for c in rep.criteria}
@@ -582,6 +606,10 @@ def test_cli_gmt_bad_sweep_exits_2(tmp_path, capsys, override, key):
     ("exterior_axis=1", "axis 1 out of range"),
     ("exterior_axis=-1", "axis"),
     ("seed_kind=zero", "seed_kind"),
+    ("exterior=constant", "'exterior'"),
+    ("exterior_value=0.5", "'exterior_value'"),
+    ("potential=tabulated", "'potential'"),
+    ("exterior_above=1.5", "[-1, 1]"),
 ])
 def test_cli_bad_exterior_exits_2(tmp_path, capsys, override, key):
     code = main(["--out", str(tmp_path / "out"), "energy-growth",
@@ -599,6 +627,36 @@ def test_cli_levelset_nonpositive_eps_exits_2(tmp_path, capsys, eps):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "eps must be positive" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("levelset_radius=0", "levelset_radius must be positive"),
+    ("levelset_theta=1.5", "levelset_theta must lie in (0, 1)"),
+    ("levelset_theta=0", "levelset_theta must lie in (0, 1)"),
+    ("levelset_theta=-0.5", "levelset_theta must lie in (0, 1)"),
+])
+def test_cli_levelset_bad_band_exits_2(tmp_path, capsys, override, key):
+    code = main(["--out", str(tmp_path / "out"), "levelset",
+                 "--set", "eps=0.5,0.25", "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, radii", [
+    ("density", "0,1"),
+    ("energy-growth", "-4,1,2,3"),
+])
+def test_cli_nonpositive_radii_exits_2(tmp_path, capsys, command, radii):
+    code = main(["--out", str(tmp_path / "out"), command,
+                 "--set", f"radii={radii}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "radii must be positive" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -678,7 +736,7 @@ def test_vacuous_criteria_are_flagged():
     assert not any(c.vacuous for c in tested.criteria)
     band = run_levelset_convergence(ExperimentConfig(
         experiment="levelset", s=0.75, dim=1, h=1.0, eps=(0.25, 0.125),
-        exterior="constant", exterior_value=1.0, max_iters=2000))
+        exterior_above=1.0, exterior_below=1.0, max_iters=2000))
     band_empty = {c.name: c for c in band.criteria}["band-empty"]
     assert band_empty.passed and band_empty.vacuous
     assert "containment vacuous" in band_empty.detail

@@ -151,6 +151,16 @@ def test_constant_exterior():
         Exterior(1.0, -1.5)
 
 
+def test_constant_exterior_has_one_form():
+    # equal values drop the axis and threshold: constant data reads the
+    # total tail, never a split
+    assert Exterior(0.3, 0.3, 1, 0.2) == Exterior(0.3, 0.3)
+    lat = Lattice(2, 0.5, (-4, -4), (4, 4))
+    kern = build_kernel(lat, 0.5)
+    u = ScalarField(lat, np.zeros(lat.shape), Exterior(0.3, 0.3, 1, 0.2))
+    assert np.array_equal(EnergyModel(kern, None, u).t0, kern.tail_weights)
+
+
 def test_halfspace_exterior_sign_convention():
     # u = +1 on y[axis] >= threshold: lowering the threshold turns exterior
     # cells to +1, so a field of +1s loses seminorm and a field of -1s gains
