@@ -155,6 +155,8 @@ class EnergyModel:
 
         free = self.omega.astype(float)
         self._c_box = self._conv(np.ones(lat.shape))
+        # half the seminorm's Hessian diagonal, c_box + t0, cell by cell
+        self.diag = self._c_box + self.t0
         self._c_omega = self._conv(free)
         self._c_fixed = self._conv(1.0 - free)
         # the fixed part of u (off omega) and T of it
@@ -222,20 +224,20 @@ class EnergyModel:
         """Energy change along u + t*d, for a d that is zero off omega.
 
         Costs one convolution, of d.  The seminorm is quadratic in t: per
-        free cell, slope 2*fl*d at u and curvature d*((c_box + t0)*d - T(d)).
+        free cell, slope 2*fl*d at u and curvature d*(diag*d - T(d)).
         The well is evaluated at each trial point.  Returns
         delta(t) = E(u + t*d) - E(u), formed directly as the small
         difference sum(t*slope + t^2*curvature + h^n*(W(u + t*d) - W(u)))
         in one correctly rounded sum.  Segment points are clipped to
         [-1, 1], the well's domain, which moves them by round-off at most.
-        ``delta.metric`` is <d, H0 d> with H0 = 2(diag(c_box + t0) - T)
+        ``delta.metric`` is <d, H0 d> with H0 = 2(Diag(diag) - T)
         + sigma*I, the Hessian that ``precondition`` approximates.
         """
         m = self.omega
         td = self._conv(d)
         um, dm = u[m], d[m]
         slope = 2.0 * self._flux(u)[m] * dm
-        curv = dm * ((self._c_box + self.t0)[m] * dm - td[m])
+        curv = dm * (self.diag[m] * dm - td[m])
         w0 = None if self.pot is None else self.pot.value(um)
         self._seg = (u, d, self._to, td)
 
@@ -281,12 +283,12 @@ class EnergyModel:
         # laid out as the kernel's stacked windows W = 2^-dim * spectrum
         Ns, W = self.kern.spectrum
         dim = self.kern.lattice.dim
-        c = float(np.max((self._c_box + self.t0)[self.omega], initial=0.0))
+        c = float(np.max(self.diag[self.omega], initial=0.0))
         return Ns, 2.0 ** (-2 * dim) / ((2.0 * c + self.sigma) * 2.0 ** -dim - 2.0 * W)
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         """P^-1 g, with P = (2c + sigma) I - 2T, c = max over omega of
-        c_box + t0 and sigma as in ``sigma``.
+        ``diag`` and sigma as in ``sigma``.
 
         P is the energy's Hessian with every cell's diagonal raised to the
         largest and the well's curvature taken at its minima; its inverse,

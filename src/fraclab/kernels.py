@@ -249,12 +249,14 @@ def _origin_rect(A: float, B: float, s: float) -> float:
 
 
 def _gauss_rects(a0, a1, b0, b1, s: float, nodes) -> np.ndarray:
-    """Tensor Gauss integrals of Q over rectangles, 4096 at a time."""
+    """Tensor Gauss integrals of Q over rectangles, 512 at a time, so the
+    node values of one pass (at most 512 x 16 x 16 doubles) stay near
+    1 MiB."""
     x, w = nodes
     u, w = 0.5 * (x + 1.0), 0.5 * w
     out = np.empty(a0.shape)
-    for c in range(0, a0.size, 4096):
-        k = slice(c, c + 4096)
+    for c in range(0, a0.size, 512):
+        k = slice(c, c + 512)
         da, db = a1[k] - a0[k], b1[k] - b0[k]
         A = a0[k, None] + da[:, None] * u
         B = b0[k, None] + db[:, None] * u
@@ -534,22 +536,27 @@ class KernelTable:
     @property
     def tail_weights(self) -> np.ndarray:
         """Per-cell tail weight against the box complement (cell-averaged
-        double integral; collocation on divergent face-touching sides)."""
-        key = "total"
-        if key not in self._tail_cache:
-            out = cell_tail_halfspace(self.lattice, self.s, 0, -np.inf)[0]
-            out.setflags(write=False)
-            self._tail_cache[key] = out
-        return self._tail_cache[key]
+        double integral; collocation on divergent face-touching sides):
+        the plus part of the split at threshold -inf, built once."""
+        if "total" not in self._tail_cache:
+            self._split(0, -np.inf)
+        return self._tail_cache["total"]
 
     def tail_halfspace(self, axis: int, threshold: float):
         """(plus, minus) split of tail_weights by {y[axis] >= threshold}."""
+        return self._split(axis, threshold)
+
+    def _split(self, axis: int, threshold: float):
+        # the one builder behind both readers; the split at (0, -inf) also
+        # files its plus part as "total", so either reader finds it built
         key = ("half", int(axis), float(threshold))
         if key not in self._tail_cache:
             pair = cell_tail_halfspace(self.lattice, self.s, axis, threshold)
             for x in pair:
                 x.setflags(write=False)
             self._tail_cache[key] = pair
+            if key == ("half", 0, -np.inf):
+                self._tail_cache["total"] = pair[0]
         return self._tail_cache[key]
 
 

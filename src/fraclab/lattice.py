@@ -180,7 +180,10 @@ class Exterior:
 
     A halfspace sign is Exterior(1, -1, axis, t), +1 on the threshold;
     constant data g is Exterior(g, g), stored always with axis 0 and
-    threshold -inf, which puts every exterior point above.
+    threshold -inf, which puts every exterior point above.  An infinite
+    threshold leaves one side empty, so it is stored as the constant
+    data of the other: Exterior(a, b, axis, -inf) == Exterior(a, a) and
+    Exterior(a, b, axis, inf) == Exterior(b, b).
     """
 
     above: float
@@ -196,6 +199,10 @@ class Exterior:
             raise ValueError(f"exterior axis must be nonnegative, got {self.axis}")
         if np.isnan(self.threshold):
             raise ValueError("exterior threshold must not be NaN")
+        if self.threshold == np.inf:
+            object.__setattr__(self, "above", self.below)
+        elif self.threshold == -np.inf:
+            object.__setattr__(self, "below", self.above)
         if self.above == self.below:
             object.__setattr__(self, "axis", 0)
             object.__setattr__(self, "threshold", -np.inf)

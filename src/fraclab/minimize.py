@@ -149,7 +149,7 @@ def minimize_energy(
     rows = [[0, e, pg_sup, 0.0]]
 
     # the plain projected-gradient step: 1 / max diagonal of the Hessian
-    diag = 2.0 * (model._c_box + model.t0)
+    diag = 2.0 * model.diag
     if pot is not None:
         diag = diag + model.cell_measure * np.abs(pot.second(x))
     plain = 1.0 / float(np.max(diag[mask])) if mask.any() else 1.0

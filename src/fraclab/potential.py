@@ -1,7 +1,8 @@
 """Double-well potentials on [-1, 1] with derivatives and a structure check.
 
-The default well is W(t) = (1/4)(1-t^2)^2, vanishing exactly at the pure
-phases t = +-1 with W''(+-1) = 2.  A tabulated variant (cubic interpolation of
+The quartic well Quartic(amplitude) is W(t) = amplitude * (1-t^2)^2,
+vanishing exactly at the pure phases t = +-1 with W''(+-1) = 8 * amplitude;
+the amplitude has no default.  A tabulated variant (cubic interpolation of
 sampled values) covers less smooth wells; both expose value, first and second
 derivative.  check_wcond samples the conditions a double well must meet:
 zeros at the pure phases, flat nondegenerate minima there, and W > 0 between
@@ -36,7 +37,7 @@ def _check_domain(t: np.ndarray) -> np.ndarray:
 class Quartic:
     """W(t) = amplitude * (1 - t^2)^2."""
 
-    amplitude: float = 0.25
+    amplitude: float
 
     def __post_init__(self):
         if not self.amplitude > 0:

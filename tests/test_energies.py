@@ -81,7 +81,7 @@ def test_constant_field_is_zero(kern1, kern2):
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
         u = ScalarField(lat, np.ones(lat.shape), Exterior(1.0, 1.0))
         assert _seminorm(kern, u) == 0.0
-        assert energy_E(kern, Quartic(), u) == 0.0
+        assert energy_E(kern, Quartic(0.25), u) == 0.0
     # interior constant, exterior matching but not a minimum of the well
     u = ScalarField(LAT1, np.full(LAT1.shape, 0.3), Exterior(0.3, 0.3))
     assert abs(_seminorm(kern1, u)) < 1e-10
@@ -146,7 +146,7 @@ def test_refinement_convergence():
 
 
 def test_energy_E_dominates_each_term(kern1):
-    pot = Quartic()
+    pot = Quartic(0.25)
     u = random_field(LAT1, 5)
     om = ball_mask(LAT1, 0.0, 3.0)
     model = EnergyModel(kern1, pot, u, om)
@@ -160,7 +160,7 @@ def test_energy_E_dominates_each_term(kern1):
 
 def test_psi_sweep_growth_rate():
     # 1D, s=1/4: the comparison profile's energy grows like R^(1-2s) = sqrt(R)
-    pot = Quartic()
+    pot = Quartic(0.25)
     radii = [20.0, 40.0, 80.0]
     energies = []
     for r in radii:
@@ -373,7 +373,7 @@ def test_padded_box_matches_direct():
 def test_padded_box_must_enclose(kern1):
     # the model works on the kernel's box: samples outside omega must be
     # cells of that box, so a field or omega on another lattice is refused
-    pot = Quartic()
+    pot = Quartic(0.25)
     zeros = np.zeros(LAT1.shape)
     for other in (Lattice(dim=1, h=0.5, lo=(-4,), hi=(4,)),
                   Lattice(dim=1, h=0.5, lo=(-12,), hi=(12,)),
@@ -523,7 +523,7 @@ def _preconditioned(shape, s=0.75, seed=3):
     rng = np.random.default_rng(seed)
     om = CellSet(lat, rng.random(shape) < 0.7)
     u = ScalarField(lat, rng.uniform(-1.0, 1.0, shape), Exterior(1.0, -1.0, 0, 1.0))
-    return EnergyModel(build_kernel(lat, s), Quartic(), u, om)
+    return EnergyModel(build_kernel(lat, s), Quartic(0.25), u, om)
 
 
 @pytest.mark.parametrize("shape", [(8,), (9,), (6, 8), (7, 5), (1, 4)])
@@ -586,7 +586,7 @@ def _pair_sum_oracle(kern, pot, u, omega, t0, t1, t2):
 def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
     kern, lat = (kern1, LAT1) if dim == 1 else (kern2, LAT2)
     rng = np.random.default_rng(17)
-    pot = Quartic()
+    pot = Quartic(0.25)
     om = CellSet(lat, rng.random(lat.shape) < 0.5)
     vals = rng.uniform(-1.0, 1.0, lat.shape)
     if kind == "padded":
@@ -636,7 +636,7 @@ TAB = Tabulated(tuple(np.linspace(-1.0, 1.0, 9)),
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("pot", [Quartic(), TAB], ids=["quartic", "tabulated"])
+@pytest.mark.parametrize("pot", [Quartic(0.25), TAB], ids=["quartic", "tabulated"])
 def test_segment_change_matches_energy_difference(kern1, kern2, dim, pot):
     # the segment's small difference against two full evaluations, and
     # the moved T(o) against a fresh model's gradient
@@ -662,7 +662,7 @@ def test_segment_change_matches_energy_difference(kern1, kern2, dim, pot):
 
 
 def test_constant_sign_field_is_exactly_zero(kern1, kern2):
-    pot = Quartic()
+    pot = Quartic(0.25)
     for kern, lat in ((kern1, LAT1), (kern2, LAT2)):
         om = ball_mask(lat, (0.0,) * lat.dim, 2.0)
         # the same omega in a box padded by 2 below and 3 above, whose pad

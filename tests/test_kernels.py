@@ -572,6 +572,29 @@ def test_kernel_table_tail_memoization(kern2d):
     assert p1.shape == kern2d.lattice.shape
 
 
+@pytest.mark.parametrize("first", ["split", "total"])
+def test_total_tail_is_built_once(monkeypatch, first):
+    calls = []
+    build = K.cell_tail_halfspace
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(K, "cell_tail_halfspace", counted)
+    kern = build_kernel(Lattice(2, 1.0, (0, 0), (6, 5)), 0.75)
+    if first == "total":
+        total = kern.tail_weights
+        plus, minus = kern.tail_halfspace(0, -np.inf)
+    else:
+        plus, minus = kern.tail_halfspace(0, -np.inf)
+        total = kern.tail_weights
+    assert len(calls) == 1
+    assert np.array_equal(total, plus)
+    assert np.array_equal(kern.tail_weights, build(kern.lattice, 0.75, 0, -np.inf)[0])
+    assert not np.any(minus)
+
+
 # ------------------------------------------------------------- misc
 
 

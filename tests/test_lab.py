@@ -406,6 +406,27 @@ def test_levelset_constant_exterior_is_vacuous():
     assert names["band-empty"].passed
 
 
+@pytest.mark.parametrize("threshold, constant", [
+    ("inf", "exterior_above=-1"),
+    ("-inf", "exterior_below=1"),
+])
+def test_cli_levelset_infinite_threshold_is_constant_data(tmp_path, capsys,
+                                                         threshold, constant):
+    # every exterior point lies on one side, so no interface is declared
+    runs = {}
+    for name, override in (("inf", f"exterior_threshold={threshold}"),
+                           ("const", constant)):
+        out = tmp_path / name
+        code = main(["--out", str(out), "levelset", "--set", "eps=0.5,0.25",
+                     "--set", override])
+        assert code == 0
+        assert "[VACUOUS] levelset:band-empty" in capsys.readouterr().out
+        rep = json.loads((out / "report.json").read_text())
+        runs[name] = ({k: v for k, v in rep.items() if k not in ("meta", "config")},
+                      (out / "series.csv").read_text())
+    assert runs["inf"] == runs["const"]
+
+
 def test_levelset_eps_must_decrease():
     cfg = ExperimentConfig(experiment="levelset", eps=(0.125, 0.25))
     with pytest.raises(ValueError, match="strictly decreasing"):

@@ -155,6 +155,11 @@ def test_constant_exterior_has_one_form():
     # equal values drop the axis and threshold: constant data reads the
     # total tail, never a split
     assert Exterior(0.3, 0.3, 1, 0.2) == Exterior(0.3, 0.3)
+    # an infinite threshold leaves one side empty: the other side's value
+    # is constant data
+    assert Exterior(1, -1, 0, np.inf) == Exterior(-1, -1)
+    assert Exterior(0.3, -0.7, 1, -np.inf) == Exterior(0.3, 0.3)
+    assert Exterior(1, -1, 1, -np.inf) == Exterior(1, 1)
     lat = Lattice(2, 0.5, (-4, -4), (4, 4))
     kern = build_kernel(lat, 0.5)
     u = ScalarField(lat, np.zeros(lat.shape), Exterior(0.3, 0.3, 1, 0.2))

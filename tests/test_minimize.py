@@ -134,7 +134,7 @@ def b40(kern):
     # the workhorse: transition layer pinned by halfspace data outside B_40
     seed = initial_field(LAT, EXT)
     om = ball_mask(LAT, 0.0, 40.0)
-    res = minimize_energy(kern, Quartic(), seed, om, MinimizeConfig(max_iters=3000))
+    res = minimize_energy(kern, Quartic(0.25), seed, om, MinimizeConfig(max_iters=3000))
     assert res.converged
     return res, om
 
@@ -170,7 +170,7 @@ def test_initial_field_descriptors():
 
 def test_global_minimum_is_fixed_point(kern):
     u0 = ScalarField(LAT, np.ones(LAT.shape), Exterior(1.0, 1.0))
-    res = minimize_energy(kern, Quartic(), u0)
+    res = minimize_energy(kern, Quartic(0.25), u0)
     assert res.converged and res.iterations == 0
     assert res.energy == 0.0
     assert np.array_equal(res.field.values, u0.values)
@@ -179,7 +179,7 @@ def test_global_minimum_is_fixed_point(kern):
 def test_comparison_principle(kern):
     # exterior +1 pulls everything to the global minimum u = +1
     u0 = ScalarField(LAT, np.zeros(LAT.shape), Exterior(1.0, 1.0))
-    res = minimize_energy(kern, Quartic(), u0, cfg=MinimizeConfig(max_iters=5000))
+    res = minimize_energy(kern, Quartic(0.25), u0, cfg=MinimizeConfig(max_iters=5000))
     assert res.converged
     assert np.all(res.field.values >= 1.0 - 1e-6)
 
@@ -211,7 +211,7 @@ def test_trace_monotone_and_shape(b40):
 
 def test_beats_explicit_competitors(kern, b40):
     res, om = b40
-    pot = Quartic()
+    pot = Quartic(0.25)
     # ramp competitor equal to the halfspace sign data outside B_40
     ramp = ScalarField(LAT, np.clip(LAT.axis_centers(0) / 5.0, -1.0, 1.0), EXT)
     assert res.energy <= energy_E(kern, pot, ramp, om)
@@ -221,7 +221,7 @@ def test_beats_explicit_competitors(kern, b40):
 def test_max_iters_exhausted_no_exception(kern):
     seed = initial_field(LAT, EXT)
     om = ball_mask(LAT, 0.0, 40.0)
-    res = minimize_energy(kern, Quartic(), seed, om, MinimizeConfig(max_iters=3))
+    res = minimize_energy(kern, Quartic(0.25), seed, om, MinimizeConfig(max_iters=3))
     assert not res.converged
     assert res.iterations == 3
     assert "max_iters" in res.message
@@ -232,12 +232,12 @@ def test_non_finite_start_raises(kern):
     vals[3] = np.nan
     bad = ScalarField(LAT, vals, EXT)
     with pytest.raises(ValueError, match="non-finite"):
-        minimize_energy(kern, Quartic(), bad)
+        minimize_energy(kern, Quartic(0.25), bad)
 
 
 def test_gradient_matches_finite_differences(kern):
     # the optimizer's gradient against central differences of energy_E
-    pot = Quartic()
+    pot = Quartic(0.25)
     rng = np.random.default_rng(21)
     u = ScalarField(LAT, 0.8 * rng.uniform(-1.0, 1.0, LAT.shape), EXT)
     om = ball_mask(LAT, 0.0, 30.0)
@@ -254,7 +254,7 @@ def test_gradient_matches_finite_differences(kern):
 
 def test_reflection_equivariance_bit_exact(kern):
     # mirroring the data mirrors the minimizer, float for float
-    pot = Quartic()
+    pot = Quartic(0.25)
     rng = np.random.default_rng(5)
     vals = rng.uniform(-1.0, 1.0, LAT.shape)
     mask = rng.random(LAT.shape) < 0.6
@@ -279,7 +279,7 @@ def test_checkpoint_roundtrip_resumes_converged(kern, b40):
     res, om = b40
     restored = ScalarField(LAT, res.field.values.copy(), EXT)
     assert np.array_equal(restored.values, res.field.values)
-    resumed = minimize_energy(kern, Quartic(), restored, om, res.config)
+    resumed = minimize_energy(kern, Quartic(0.25), restored, om, res.config)
     assert resumed.converged and resumed.iterations == 0
 
 
@@ -288,7 +288,7 @@ def test_checkpoint_roundtrip_resumes_converged(kern, b40):
 
 def test_residual_on_minimizer_small(kern, b40):
     res, om = b40
-    rep = el_residual(kern, Quartic(), res.field, om)
+    rep = el_residual(kern, Quartic(0.25), res.field, om)
     assert rep.reported.any()
     assert rep.sup < 10 * res.config.grad_tol
     assert np.isnan(rep.residual[~rep.reported]).all()
@@ -297,7 +297,7 @@ def test_residual_on_minimizer_small(kern, b40):
 def test_residual_nowhere_reported_at_constraint(kern):
     om = ball_mask(LAT, 0.0, 40.0)
     u = ScalarField(LAT, np.ones(LAT.shape), Exterior(1.0, 1.0))
-    rep = el_residual(kern, Quartic(), u, om)
+    rep = el_residual(kern, Quartic(0.25), u, om)
     assert not rep.reported.any()
     assert rep.sup == 0.0
 
@@ -306,7 +306,7 @@ def test_residual_detects_non_minimizer(kern):
     om = ball_mask(LAT, 0.0, 40.0)
     rng = np.random.default_rng(2)
     junk = ScalarField(LAT, rng.uniform(-0.9, 0.9, LAT.shape), EXT)
-    rep = el_residual(kern, Quartic(), junk, om)
+    rep = el_residual(kern, Quartic(0.25), junk, om)
     assert rep.sup > MinimizeConfig().grad_tol
 
 
@@ -314,7 +314,7 @@ def test_residual_lattice_mismatch(kern):
     other = Lattice(dim=1, h=1.0, lo=(-4,), hi=(4,))
     u = ScalarField(LAT, np.zeros(LAT.shape), EXT)
     with pytest.raises(ValueError, match="lattice"):
-        el_residual(kern, Quartic(), u, CellSet.full(other))
+        el_residual(kern, Quartic(0.25), u, CellSet.full(other))
 
 
 # ------------------------------------------------------------------ subdomain
@@ -323,7 +323,7 @@ def test_residual_lattice_mismatch(kern):
 def test_subdomain_check_passes_on_minimizer(kern, b40):
     res, om = b40
     sub = ball_mask(LAT, 0.0, 10.0)
-    rep = subdomain_check(kern, Quartic(), res, sub, trials=200)
+    rep = subdomain_check(kern, Quartic(0.25), res, sub, trials=200)
     assert rep.passed and bool(rep)
     assert rep.worst_margin >= -1e-6
     assert rep.margins.shape == (200,)
@@ -332,7 +332,7 @@ def test_subdomain_check_passes_on_minimizer(kern, b40):
 def test_subdomain_zero_perturbation_zero_margin(kern, b40):
     res, om = b40
     sub = ball_mask(LAT, 0.0, 5.0)
-    rep = subdomain_check(kern, Quartic(), res, sub, trials=3, scale=0.0)
+    rep = subdomain_check(kern, Quartic(0.25), res, sub, trials=3, scale=0.0)
     assert np.all(rep.margins == 0.0)
     assert rep.worst_margin == 0.0 and rep.passed
 
@@ -350,7 +350,7 @@ def test_subdomain_detects_corruption(kern, b40):
         trace=res.trace,
         message="corrupted",
     )
-    rep = subdomain_check(kern, Quartic(), bad, ball_mask(LAT, 0.0, 10.0), trials=200)
+    rep = subdomain_check(kern, Quartic(0.25), bad, ball_mask(LAT, 0.0, 10.0), trials=200)
     assert not rep.passed
     assert rep.worst_margin < -1e-6
 
@@ -359,12 +359,12 @@ def test_subdomain_requires_containment(kern, b40):
     res, om = b40
     outside = ball_mask(LAT, 0.0, 41.5)  # pokes beyond omega
     with pytest.raises(ValueError, match="not contained"):
-        subdomain_check(kern, Quartic(), res, outside, trials=1)
+        subdomain_check(kern, Quartic(0.25), res, outside, trials=1)
     other = Lattice(dim=1, h=1.0, lo=(-4,), hi=(4,))
     with pytest.raises(ValueError, match="lattice"):
-        subdomain_check(kern, Quartic(), res, CellSet.full(other), trials=1)
+        subdomain_check(kern, Quartic(0.25), res, CellSet.full(other), trials=1)
     with pytest.raises(ValueError, match="trials"):
-        subdomain_check(kern, Quartic(), res, ball_mask(LAT, 0.0, 5.0), trials=0)
+        subdomain_check(kern, Quartic(0.25), res, ball_mask(LAT, 0.0, 5.0), trials=0)
 
 
 def test_one_convolution_per_iteration(kern, monkeypatch):
@@ -382,7 +382,7 @@ def test_one_convolution_per_iteration(kern, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(EnergyModel, "_conv", counted("conv", EnergyModel._conv))
-    pot = Quartic()
+    pot = Quartic(0.25)
     rng = np.random.default_rng(3)
     u0 = ScalarField(LAT, rng.uniform(-1.0, 1.0, LAT.shape), EXT)
     om = ball_mask(LAT, 0.0, 30.0)
@@ -412,7 +412,7 @@ def test_one_solve_per_iteration(kern, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(EnergyModel, "_conv", counted("conv", EnergyModel._conv))
-    pot = Quartic()
+    pot = Quartic(0.25)
     rng = np.random.default_rng(3)
     u0 = ScalarField(LAT, rng.uniform(-1.0, 1.0, LAT.shape), EXT)
     om = ball_mask(LAT, 0.0, 30.0)
@@ -438,7 +438,7 @@ def test_non_descent_solve_falls_back_to_projected_gradient(kern, b40, monkeypat
         return Ns, -M
 
     monkeypatch.setattr(EnergyModel, "_inverse", property(negated))
-    pot = Quartic()
+    pot = Quartic(0.25)
     ref, om = b40
     seed = initial_field(LAT, EXT)
     res = minimize_energy(kern, pot, seed, om, MinimizeConfig(max_iters=3000))
@@ -462,9 +462,9 @@ def test_converged_grad_norm_is_fresh(kern, b40):
     # the reported norm is the projected gradient of a fresh model on the
     # final field, bit for bit, and the carried energy is that of the field
     res, om = b40
-    assert res.grad_norm == _fresh_projected_grad(kern, Quartic(), res)
+    assert res.grad_norm == _fresh_projected_grad(kern, Quartic(0.25), res)
     assert res.trace[-1, 2] == res.grad_norm
-    fresh = energy_E(kern, Quartic(), res.field, om)
+    fresh = energy_E(kern, Quartic(0.25), res.field, om)
     assert abs(res.energy - fresh) <= 1e-12 * abs(fresh)
 
 

@@ -6,7 +6,7 @@ from fraclab.potential import Quartic, Tabulated, check_wcond
 
 
 def test_quartic_closed_forms():
-    w = Quartic()  # amplitude 1/4
+    w = Quartic(0.25)  # amplitude 1/4
     assert w.value(0.0) == pytest.approx(0.25)
     assert w.value(1.0) == 0.0 and w.value(-1.0) == 0.0
     assert w.deriv(1.0) == 0.0 and w.deriv(-1.0) == 0.0
@@ -22,7 +22,7 @@ def test_quartic_closed_forms():
 
 
 def test_quartic_rejects_out_of_domain_and_bad_amplitude():
-    w = Quartic()
+    w = Quartic(0.25)
     with pytest.raises(ValueError):
         w.value(1.0001)
     with pytest.raises(ValueError):
@@ -31,8 +31,13 @@ def test_quartic_rejects_out_of_domain_and_bad_amplitude():
         Quartic(amplitude=0.0)
 
 
+def test_quartic_amplitude_has_no_default():
+    with pytest.raises(TypeError):
+        Quartic()
+
+
 def test_wcond_accepts_quartic_rejects_shifted():
-    assert check_wcond(Quartic()).ok
+    assert check_wcond(Quartic(0.25)).ok
     assert check_wcond(Quartic(amplitude=1.0)).ok
     ts = np.linspace(-1, 1, 9)
     lifted = Tabulated(tuple(ts), tuple(0.25 * (1 - ts**2) ** 2 + 0.1))
@@ -43,7 +48,7 @@ def test_wcond_accepts_quartic_rejects_shifted():
 
 def test_tabulated_matches_dense_quartic_samples():
     ts = np.linspace(-1, 1, 201)
-    w = Quartic()
+    w = Quartic(0.25)
     tab = Tabulated(tuple(ts), tuple(w.value(ts)))
     probe = np.linspace(-1, 1, 517)
     assert np.allclose(tab.value(probe), w.value(probe), atol=1e-9)
@@ -57,7 +62,7 @@ def test_tabulated_validation_and_csv(tmp_path):
     with pytest.raises(ValueError):
         Tabulated((-1.0, 0.5, 0.2, 1.0), (0.0, 1.0, 1.0, 0.0))  # not increasing
     ts = np.linspace(-1, 1, 33)
-    w = Quartic()
+    w = Quartic(0.25)
     path = tmp_path / "well.csv"
     with open(path, "w") as f:
         f.write("t,W\n")
