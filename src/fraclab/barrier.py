@@ -5,7 +5,11 @@ r/2 into [0, 1]; v(x) = h(r - |x|) ramps from 0 on B_{r/2} to 1 outside
 B_r; w rescales v by C_o = (C5/tau)^(1/2s) and maps its range onto
 [beta - 1, 1] with beta = 32 r^(-2s).  C5 is measured, not assumed: it is
 the sampled supremum of the positive part of the operator applied to v,
-normalized by v + 16 r^(-2s).
+normalized by v + 16 r^(-2s).  ``estimate_C5`` returns it with the rule
+gap of the same samples, from one pass, and the caller builds
+``BarrierSpec`` from that c5.  Sample counts, the al1 slack and passing
+fraction, and the dimension are required arguments: the lab passes them
+from its ExperimentConfig.
 
 h meets 0 at t = r/2 with zero slope (tangent-line construction), so the
 only kink of v sits at the clamp radius where h reaches 1.  The principal
@@ -45,7 +49,6 @@ __all__ = [
     "eval_v",
     "eval_w",
     "estimate_C5",
-    "c5_rule_gap",
     "verify_al1",
     "verify_al2",
 ]
@@ -256,10 +259,16 @@ def _relative_gap(pv, gap) -> float:
     return float(np.max(gap)) / scale if scale > 0.0 else 0.0
 
 
-@lru_cache(maxsize=8)
-def _c5_samples(s: float, r: float, sample_count: int, dim: int,
-                theta_nodes: int) -> tuple[float, float]:
-    """(C5, its relative rule gap), once per argument set."""
+def estimate_C5(
+    s: float, r: float, sample_count: int, dim: int, theta_nodes: int = 48
+) -> tuple[float, float]:
+    """Sampled supremum of the positive part of (operator v) / (v + 16 r^(-2s)),
+    and the worst gap of the principal-value rule over the same samples,
+    relative to the largest |operator v| among them.
+
+    Samples the radii k r / N, k = 1..N, so doubling the count refines the
+    same grid and the estimate is monotone nondecreasing in sample_count.
+    """
     if r < R_MIN:
         raise ValueError(f"r must be >= {R_MIN}, got {r}")
     if sample_count < 1:
@@ -269,29 +278,6 @@ def _c5_samples(s: float, r: float, sample_count: int, dim: int,
     floor = 16.0 * r ** (-2.0 * s)
     c5 = float(np.max(np.maximum(pv, 0.0) / (eval_v(x, r, s) + floor)))
     return c5, _relative_gap(pv, gap)
-
-
-def estimate_C5(
-    s: float, r: float, sample_count: int = 256, dim: int = 1, theta_nodes: int = 48
-) -> float:
-    """Sampled supremum of the positive part of (operator v) / (v + 16 r^(-2s)).
-
-    Samples the radii k r / N, k = 1..N, so doubling the count refines the
-    same grid and the estimate is monotone nondecreasing in sample_count.
-    """
-    return _c5_samples(s, r, sample_count, dim, theta_nodes)[0]
-
-
-def c5_rule_gap(
-    s: float, r: float, sample_count: int = 256, dim: int = 1, theta_nodes: int = 48
-) -> float:
-    """Worst gap of the principal-value rule over the samples of estimate_C5,
-    relative to the largest |operator v| among them.
-
-    Shares its samples with estimate_C5 at the same arguments, which
-    computes them once.
-    """
-    return _c5_samples(s, r, sample_count, dim, theta_nodes)[1]
 
 
 # -- the assembled barrier ----------------------------------------------------
@@ -310,7 +296,7 @@ class BarrierSpec:
     tau: float
     r: float
     c5: float
-    dim: int = 1
+    dim: int
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -342,19 +328,6 @@ class BarrierSpec:
     def big_r(self) -> float:
         """Outer radius R = r c_o beyond which w = 1."""
         return self.r * self.c_o
-
-    @classmethod
-    def from_scale(
-        cls,
-        s: float,
-        tau: float,
-        r: float,
-        sample_count: int = 256,
-        dim: int = 1,
-    ) -> "BarrierSpec":
-        """Build the barrier at inner scale r, measuring c5 there."""
-        c5 = estimate_C5(s, r, sample_count, dim)
-        return cls(s=s, tau=tau, r=r, c5=c5, dim=dim)
 
     def to_json(self) -> dict:
         return {**asdict(self), "beta": self.beta,
@@ -413,10 +386,7 @@ class Al2Report:
 
 
 def verify_al1(
-    spec: BarrierSpec,
-    sample_count: int = 512,
-    slack: float = 0.05,
-    min_fraction: float = 0.99,
+    spec: BarrierSpec, sample_count: int, slack: float, min_fraction: float
 ) -> Al1Report:
     """Sample operator w against tau (1 + w) on radii spanning B_R.
 
@@ -449,7 +419,7 @@ def verify_al1(
     )
 
 
-def verify_al2(spec: BarrierSpec, sample_count: int = 512) -> Al2Report:
+def verify_al2(spec: BarrierSpec, sample_count: int) -> Al2Report:
     """Fit C in C^-1 (R + 1 - |x|)^(-2s) <= 1 + w(x) <= C (R + 1 - |x|)^(-2s).
 
     Reports the sampled sup and inf of (1 + w(x)) (R + 1 - |x|)^(2s) and

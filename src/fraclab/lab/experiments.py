@@ -26,7 +26,7 @@ from ..lattice import (
     ball_mask,
     psi_field,
 )
-from ..minimize import MinimizeConfig, initial_field, minimize_energy
+from ..minimize import initial_field, minimize_energy
 from ..potential import Quartic, Tabulated, check_wcond
 from .config import ExperimentConfig, read_pairs_csv
 from .iterate import check_iteration_lemma
@@ -92,10 +92,6 @@ def _exterior(cfg: ExperimentConfig) -> Exterior:
                     cfg.exterior_axis, cfg.exterior_threshold)
 
 
-def _minimize_cfg(cfg: ExperimentConfig) -> MinimizeConfig:
-    return MinimizeConfig(max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
-
-
 def _center_value(values: np.ndarray, lat: Lattice) -> float:
     idx = lat.point_to_index(np.zeros(lat.dim))
     pos = tuple(int(idx[a]) - lat.lo[a] for a in range(lat.dim))
@@ -142,7 +138,6 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     pot = _potential(cfg)
     ext = _exterior(cfg)
-    mcfg = _minimize_cfg(cfg)
 
     columns = ["R", "n_cells", "converged", "iterations",
                "energy_ball", "energy_competitor", "grad_norm"]
@@ -161,7 +156,8 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
             vals = u0.values.copy()
             vals[box] = np.where(omega.members[box], res.field.values, vals[box])
             u0 = ScalarField(lat, vals, ext)
-        res = minimize_energy(kern, pot, u0, omega, mcfg)
+        res = minimize_energy(kern, pot, u0, omega, max_iters=cfg.max_iters,
+                              grad_tol=cfg.grad_tol)
         e_ball = energy_E(kern, pot, res.field, ball_mask(lat, 0.0, radius))
         e_psi = energy_E(kern, pot, psi_field(lat, radius), omega)
         rows.append([radius, lat.n_cells, res.converged, res.iterations,
@@ -269,7 +265,8 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     pot = _potential(cfg)
     ext = _exterior(cfg)
     res = minimize_energy(kern, pot, initial_field(lat, ext),
-                          ball_mask(lat, 0.0, r_max + 2.0), _minimize_cfg(cfg))
+                          ball_mask(lat, 0.0, r_max + 2.0),
+                          max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
     values = res.field.values
 
     criteria: list[Criterion] = [
@@ -301,10 +298,10 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
         j = np.nonzero(np.abs(radii - 2.0 * r) <= 2.0 * r * _SNAP)[0]
         if j.size and vols[i] > 0:
             lhs = r ** (2.0 * cfg.s) * vols[i] ** ((cfg.dim - 2.0 * cfg.s) / cfg.dim)
-            doubling.append((float(r), lhs, float(vols[j[0]])))
+            doubling.append((float(r), float(vols[i]), lhs, float(vols[j[0]])))
     if doubling:
-        positive = all(v2 > 0 for _, _, v2 in doubling)
-        c_emp = max(lhs / v2 for _, lhs, v2 in doubling) if positive else math.inf
+        positive = all(v2 > 0 for _, _, _, v2 in doubling)
+        c_emp = max(lhs / v2 for _, _, lhs, v2 in doubling) if positive else math.inf
         criteria.append(Criterion(
             "doubling", positive and math.isfinite(c_emp),
             f"empirical constant {c_emp:.6g} over {len(doubling)} pairs"))
@@ -328,8 +325,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
             r_o = float(second[0])
             mu = float(vols[np.nonzero(radii == r_o)[0][0]])
             ratios = []
-            for r, _, v2 in doubling:
-                vr = float(vols[np.nonzero(radii == r)[0][0]])
+            for r, vr, _, v2 in doubling:
                 alpha = min(1.0, math.log(vr) / math.log(r)) if r > 1 else 1.0
                 lhs = r ** sigma * alpha * vr ** ((nu - sigma) / nu)
                 ratios.append(lhs / v2)
@@ -396,7 +392,6 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     pot = _potential(cfg)
     ext = _exterior(cfg)
-    mcfg = _minimize_cfg(cfg)
     has_interface = ext.above != ext.below
 
     columns = ["eps", "box_radius", "n_cells", "converged", "iterations",
@@ -410,7 +405,7 @@ def run_levelset_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         lat = Lattice.covering_ball(cfg.dim, cfg.h, 0.0, box_r + 2.0)
         kern = build_kernel(lat, cfg.s)
         res = minimize_energy(kern, pot, initial_field(lat, ext),
-                              None, mcfg)
+                              max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
         band = (np.abs(res.field.values) <= cfg.levelset_theta) \
             & ball_mask(lat, 0.0, box_r).members
         count = int(np.count_nonzero(band))
@@ -499,8 +494,7 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
         if not getattr(cfg, key):
             raise ValueError(f"{key} must list at least one value")
     t0 = time.perf_counter()
-    lat = Lattice(2, cfg.h, (0, 0), (cfg.box_cells, cfg.box_cells)) \
-        if cfg.dim == 2 else Lattice(1, cfg.h, (0,), (cfg.box_cells,))
+    lat = Lattice(cfg.dim, cfg.h, 0, cfg.box_cells)
     rng = np.random.default_rng(cfg.seed)
     pairs = []
     for i in range(cfg.corpus_size):
@@ -681,9 +675,8 @@ def _c5_lattice(spec: bar.BarrierSpec, h: float) -> float:
 def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     """Build the rescaled barrier and verify its two defining estimates."""
     t0 = time.perf_counter()
-    spec = bar.BarrierSpec.from_scale(
-        cfg.s, cfg.tau, cfg.barrier_r,
-        sample_count=cfg.barrier_samples, dim=cfg.dim)
+    c5, rule_gap = bar.estimate_C5(cfg.s, cfg.barrier_r, cfg.barrier_samples, cfg.dim)
+    spec = bar.BarrierSpec(cfg.s, cfg.tau, cfg.barrier_r, c5, cfg.dim)
     al1 = bar.verify_al1(spec, sample_count=cfg.check_samples,
                          slack=cfg.al1_slack,
                          min_fraction=cfg.al1_min_fraction)
@@ -720,8 +713,7 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         experiment="barrier", config=cfg.to_flat_dict(), results=results,
         criteria=criteria, series_columns=columns, series_rows=rows,
-        meta=_meta(t0, c5_rule_gap=bar.c5_rule_gap(
-            cfg.s, cfg.barrier_r, cfg.barrier_samples, cfg.dim)))
+        meta=_meta(t0, c5_rule_gap=rule_gap))
 
 
 # ---------------------------------------------------------------------------

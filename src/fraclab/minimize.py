@@ -19,7 +19,9 @@ segment and the next gradient.  The gradient is the exact discrete one
 residuals and minimality checks all refer to the same energy.  There is
 one stopping rule, as in the method's source: a run has converged when
 the projected gradient, taken from a fresh convolution, is below
-grad_tol.
+grad_tol.  grad_tol and the iteration cap max_iters are required
+keywords with no default here: the lab passes them from its
+ExperimentConfig, the one place a run setting has a default.
 
 Every reduction is a correctly rounded sum, and the convolutions and the
 preconditioner are exactly reflection-equivariant, so a run is
@@ -38,7 +40,6 @@ from .kernels import KernelTable, stable_sum
 from .lattice import CellSet, Exterior, Lattice, ScalarField
 
 __all__ = [
-    "MinimizeConfig",
     "MinimizeResult",
     "initial_field",
     "minimize_energy",
@@ -50,32 +51,19 @@ STATIONARY = "projected gradient below tolerance"
 
 
 @dataclass(frozen=True)
-class MinimizeConfig:
-    """Stopping rules; the starting field comes from ``initial_field``."""
-
-    max_iters: int = 1000
-    grad_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-
-
-@dataclass(frozen=True)
 class MinimizeResult:
     """Final iterate plus the accepted-step history.
 
     ``trace`` rows are (iteration, energy, projected-gradient sup norm,
     step t*alpha); row 0 describes the initial field.  ``grad_norm`` is
     the projected-gradient sup norm of the final field, and ``converged``
-    is derived from it, so the verdict is its own certificate.
+    is derived from it and the run's ``grad_tol``, so the verdict is its
+    own certificate.
     """
 
     field: ScalarField
     omega: CellSet
-    config: MinimizeConfig
+    grad_tol: float
     iterations: int
     grad_norm: float
     trace: np.ndarray
@@ -83,7 +71,7 @@ class MinimizeResult:
 
     @property
     def converged(self) -> bool:
-        return self.grad_norm < self.config.grad_tol
+        return self.grad_norm < self.grad_tol
 
     @property
     def energy(self) -> float:
@@ -113,7 +101,9 @@ def minimize_energy(
     pot,
     u0: ScalarField,
     omega: CellSet | None = None,
-    cfg: MinimizeConfig | None = None,
+    *,
+    max_iters: int,
+    grad_tol: float,
 ) -> MinimizeResult:
     """Minimize E over fields equal to u0 outside omega, values in [-1, 1].
 
@@ -130,7 +120,10 @@ def minimize_energy(
     search, ends the run unconverged with a message instead of an
     exception.
     """
-    cfg = MinimizeConfig() if cfg is None else cfg
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not grad_tol > 0:
+        raise ValueError(f"grad_tol must be positive, got {grad_tol}")
     if omega is None:
         omega = CellSet.full(kern.lattice)
     model = EnergyModel(kern, pot, u0, omega)
@@ -157,7 +150,7 @@ def minimize_energy(
     alpha = 1.0
     iterations = 0
     failed = False
-    while not pg_sup < cfg.grad_tol:  # the start's gradient is fresh
+    while not pg_sup < grad_tol:  # the start's gradient is fresh
         step = min(max(alpha, 1e-12), 1e12)
         d = np.where(mask, np.clip(x - step * model.precondition(g), -1.0, 1.0) - x, 0.0)
         slope = float(stable_sum((g * d)[mask]))
@@ -189,8 +182,8 @@ def minimize_energy(
             pg_sup = pg_norm(x, g)
             rows.append([iterations, e, pg_sup, t * step])
 
-        stopping = failed or iterations == cfg.max_iters
-        if stopping or pg_sup < cfg.grad_tol:
+        stopping = failed or iterations == max_iters
+        if stopping or pg_sup < grad_tol:
             # confirm on a fresh convolution of the free part; the last row
             # keeps its energy, and a miss that is not stopping runs on
             model.refresh()
@@ -199,7 +192,7 @@ def minimize_energy(
             if stopping:
                 break
 
-    if pg_sup < cfg.grad_tol:
+    if pg_sup < grad_tol:
         message = STATIONARY
     elif failed:
         message = f"line search failed after {MAX_BACKTRACKS} halvings"
@@ -210,7 +203,7 @@ def minimize_energy(
     return MinimizeResult(
         field=final,
         omega=omega,
-        config=cfg,
+        grad_tol=grad_tol,
         iterations=iterations,
         grad_norm=pg_sup,
         trace=np.array(rows, dtype=float),

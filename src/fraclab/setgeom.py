@@ -11,6 +11,8 @@ sum of its pair weights, whatever the order of the sets.  The histogram
 depends on the sets alone, so ``check_gmt`` counts it once per set pair
 and weighs it once per kernel, whatever the number of probe fractions.
 Per-cell sums apply the table to a field with ``energies.convolve``.
+The probe fractions and the generators' measure cap and rectangle count
+are required arguments: the lab passes them from its ExperimentConfig.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def _gmt_bound(n: int, s: float, a: float, b: float, cell: float, c_probe: float
 
 
 def check_gmt(kernels: list[KernelTable], A: CellSet, B: CellSet,
-              c_probes: tuple[float, ...] = (0.05,)) -> list[list[GmtReport]]:
+              c_probes: tuple[float, ...]) -> list[list[GmtReport]]:
     """Interaction of A against the complement of A and B, versus the
     regime lower-bound expression, for every kernel and probe fraction.
 
@@ -290,7 +292,7 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
 # -- random corpora -------------------------------------------------------------
 
 
-def random_cellset(lattice: Lattice, rng, max_rects: int = 8) -> CellSet:
+def random_cellset(lattice: Lattice, rng, max_rects: int) -> CellSet:
     """Union of 1..max_rects random axis-aligned boxes, never empty."""
     mask = np.zeros(lattice.shape, dtype=bool)
     k = int(rng.integers(1, max_rects + 1))
@@ -305,9 +307,7 @@ def random_cellset(lattice: Lattice, rng, max_rects: int = 8) -> CellSet:
     return CellSet(lattice, mask)
 
 
-def random_disjoint_pair(
-    lattice: Lattice, rng, b_fraction: float = 0.05, max_rects: int = 8
-):
+def random_disjoint_pair(lattice: Lattice, rng, b_fraction: float, max_rects: int):
     """(A, B) with B disjoint from A and measure(B) <= b_fraction * measure(A).
 
     B starts from an independent rectangle union and is trimmed in fixed

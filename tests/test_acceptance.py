@@ -27,7 +27,7 @@ from fraclab.lab import (
     run_sobolev_suite,
 )
 from fraclab.lattice import Exterior, Lattice, ScalarField
-from fraclab.minimize import MinimizeConfig, initial_field, minimize_energy
+from fraclab.minimize import initial_field, minimize_energy
 from fraclab.potential import Quartic
 
 GROWTH_RADII = (16.0, 32.0, 64.0, 128.0)
@@ -267,7 +267,7 @@ def test_criterion_07_loomis_whitney(gmt_run):
     rng = np.random.default_rng(404)
     exact = 0
     for _ in range(100):
-        rep = setgeom.check_loomis_whitney(setgeom.random_cellset(lat, rng))
+        rep = setgeom.check_loomis_whitney(setgeom.random_cellset(lat, rng, 8))
         prod = 1
         for c in rep.shadow_counts:
             prod *= c
@@ -351,7 +351,7 @@ def test_criterion_10_numerical_hygiene(tmp_path):
     # accepted-step energy trace never increases
     res = minimize_energy(kern, pot, initial_field(
         lat, Exterior(1.0, 1.0)), None,
-        MinimizeConfig(max_iters=500))
+        max_iters=500, grad_tol=1e-7)
     steps = np.diff(res.energy_trace)
     ok_trace = bool(np.all(steps <= 0.0))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -22,6 +23,7 @@ from fraclab.lab import (
     run_levelset_convergence,
     run_sobolev_suite,
 )
+from fraclab import barrier, minimize, setgeom
 from fraclab.lab import experiments
 from fraclab.lab.cli import main
 from fraclab.lab.config import read_pairs_csv
@@ -230,6 +232,37 @@ def test_amplitude_scales_tabulated_well(tmp_path):
     assert np.array_equal(two.value(t), 2.0 * one.value(t))
 
 
+# each run setting the config owns, where the library takes it
+CONFIG_OWNED = [
+    (barrier.verify_al1, ("sample_count", "slack", "min_fraction")),
+    (barrier.verify_al2, ("sample_count",)),
+    (barrier.estimate_C5, ("sample_count", "dim")),
+    (barrier.BarrierSpec, ("dim",)),
+    (setgeom.check_gmt, ("c_probes",)),
+    (setgeom.random_cellset, ("max_rects",)),
+    (setgeom.random_disjoint_pair, ("b_fraction", "max_rects")),
+    (minimize.minimize_energy, ("max_iters", "grad_tol")),
+]
+
+
+@pytest.mark.parametrize("fn, names", CONFIG_OWNED,
+                         ids=[fn.__name__ for fn, _ in CONFIG_OWNED])
+def test_run_settings_have_no_library_default(fn, names):
+    # ExperimentConfig is the one home of a run setting's default: a
+    # library default could drift from it unseen
+    params = inspect.signature(fn).parameters
+    for name in names:
+        assert params[name].default is inspect.Parameter.empty, f"{name} has a default"
+
+
+def test_minimize_needs_both_stopping_rules():
+    params = inspect.signature(minimize.minimize_energy).parameters
+    for name in ("max_iters", "grad_tol"):
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params[name].default is inspect.Parameter.empty
+    assert not hasattr(minimize, "MinimizeConfig")
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
@@ -291,8 +324,8 @@ def test_energy_growth_continuation_cost_guard(monkeypatch):
     warm = run_energy_growth(cfg)
     minimize = experiments.minimize_energy
 
-    def cold(kern, pot, u0, omega, mcfg):
-        return minimize(kern, pot, initial_field(u0.lattice, u0.exterior), omega, mcfg)
+    def cold(kern, pot, u0, omega, **stop):
+        return minimize(kern, pot, initial_field(u0.lattice, u0.exterior), omega, **stop)
 
     monkeypatch.setattr(experiments, "minimize_energy", cold)
     fresh = run_energy_growth(cfg)

@@ -5,6 +5,7 @@ import pytest
 
 from fraclab.energies import EnergyModel, energy_E
 from fraclab.kernels import KernelTable, build_kernel
+from fraclab.lab import ExperimentConfig
 from fraclab.lattice import (
     CellSet,
     Exterior,
@@ -13,7 +14,6 @@ from fraclab.lattice import (
     ball_mask,
 )
 from fraclab.minimize import (
-    MinimizeConfig,
     MinimizeResult,
     initial_field,
     minimize_energy,
@@ -104,7 +104,7 @@ def subdomain_check(
     sub_mask = omega_sub.members
 
     rng = np.random.default_rng(seed)
-    tol = result.config.grad_tol
+    tol = result.grad_tol
     margins = np.empty(trials)
     passed = True
     for t in range(trials):
@@ -134,7 +134,7 @@ def b40(kern):
     # the workhorse: transition layer pinned by halfspace data outside B_40
     seed = initial_field(LAT, EXT)
     om = ball_mask(LAT, 0.0, 40.0)
-    res = minimize_energy(kern, Quartic(0.25), seed, om, MinimizeConfig(max_iters=3000))
+    res = minimize_energy(kern, Quartic(0.25), seed, om, max_iters=3000, grad_tol=1e-7)
     assert res.converged
     return res, om
 
@@ -142,11 +142,12 @@ def b40(kern):
 # ------------------------------------------------------------------ config
 
 
-def test_config_validation():
+def test_config_validation(kern):
+    u0 = initial_field(LAT, EXT)
     with pytest.raises(ValueError, match="max_iters"):
-        MinimizeConfig(max_iters=0)
+        minimize_energy(kern, Quartic(0.25), u0, max_iters=0, grad_tol=1e-7)
     with pytest.raises(ValueError, match="grad_tol"):
-        MinimizeConfig(grad_tol=0.0)
+        minimize_energy(kern, Quartic(0.25), u0, max_iters=1000, grad_tol=0.0)
 
 
 def test_initial_field_descriptors():
@@ -170,7 +171,7 @@ def test_initial_field_descriptors():
 
 def test_global_minimum_is_fixed_point(kern):
     u0 = ScalarField(LAT, np.ones(LAT.shape), Exterior(1.0, 1.0))
-    res = minimize_energy(kern, Quartic(0.25), u0)
+    res = minimize_energy(kern, Quartic(0.25), u0, max_iters=1000, grad_tol=1e-7)
     assert res.converged and res.iterations == 0
     assert res.energy == 0.0
     assert np.array_equal(res.field.values, u0.values)
@@ -179,7 +180,7 @@ def test_global_minimum_is_fixed_point(kern):
 def test_comparison_principle(kern):
     # exterior +1 pulls everything to the global minimum u = +1
     u0 = ScalarField(LAT, np.zeros(LAT.shape), Exterior(1.0, 1.0))
-    res = minimize_energy(kern, Quartic(0.25), u0, cfg=MinimizeConfig(max_iters=5000))
+    res = minimize_energy(kern, Quartic(0.25), u0, max_iters=5000, grad_tol=1e-7)
     assert res.converged
     assert np.all(res.field.values >= 1.0 - 1e-6)
 
@@ -205,7 +206,7 @@ def test_trace_monotone_and_shape(b40):
     assert res.trace.shape[1] == 4
     assert res.trace[0, 0] == 0 and res.trace[0, 3] == 0.0
     assert np.all(np.diff(res.energy_trace) <= 0)
-    assert res.grad_norm < res.config.grad_tol
+    assert res.grad_norm < res.grad_tol
     assert res.iterations == int(res.trace[-1, 0])
 
 
@@ -221,7 +222,7 @@ def test_beats_explicit_competitors(kern, b40):
 def test_max_iters_exhausted_no_exception(kern):
     seed = initial_field(LAT, EXT)
     om = ball_mask(LAT, 0.0, 40.0)
-    res = minimize_energy(kern, Quartic(0.25), seed, om, MinimizeConfig(max_iters=3))
+    res = minimize_energy(kern, Quartic(0.25), seed, om, max_iters=3, grad_tol=1e-7)
     assert not res.converged
     assert res.iterations == 3
     assert "max_iters" in res.message
@@ -232,7 +233,7 @@ def test_non_finite_start_raises(kern):
     vals[3] = np.nan
     bad = ScalarField(LAT, vals, EXT)
     with pytest.raises(ValueError, match="non-finite"):
-        minimize_energy(kern, Quartic(0.25), bad)
+        minimize_energy(kern, Quartic(0.25), bad, max_iters=1000, grad_tol=1e-7)
 
 
 def test_gradient_matches_finite_differences(kern):
@@ -259,10 +260,10 @@ def test_reflection_equivariance_bit_exact(kern):
     vals = rng.uniform(-1.0, 1.0, LAT.shape)
     mask = rng.random(LAT.shape) < 0.6
     ext = Exterior(0.2, 0.2)
-    cfg = MinimizeConfig(max_iters=60)
-    res = minimize_energy(kern, pot, ScalarField(LAT, vals, ext), CellSet(LAT, mask), cfg)
+    stop = dict(max_iters=60, grad_tol=1e-7)
+    res = minimize_energy(kern, pot, ScalarField(LAT, vals, ext), CellSet(LAT, mask), **stop)
     res_r = minimize_energy(
-        kern, pot, ScalarField(LAT, vals[::-1].copy(), ext), CellSet(LAT, mask[::-1].copy()), cfg
+        kern, pot, ScalarField(LAT, vals[::-1].copy(), ext), CellSet(LAT, mask[::-1].copy()), **stop
     )
     assert np.array_equal(res_r.field.values, res.field.values[::-1])
     assert np.array_equal(res_r.trace, res.trace)
@@ -279,7 +280,8 @@ def test_checkpoint_roundtrip_resumes_converged(kern, b40):
     res, om = b40
     restored = ScalarField(LAT, res.field.values.copy(), EXT)
     assert np.array_equal(restored.values, res.field.values)
-    resumed = minimize_energy(kern, Quartic(0.25), restored, om, res.config)
+    resumed = minimize_energy(kern, Quartic(0.25), restored, om, max_iters=3000,
+                              grad_tol=res.grad_tol)
     assert resumed.converged and resumed.iterations == 0
 
 
@@ -290,7 +292,7 @@ def test_residual_on_minimizer_small(kern, b40):
     res, om = b40
     rep = el_residual(kern, Quartic(0.25), res.field, om)
     assert rep.reported.any()
-    assert rep.sup < 10 * res.config.grad_tol
+    assert rep.sup < 10 * res.grad_tol
     assert np.isnan(rep.residual[~rep.reported]).all()
 
 
@@ -307,7 +309,7 @@ def test_residual_detects_non_minimizer(kern):
     rng = np.random.default_rng(2)
     junk = ScalarField(LAT, rng.uniform(-0.9, 0.9, LAT.shape), EXT)
     rep = el_residual(kern, Quartic(0.25), junk, om)
-    assert rep.sup > MinimizeConfig().grad_tol
+    assert rep.sup > ExperimentConfig().grad_tol
 
 
 def test_residual_lattice_mismatch(kern):
@@ -344,7 +346,7 @@ def test_subdomain_detects_corruption(kern, b40):
     bad = MinimizeResult(
         field=ScalarField(LAT, bad_vals, EXT),
         omega=res.omega,
-        config=res.config,
+        grad_tol=res.grad_tol,
         iterations=0,
         grad_norm=0.0,
         trace=res.trace,
@@ -391,7 +393,7 @@ def test_one_convolution_per_iteration(kern, monkeypatch):
     counts["conv"] = 0
     for name in ("energy", "gradient", "refresh"):
         monkeypatch.setattr(EnergyModel, name, counted(name, getattr(EnergyModel, name)))
-    res = minimize_energy(kern, pot, u0, om, MinimizeConfig(max_iters=200))
+    res = minimize_energy(kern, pot, u0, om, max_iters=200, grad_tol=1e-7)
     assert res.iterations > 20
     assert counts["energy"] == 1
     assert counts["refresh"] == 1
@@ -421,7 +423,7 @@ def test_one_solve_per_iteration(kern, monkeypatch):
     counts["conv"] = 0
     monkeypatch.setattr(EnergyModel, "precondition",
                         counted("solve", EnergyModel.precondition))
-    res = minimize_energy(kern, pot, u0, om, MinimizeConfig(max_iters=200))
+    res = minimize_energy(kern, pot, u0, om, max_iters=200, grad_tol=1e-7)
     assert res.converged and res.iterations > 5
     assert counts["solve"] == res.iterations
     assert counts["conv"] == setup + 1 + res.iterations + 1
@@ -441,12 +443,12 @@ def test_non_descent_solve_falls_back_to_projected_gradient(kern, b40, monkeypat
     pot = Quartic(0.25)
     ref, om = b40
     seed = initial_field(LAT, EXT)
-    res = minimize_energy(kern, pot, seed, om, MinimizeConfig(max_iters=3000))
-    assert res.converged and res.grad_norm < res.config.grad_tol
+    res = minimize_energy(kern, pot, seed, om, max_iters=3000, grad_tol=1e-7)
+    assert res.converged and res.grad_norm < res.grad_tol
     assert np.all(np.diff(res.energy_trace) <= 0)
     assert abs(res.energy - ref.energy) <= 1e-9 * abs(ref.energy)
     model = EnergyModel(kern, pot, seed, om)
-    diag = 2.0 * (model._c_box + model.t0) + model.cell_measure * np.abs(pot.second(seed.values))
+    diag = 2.0 * model.diag + model.cell_measure * np.abs(pot.second(seed.values))
     assert np.all(res.trace[1:, 3] <= 1.0 / np.max(diag[om.members]))
     assert res.iterations > ref.iterations
 
@@ -480,9 +482,9 @@ def test_tabulated_well_converges(kern, well):
     pot = Tabulated(tuple(ts), tuple(well(ts)))
     om = ball_mask(LAT, 0.0, 30.0)
     res = minimize_energy(kern, pot, initial_field(LAT, EXT), om,
-                          MinimizeConfig(max_iters=3000))
+                          max_iters=3000, grad_tol=1e-7)
     assert res.converged and "gradient" in res.message
-    assert res.grad_norm < res.config.grad_tol
+    assert res.grad_norm < res.grad_tol
     assert res.grad_norm == _fresh_projected_grad(kern, pot, res)
     assert np.all(np.diff(res.energy_trace) <= 0)
     fresh = energy_E(kern, pot, res.field, om)

@@ -72,11 +72,11 @@ def _histogram_cases():
     cases = []
     for lat in (Lattice(1, 0.5, (-20,), (17,)), Lattice(2, 1.0, (0, 0), (32, 32))):
         for _ in range(3):
-            A, B = random_disjoint_pair(lat, rng, 0.05)
+            A, B = random_disjoint_pair(lat, rng, 0.05, 8)
             cases.append((lat, A, A.union(B).complement()))
-            cases.append((lat, A, random_cellset(lat, rng).difference(A)))
+            cases.append((lat, A, random_cellset(lat, rng, 8).difference(A)))
     fine = Lattice(2, 0.5, (0, 0), (64, 64))
-    A, B = random_disjoint_pair(Lattice(2, 1.0, (0, 0), (32, 32)), rng, 0.02)
+    A, B = random_disjoint_pair(Lattice(2, 1.0, (0, 0), (32, 32)), rng, 0.02, 8)
     up = [np.repeat(np.repeat(m.members, 2, 0), 2, 1) for m in (A, B)]
     A = CellSet(fine, up[0])
     cases.append((fine, A, A.union(CellSet(fine, up[1])).complement()))
@@ -216,7 +216,7 @@ def test_loomis_whitney_random_sets():
     lat = Lattice(2, 1.0, (0, 0), (20, 20))
     rng = np.random.default_rng(42)
     for _ in range(100):
-        cells = random_cellset(lat, rng)
+        cells = random_cellset(lat, rng, 8)
         rep = check_loomis_whitney(cells)
         assert rep.cell_count <= 400
         assert rep.product_holds
@@ -334,7 +334,7 @@ def test_batched_gmt_is_the_one_kernel_one_probe_check(qkern50, qkern75):
     kernels = [build_kernel(QLAT, 0.25), qkern50, qkern75]
     probes = (0.01, 0.05, 0.1, 0.6)
     rng = np.random.default_rng(23)
-    pairs = [random_disjoint_pair(QLAT, rng, frac) for frac in (0.0, 0.02, 0.5, 0.0, 1.0)]
+    pairs = [random_disjoint_pair(QLAT, rng, frac, 8) for frac in (0.0, 0.02, 0.5, 0.0, 1.0)]
     full = np.ones(QLAT.shape, dtype=bool)
     full[:2] = False
     pairs.append((CellSet(QLAT, full), CellSet(QLAT, ~full)))
@@ -467,7 +467,7 @@ def test_sobolev_matches_gathered_complement(dim, s):
     kern = build_kernel(lat, s)
     rng = np.random.default_rng(41)
     ball = ball_mask(lat, center, 2.0)
-    for E in (ball, random_cellset(lat, rng),
+    for E in (ball, random_cellset(lat, rng, 8),
               random_equal_count_set(lat, rng, ball.count)):
         cells = np.argwhere(E.members)
         picks = np.sort(rng.choice(len(cells), size=min(4, len(cells)), replace=False))
@@ -493,11 +493,11 @@ def test_sobolev_errors(sob):
 
 
 def test_random_generators_deterministic():
-    a1 = random_cellset(LAT2, np.random.default_rng(5))
-    a2 = random_cellset(LAT2, np.random.default_rng(5))
+    a1 = random_cellset(LAT2, np.random.default_rng(5), 8)
+    a2 = random_cellset(LAT2, np.random.default_rng(5), 8)
     assert np.array_equal(a1.members, a2.members)
-    p1 = random_disjoint_pair(LAT2, np.random.default_rng(9), 0.05)
-    p2 = random_disjoint_pair(LAT2, np.random.default_rng(9), 0.05)
+    p1 = random_disjoint_pair(LAT2, np.random.default_rng(9), 0.05, 8)
+    p2 = random_disjoint_pair(LAT2, np.random.default_rng(9), 0.05, 8)
     assert np.array_equal(p1[0].members, p2[0].members)
     assert np.array_equal(p1[1].members, p2[1].members)
 
@@ -505,7 +505,7 @@ def test_random_generators_deterministic():
 def test_random_pair_contract():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        A, B = random_disjoint_pair(LAT2, rng, 0.05)
+        A, B = random_disjoint_pair(LAT2, rng, 0.05, 8)
         assert A.count > 0
         assert A.disjoint(B)
         assert B.measure <= 0.05 * A.measure
@@ -513,7 +513,7 @@ def test_random_pair_contract():
 
 def test_random_pair_rejects_negative_fraction():
     with pytest.raises(ValueError, match="b_fraction"):
-        random_disjoint_pair(LAT2, np.random.default_rng(11), -0.5)
+        random_disjoint_pair(LAT2, np.random.default_rng(11), -0.5, 8)
 
 
 def test_random_equal_count():
