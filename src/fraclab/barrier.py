@@ -7,9 +7,12 @@ B_r; w rescales v by C_o = (C5/tau)^(1/2s) and maps its range onto
 the sampled supremum of the positive part of the operator applied to v,
 normalized by v + 16 r^(-2s).  ``estimate_C5`` returns it with the rule
 gap of the same samples, from one pass, and the caller builds
-``BarrierSpec`` from that c5.  Sample counts, the al1 slack and passing
+``BarrierSpec`` from that c5.  ``profile`` holds the one sample grid of
+B_R, with v and w on it: ``verify_al1``, ``verify_al2`` and the lab's
+series rows all read it.  Sample counts, the al1 slack and passing
 fraction, and the dimension are required arguments: the lab passes them
-from its ExperimentConfig.
+from its ExperimentConfig.  In 2D, C5 and al1 integrate over directions
+with one Gauss rule in theta, whose node count has one default.
 
 h meets 0 at t = r/2 with zero slope (tangent-line construction), so the
 only kink of v sits at the clamp radius where h reaches 1.  The principal
@@ -48,6 +51,7 @@ __all__ = [
     "eval_h",
     "eval_v",
     "eval_w",
+    "profile",
     "estimate_C5",
     "verify_al1",
     "verify_al2",
@@ -99,6 +103,7 @@ def clamp_radius(r: float, s: float) -> float:
 # -- principal value integrals ------------------------------------------------
 
 _NODES = 12  # Gauss nodes per sub-panel
+_THETA_NODES = 48  # 2D: Gauss nodes in theta on [0, pi], for C5 and al1 alike
 _BATCH = 16  # ray pairs per rule call: every node array stays near 0.2 MiB
 
 
@@ -215,7 +220,7 @@ def quad(x, c, sn, r: float, s: float):
     return value, value - coarser
 
 
-def _pv_v(x, r: float, s: float, dim: int, n_theta: int = 48):
+def _pv_v(x, r: float, s: float, dim: int, n_theta: int = _THETA_NODES):
     """int over R^dim of (v(y) - v(x)) |x-y|^(-(dim+2s)) dy at the points x
     on the first axis, and the gap of the rule at each point.
 
@@ -260,7 +265,8 @@ def _relative_gap(pv, gap) -> float:
 
 
 def estimate_C5(
-    s: float, r: float, sample_count: int, dim: int, theta_nodes: int = 48
+    s: float, r: float, sample_count: int, dim: int,
+    theta_nodes: int = _THETA_NODES,
 ) -> tuple[float, float]:
     """Sampled supremum of the positive part of (operator v) / (v + 16 r^(-2s)),
     and the worst gap of the principal-value rule over the same samples,
@@ -337,18 +343,27 @@ class BarrierSpec:
 def eval_w(spec: BarrierSpec, x):
     """The rescaled barrier at radius |x|."""
     rho = np.abs(np.asarray(x, dtype=float))
-    v = eval_v(rho / spec.c_o, spec.r, spec.s)
-    # where v saturates the affine map must return exactly 1, not a rounding of it
-    out = np.where(v == 1.0, 1.0, (2.0 - spec.beta) * v + spec.beta - 1.0)
+    out = _w_of_v(spec, eval_v(rho / spec.c_o, spec.r, spec.s))
     return float(out) if np.isscalar(x) else out
 
 
-def _sample_radii(big_r: float, sample_count: int) -> np.ndarray:
-    # midpoint radii: the outermost sample sits half a spacing short of R,
-    # which sets the resolution of the fitted constants near the boundary
+def _w_of_v(spec: BarrierSpec, v):
+    # where v saturates the affine map must return exactly 1, not a rounding of it
+    return np.where(v == 1.0, 1.0, (2.0 - spec.beta) * v + spec.beta - 1.0)
+
+
+def profile(spec: BarrierSpec, sample_count: int):
+    """The sample radii of B_R and v and w there: the grid al1 and al2 check.
+
+    The radii are the midpoints (k - 1/2) R / n, k = 1..n, so the outermost
+    sample sits half a spacing short of R, which sets the resolution of the
+    fitted constants near the boundary; v is read at radius / c_o.
+    """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    return big_r * (np.arange(1, sample_count + 1) - 0.5) / sample_count
+    radii = spec.big_r * (np.arange(1, sample_count + 1) - 0.5) / sample_count
+    v = eval_v(radii / spec.c_o, spec.r, spec.s)
+    return radii, v, _w_of_v(spec, v)
 
 
 @dataclass(frozen=True)
@@ -394,11 +409,11 @@ def verify_al1(
     side inflated by the relative slack.  The report histograms the relative
     excess of the violating points.
     """
-    radii = _sample_radii(spec.big_r, sample_count)
+    radii, _, w = profile(spec, sample_count)
     pv, gap = _pv_v(radii / spec.c_o, spec.r, spec.s, spec.dim)
     # rescaling x -> x / c_o picks up c_o^(-2s) on the operator
     lhs = (2.0 - spec.beta) * spec.c_o ** (-2.0 * spec.s) * pv
-    rhs = spec.tau * (1.0 + eval_w(spec, radii))
+    rhs = spec.tau * (1.0 + w)
     ratio = lhs / rhs
     excesses = (ratio[lhs > rhs * (1.0 + slack)] - 1.0).tolist()
     edges = [0.0, 0.1, 0.2, 0.5, 1.0, math.inf]
@@ -425,8 +440,8 @@ def verify_al2(spec: BarrierSpec, sample_count: int) -> Al2Report:
     Reports the sampled sup and inf of (1 + w(x)) (R + 1 - |x|)^(2s) and
     their ratio; a tight barrier keeps the ratio bounded.
     """
-    radii = _sample_radii(spec.big_r, sample_count)
-    q = (1.0 + eval_w(spec, radii)) * (spec.big_r + 1.0 - radii) ** (2.0 * spec.s)
+    radii, _, w = profile(spec, sample_count)
+    q = (1.0 + w) * (spec.big_r + 1.0 - radii) ** (2.0 * spec.s)
     return Al2Report(
         sample_count=sample_count,
         outermost_radius=float(radii[-1]),

@@ -2,7 +2,6 @@
 
 from .config import ExperimentConfig, config_from_sources, read_config_file
 from .experiments import (
-    DensityTrace,
     run_barrier,
     run_density,
     run_energy_growth,
@@ -16,7 +15,6 @@ from .report import Criterion, ExperimentReport
 
 __all__ = [
     "Criterion",
-    "DensityTrace",
     "ExperimentConfig",
     "ExperimentReport",
     "IterationReport",

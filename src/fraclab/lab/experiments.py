@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .iterate import check_iteration_lemma
 from .report import Criterion, ExperimentReport
 
 __all__ = [
-    "DensityTrace",
     "run_barrier",
     "run_density",
     "run_energy_growth",
@@ -47,28 +45,6 @@ _SNAP = 1e-9  # relative tolerance for matching swept radii
 _LOG_BAND = 0.25  # s = 1/2: largest move of E/(R^(n-1) log R) across the top radii
 
 
-@dataclass(frozen=True)
-class DensityTrace:
-    """Measured volume of a superlevel set against the ball radius."""
-
-    threshold: float
-    radii: tuple[float, ...]
-    volumes: tuple[float, ...]
-    ratios: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(b < a for a, b in zip(self.volumes, self.volumes[1:])):
-            raise ValueError("volumes must be nondecreasing in the radius")
-
-    def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "radii": list(self.radii),
-            "volumes": list(self.volumes),
-            "ratios": list(self.ratios),
-        }
-
-
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
@@ -80,10 +56,10 @@ def _potential(cfg: ExperimentConfig):
         return Quartic(cfg.amplitude)
     ts, ws = zip(*read_pairs_csv(cfg.potential_csv))
     pot = Tabulated(ts, tuple(cfg.amplitude * w for w in ws))
-    well = check_wcond(pot)
-    if not well:
+    failed = check_wcond(pot)
+    if failed:
         raise ValueError(f"{cfg.potential_csv}: not a double well, "
-                         f"{' and '.join(well.failed)} fails")
+                         f"{' and '.join(failed)} fails")
     return pot
 
 
@@ -96,6 +72,13 @@ def _center_value(values: np.ndarray, lat: Lattice) -> float:
     idx = lat.point_to_index(np.zeros(lat.dim))
     pos = tuple(int(idx[a]) - lat.lo[a] for a in range(lat.dim))
     return float(values[pos])
+
+
+def _sigma(s: float) -> float:
+    """The paper's sigma = min(2s, 1): the energy on B_R grows like
+    R^(n - sigma), times log R at s = 1/2, and the density run iterates
+    with it."""
+    return 2.0 * s if s < 0.5 else 1.0
 
 
 def _meta(t0: float, **extra) -> dict:
@@ -169,7 +152,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
             excluded.append(radius)
 
     n = cfg.dim
-    theory = n - 2.0 * cfg.s if cfg.s < 0.5 else n - 1.0
+    theory = n - _sigma(cfg.s)
     criteria: list[Criterion] = []
     results: dict = {
         "theory_exponent": theory,
@@ -236,7 +219,8 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _volume_trace(values: np.ndarray, lat: Lattice, radii, threshold: float,
-                  dim: int) -> DensityTrace:
+                  dim: int) -> dict:
+    """Volume of {u > threshold} in each ball B_R, and its ratio to R^dim."""
     above = values > threshold
     vols = []
     ratios = []
@@ -245,8 +229,8 @@ def _volume_trace(values: np.ndarray, lat: Lattice, radii, threshold: float,
         vol = float(np.count_nonzero(mask)) * lat.cell_volume
         vols.append(vol)
         ratios.append(vol / radius ** dim)
-    return DensityTrace(threshold=threshold, radii=tuple(radii),
-                        volumes=tuple(vols), ratios=tuple(ratios))
+    return {"threshold": threshold, "radii": list(radii),
+            "volumes": vols, "ratios": ratios}
 
 
 def run_density(cfg: ExperimentConfig) -> ExperimentReport:
@@ -286,13 +270,13 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     criteria.append(Criterion("trace-monotone", True, "exact by construction",
                               vacuous=True))
 
-    min_ratio = min(trace_star.ratios)
+    min_ratio = min(trace_star["ratios"])
     criteria.append(Criterion(
         "density-floor", min_ratio > cfg.density_floor,
         f"min V(R)/R^{cfg.dim} = {min_ratio:.6g} vs floor {cfg.density_floor}"))
 
     radii = np.asarray(cfg.radii, dtype=float)
-    vols = np.asarray(trace_star.volumes, dtype=float)
+    vols = np.asarray(trace_star["volumes"], dtype=float)
     doubling = []
     for i, r in enumerate(radii):
         j = np.nonzero(np.abs(radii - 2.0 * r) <= 2.0 * r * _SNAP)[0]
@@ -311,7 +295,7 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
 
     iteration = None
     note = None
-    sigma = 2.0 * cfg.s if cfg.s < 0.5 else 1.0
+    sigma = _sigma(cfg.s)
     nu = float(cfg.dim)
     if nu <= sigma:
         note = f"exponent order needs nu > sigma, got nu={nu} sigma={sigma}"
@@ -348,13 +332,13 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
     columns = ["R", "volume_theta2", "ratio_theta2",
                "volume_theta_star", "ratio_theta_star"]
     rows = [[r, v2, q2, vs, qs] for r, v2, q2, vs, qs in zip(
-        cfg.radii, trace2.volumes, trace2.ratios,
-        trace_star.volumes, trace_star.ratios)]
+        cfg.radii, trace2["volumes"], trace2["ratios"],
+        trace_star["volumes"], trace_star["ratios"])]
     results = {
         "status": status,
         "u_center": u0,
-        "trace_theta2": trace2.to_json(),
-        "trace_theta_star": trace_star.to_json(),
+        "trace_theta2": trace2,
+        "trace_theta_star": trace_star,
         "doubling_constant": results_doubling,
         "min_ratio": min_ratio,
         "iteration": iteration.to_json() if iteration else None,
@@ -696,9 +680,7 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
         Criterion("exterior-identity", exact_one,
                   "w == 1 outside the outer ball, bitwise"),
     ]
-    rho = bar._sample_radii(spec.big_r, cfg.check_samples)
-    v_vals = bar.eval_v(rho / spec.c_o, spec.r, spec.s)
-    w_vals = bar.eval_w(spec, rho)
+    rho, v_vals, w_vals = bar.profile(spec, cfg.check_samples)
     columns = ["radius", "v", "w"]
     rows = [[float(a), float(b), float(c)]
             for a, b, c in zip(rho, v_vals, w_vals)]

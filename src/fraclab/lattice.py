@@ -38,6 +38,19 @@ def _as_tuple(val, dim: int) -> tuple[int, ...]:
     return t
 
 
+def _center(center, dim: int) -> np.ndarray:
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    return np.full(dim, c[0]) if c.size == 1 and dim > 1 else c
+
+
+def _ball_box(dim: int, h: float, c: np.ndarray, radius: float):
+    """Index bounds (lo, hi) of the fewest cells covering the closed ball; a
+    ball edge within 1e-12 cells of a cell edge counts as on it."""
+    lo = tuple(int(np.floor((c[a] - radius) / h + 1e-12)) for a in range(dim))
+    hi = tuple(int(np.ceil((c[a] + radius) / h - 1e-12)) for a in range(dim))
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Regular cell grid: dimension, spacing, and integer index box.
@@ -68,12 +81,7 @@ class Lattice:
     @classmethod
     def covering_ball(cls, dim: int, h: float, center, radius: float) -> "Lattice":
         """Smallest lattice box whose union of cells contains the closed ball."""
-        c = np.atleast_1d(np.asarray(center, dtype=float))
-        if c.size == 1 and dim > 1:
-            c = np.full(dim, c[0])
-        lo = tuple(int(np.floor((c[a] - radius) / h + 1e-12)) for a in range(dim))
-        hi = tuple(int(np.ceil((c[a] + radius) / h - 1e-12)) for a in range(dim))
-        return cls(dim, h, lo, hi)
+        return cls(dim, h, *_ball_box(dim, h, _center(center, dim), radius))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,12 +110,6 @@ class Lattice:
             sh[a] = -1
             outs.append(c.reshape(sh))
         return outs
-
-    def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical lower/upper corner of the box."""
-        lo = np.array([self.lo[a] * self.h for a in range(self.dim)])
-        hi = np.array([self.hi[a] * self.h for a in range(self.dim)])
-        return lo, hi
 
     def point_to_index(self, points: np.ndarray) -> np.ndarray:
         """Integer cell index containing each point; shape ``(..., dim)``."""
@@ -237,6 +239,16 @@ class ScalarField:
 # -- operations ---------------------------------------------------------------
 
 
+def _check_room(lattice: Lattice, c: np.ndarray, radius: float) -> None:
+    """Raise unless the box holds every cell the ball needs, naming the pad."""
+    lo, hi = _ball_box(lattice.dim, lattice.h, c, radius)
+    below = [max(box - ball, 0) for box, ball in zip(lattice.lo, lo)]
+    above = [max(ball - box, 0) for box, ball in zip(lattice.hi, hi)]
+    if any(below) or any(above):
+        raise ValueError("ball not contained in lattice box; pad indices by "
+                         f"{below} below and {above} above")
+
+
 def ball_mask(lattice: Lattice, center, radius: float) -> CellSet:
     """Cells whose centers lie strictly inside the ball.
 
@@ -245,19 +257,8 @@ def ball_mask(lattice: Lattice, center, radius: float) -> CellSet:
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    if c.size == 1 and lattice.dim > 1:
-        c = np.full(lattice.dim, c[0])
-    lo_phys, hi_phys = lattice.box_bounds()
-    need_lo, need_hi = [], []
-    for a in range(lattice.dim):
-        need_lo.append(int(np.ceil((lo_phys[a] - (c[a] - radius)) / lattice.h - 1e-12)))
-        need_hi.append(int(np.ceil(((c[a] + radius) - hi_phys[a]) / lattice.h - 1e-12)))
-    if any(p > 0 for p in need_lo) or any(p > 0 for p in need_hi):
-        raise ValueError(
-            "ball not contained in lattice box; pad indices by "
-            f"{[max(p, 0) for p in need_lo]} below and {[max(p, 0) for p in need_hi]} above"
-        )
+    c = _center(center, lattice.dim)
+    _check_room(lattice, c, radius)
     if radius == 0:
         return CellSet.empty(lattice)
     grids = lattice.center_grids()
@@ -269,15 +270,12 @@ def psi_field(lattice: Lattice, R: float) -> ScalarField:
     """Radial comparison profile: -1 inside B_{R+1}, +1 outside B_{R+2}.
 
     psi(x) = -1 + 2 * min{ (|x| - R - 1)^+ , 1 }, sampled at cell centers,
-    with exterior Exterior(1, 1), identically +1.
+    with exterior Exterior(1, 1), identically +1.  Raises as ``ball_mask``
+    does unless the box holds B_{R+2}.
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    lo_phys, hi_phys = lattice.box_bounds()
-    if any(lo_phys[a] > -(R + 2) or hi_phys[a] < (R + 2) for a in range(lattice.dim)):
-        raise ValueError(f"lattice box does not contain the radius-{R + 2} ball")
-    grids = lattice.center_grids()
-    rad = np.sqrt(sum(np.broadcast_to(g, lattice.shape) ** 2 for g in grids)) \
-        if lattice.dim == 2 else np.abs(np.broadcast_to(grids[0], lattice.shape))
+    _check_room(lattice, np.zeros(lattice.dim), R + 2.0)
+    rad = np.sqrt(sum(g * g for g in lattice.center_grids()))
     vals = -1.0 + 2.0 * np.minimum(np.maximum(rad - R - 1.0, 0.0), 1.0)
     return ScalarField(lattice, vals, Exterior(1.0, 1.0))

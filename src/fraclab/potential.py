@@ -6,7 +6,7 @@ the amplitude has no default.  A tabulated variant (cubic interpolation of
 sampled values) covers less smooth wells; both expose value, first and second
 derivative.  check_wcond samples the conditions a double well must meet:
 zeros at the pure phases, flat nondegenerate minima there, and W > 0 between
-them.
+them, and returns the names of those that fail, none for an admissible well.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ __all__ = [
     "Tabulated",
     "DoubleWell",
     "check_wcond",
-    "WellReport",
 ]
 
 
@@ -94,33 +93,21 @@ class Tabulated:
 DoubleWell = Union[Quartic, Tabulated]
 
 
-@dataclass(frozen=True)
-class WellReport:
-    end_values: tuple[float, float]
-    end_slopes: tuple[float, float]
-    end_curvatures: tuple[float, float]
-    interior_min: float
-    failed: tuple[str, ...]  # the conditions that do not hold
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def __bool__(self) -> bool:
-        return self.ok
+_WELL_SAMPLES = 1000  # interior points where check_wcond tests W > 0
+_WELL_TOL = 1e-9  # largest |W(+-1)| and |W'(+-1)| that count as zero
 
 
-def check_wcond(pot: DoubleWell, samples: int = 1000, tol: float = 1e-9) -> WellReport:
-    """Sampled check of W(+-1)=0, W'(+-1)=0, W''(+-1)>0, W>0 on (-1,1)."""
+def check_wcond(pot: DoubleWell) -> tuple[str, ...]:
+    """Names of the sampled conditions W(+-1)=0, W'(+-1)=0, W''(+-1)>0 and
+    W>0 on (-1,1) that fail; empty for an admissible well."""
     ends = (float(pot.value(-1.0)), float(pot.value(1.0)))
     slopes = (float(pot.deriv(-1.0)), float(pot.deriv(1.0)))
     curv = (float(pot.second(-1.0)), float(pot.second(1.0)))
-    grid = np.linspace(-1.0, 1.0, samples + 2)[1:-1]
+    grid = np.linspace(-1.0, 1.0, _WELL_SAMPLES + 2)[1:-1]
     interior = float(np.min(pot.value(grid)))
-    failed = tuple(name for name, holds in (
-        ("W(+-1) = 0", max(abs(e) for e in ends) <= tol),
-        ("W'(+-1) = 0", max(abs(sl) for sl in slopes) <= tol),
+    return tuple(name for name, holds in (
+        ("W(+-1) = 0", max(abs(e) for e in ends) <= _WELL_TOL),
+        ("W'(+-1) = 0", max(abs(sl) for sl in slopes) <= _WELL_TOL),
         ("W''(+-1) > 0", min(curv) > 0),
         ("W > 0 on (-1, 1)", interior > 0),
     ) if not holds)
-    return WellReport(ends, slopes, curv, interior, failed)

@@ -20,6 +20,13 @@ def from_indices(lattice: Lattice, indices: Iterable[Sequence[int]]) -> CellSet:
     return CellSet(lattice, m)
 
 
+def box_bounds(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Physical lower and upper corner of the lattice box."""
+    lo = np.array([lattice.lo[a] * lattice.h for a in range(lattice.dim)])
+    hi = np.array([lattice.hi[a] * lattice.h for a in range(lattice.dim)])
+    return lo, hi
+
+
 def is_subset(a: CellSet, b: CellSet) -> bool:
     """Whether every cell of a is a cell of b."""
     _check_same_lattice(a.lattice, b.lattice)

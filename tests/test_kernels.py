@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import fraclab.kernels as K
+from cellsets import box_bounds
 from fraclab.kernels import (
     build_kernel,
     pair_weight_collocation,
@@ -539,7 +540,7 @@ def test_tail_halfspace_axis_1_is_transposed_axis_0(lat):
     # the axis-1 split is the axis-0 split of the transposed box, bit for
     # bit, at thresholds on and off cell edges, inside and outside the box
     lat_t = Lattice(2, lat.h, lat.lo[::-1], lat.hi[::-1])
-    lo, hi = lat.box_bounds()
+    lo, hi = box_bounds(lat)
     b0, b1, h = lo[1], hi[1], lat.h
     for s in (0.25, 0.75):
         for thr in (b0 - 1.3, b0, b0 + 0.3 * h, 0.5 * (b0 + b1) + 0.17,

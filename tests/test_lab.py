@@ -340,6 +340,17 @@ def test_energy_growth_continuation_cost_guard(monkeypatch):
         [(c.name, c.passed) for c in fresh.criteria]
 
 
+def test_energy_growth_competitor_fits_a_rounded_radius():
+    # 18 * 0.3 rounds to 5.3999999999999995: the box that covers B_{R+2}
+    # by the lattice's room rule must hold the competitor too
+    cfg = ExperimentConfig(experiment="energy-growth", h=0.3,
+                           radii=(3.4, 6.8, 13.6, 27.2))
+    rep = run_energy_growth(cfg)
+    assert len(rep.series_rows) == 4
+    for row in rep.series_rows:
+        assert np.isfinite(row[5]) and row[5] >= row[4]
+
+
 def test_energy_growth_requires_four_radii():
     cfg = ExperimentConfig(experiment="energy-growth",
                            radii=(4.0, 8.0, 16.0))
@@ -525,15 +536,16 @@ def test_barrier_runner_small_scale():
 def test_barrier_rows_sit_at_the_sample_radii():
     # the series radii are the al1/al2 sample radii bit for bit; at 100
     # samples (k - 1/2) * (R / n) would differ from them by an ulp
-    from fraclab.barrier import _sample_radii
+    from fraclab.barrier import BarrierSpec, profile
 
     cfg = ExperimentConfig(experiment="barrier", s=0.5, dim=1, h=1.0,
                            tau=0.1, barrier_r=100.0, barrier_samples=32,
                            check_samples=100)
     rep = run_barrier(cfg)
     radii = [row[0] for row in rep.series_rows]
-    big_r = rep.results["spec"]["big_r"]
-    assert radii == _sample_radii(big_r, 100).tolist()
+    spec = BarrierSpec(**{k: rep.results["spec"][k]
+                          for k in ("s", "tau", "r", "c5", "dim")})
+    assert radii == profile(spec, 100)[0].tolist()
     assert radii[-1] == rep.results["al2"]["outermost_radius"]
 
 

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cellsets import from_indices, is_subset
+from cellsets import box_bounds, from_indices, is_subset
 from fraclab.energies import EnergyModel
 from fraclab.kernels import build_kernel
 from fraclab.lattice import (
@@ -24,7 +26,7 @@ def test_lattice_basic_geometry():
     assert lat.shape == (5, 4)
     assert lat.n_cells == 20
     assert lat.cell_volume == 0.25
-    lo, hi = lat.box_bounds()
+    lo, hi = box_bounds(lat)
     assert np.allclose(lo, [-1.0, 0.0])
     assert np.allclose(hi, [1.5, 2.0])
     # centers at half-integer multiples of h, never on a coordinate plane
@@ -53,12 +55,12 @@ def test_lattice_rejects_bad_input(kwargs):
 
 def test_covering_ball_contains_ball():
     lat = Lattice.covering_ball(1, 0.4, 0.2, 1.0)
-    lo, hi = lat.box_bounds()
+    lo, hi = box_bounds(lat)
     assert lo[0] <= 0.2 - 1.0 and hi[0] >= 0.2 + 1.0
     # smallest such box: one cell less fails on either side
     assert (lat.hi[0] - 1) * 0.4 < 1.2
     lat2 = Lattice.covering_ball(2, 1.0, (0.0, 0.0), 3.0)
-    lo2, hi2 = lat2.box_bounds()
+    lo2, hi2 = box_bounds(lat2)
     assert np.all(lo2 <= -3.0) and np.all(hi2 >= 3.0)
 
 
@@ -240,6 +242,45 @@ def test_psi_field_profile():
     ramp = (np.abs(x) > R + 1.0) & (np.abs(x) < R + 2.0)
     assert np.allclose(vals[ramp], -1.0 + 2.0 * (np.abs(x[ramp]) - R - 1.0))
     assert f.exterior == Exterior(1.0, 1.0)
+
+
+def _one_cell_short(lat: Lattice, axis: int, side: str) -> tuple[Lattice, str]:
+    """The box less one cell on one side, and the pad message it earns."""
+    lo, hi = list(lat.lo), list(lat.hi)
+    below, above = [0] * lat.dim, [0] * lat.dim
+    if side == "below":
+        lo[axis] += 1
+        below[axis] = 1
+    else:
+        hi[axis] -= 1
+        above[axis] = 1
+    pad = f"pad indices by {below} below and {above} above"
+    return Lattice(lat.dim, lat.h, lo, hi), re.escape(pad)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    dim=st.sampled_from((1, 2)),
+    h=st.floats(min_value=0.05, max_value=2.0),
+    center=st.floats(min_value=-3.0, max_value=3.0),
+    R=st.floats(min_value=0.1, max_value=30.0),
+    axis=st.integers(min_value=0, max_value=1),
+    side=st.sampled_from(("below", "above")),
+)
+@example(dim=1, h=0.3, center=0.0, R=3.4, axis=0, side="above")
+@example(dim=2, h=0.1, center=0.0, R=0.4, axis=1, side="below")
+def test_covering_box_is_the_room_a_ball_needs(dim, h, center, R, axis, side):
+    # one room rule: ball_mask and psi_field accept the box covering_ball
+    # builds for B_{R+2}, and a box one cell short makes both name a pad of
+    # 1; R = 3.4 at h = 0.3 puts the ball edge on 18 * 0.3 = 5.3999999999999995
+    axis = min(axis, dim - 1)
+    for c, check in ((center, lambda lat: ball_mask(lat, center, R + 2.0)),
+                     (0.0, lambda lat: psi_field(lat, R))):
+        lat = Lattice.covering_ball(dim, h, c, R + 2.0)
+        check(lat)
+        short, pad = _one_cell_short(lat, axis, side)
+        with pytest.raises(ValueError, match=pad):
+            check(short)
 
 
 def test_psi_field_requires_room():
