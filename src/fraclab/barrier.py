@@ -9,10 +9,11 @@ normalized by v + 16 r^(-2s).  ``estimate_C5`` returns it with the rule
 gap of the same samples, from one pass, and the caller builds
 ``BarrierSpec`` from that c5.  ``profile`` holds the one sample grid of
 B_R, with v and w on it: ``verify_al1``, ``verify_al2`` and the lab's
-series rows all read it.  Sample counts, the al1 slack and passing
-fraction, and the dimension are required arguments: the lab passes them
-from its ExperimentConfig.  In 2D, C5 and al1 integrate over directions
-with one Gauss rule in theta, whose node count has one default.
+series rows all read it.  Sample counts, the al1 slack and the dimension
+are required arguments: the lab passes them from its ExperimentConfig.
+``verify_al1`` and ``verify_al2`` measure; the lab judges their reports
+against the config's passing fraction and ratio cap.  In 2D, C5 and al1
+integrate over directions with one 48-node Gauss rule in theta.
 
 h meets 0 at t = r/2 with zero slope (tangent-line construction), so the
 only kink of v sits at the clamp radius where h reaches 1.  The principal
@@ -103,7 +104,7 @@ def clamp_radius(r: float, s: float) -> float:
 # -- principal value integrals ------------------------------------------------
 
 _NODES = 12  # Gauss nodes per sub-panel
-_THETA_NODES = 48  # 2D: Gauss nodes in theta on [0, pi], for C5 and al1 alike
+_THETA_NODES = 48  # 2D: Gauss nodes in theta on [0, pi], for C5 and al1 alike; even
 _BATCH = 16  # ray pairs per rule call: every node array stays near 0.2 MiB
 
 
@@ -220,16 +221,16 @@ def quad(x, c, sn, r: float, s: float):
     return value, value - coarser
 
 
-def _pv_v(x, r: float, s: float, dim: int, n_theta: int = _THETA_NODES):
+def _pv_v(x, r: float, s: float, dim: int):
     """int over R^dim of (v(y) - v(x)) |x-y|^(-(dim+2s)) dy at the points x
     on the first axis, and the gap of the rule at each point.
 
     In polar coordinates around x the Jacobian u^(dim-1) leaves the 1D
     exponent, and each direction e_theta pairs the rays x +- u e_theta:
     int_0^inf [v(x + u e) + v(x - u e) - 2 v(x)] u^(-(1+2s)) du.  1D is
-    the single direction theta = 0; 2D is the n_theta-point Gauss rule on
-    [0, pi], whose nodes pair up as theta and pi - theta, which give the
-    same ray pair: only nodes up to pi / 2 are integrated, at twice their
+    the single direction theta = 0; 2D is the _THETA_NODES-point Gauss rule
+    on [0, pi], whose nodes pair up as theta and pi - theta, which give the
+    same ray pair: only nodes below pi / 2 are integrated, at twice their
     weight.  Each direction goes to ``quad``; beyond |x| + r both rays
     lie in {v = 1}, which leaves a closed-form tail.  The gap is
     |value - value of the coarser grading| per point.
@@ -238,13 +239,11 @@ def _pv_v(x, r: float, s: float, dim: int, n_theta: int = _THETA_NODES):
     if dim == 1:
         c, sn, wt = np.ones(1), np.zeros(1), np.ones(1)
     elif dim == 2:
-        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-        keep = (n_theta + 1) // 2
+        nodes, weights = np.polynomial.legendre.leggauss(_THETA_NODES)
+        keep = _THETA_NODES // 2
         theta = 0.5 * math.pi * (nodes[:keep] + 1.0)
         c, sn = np.cos(theta), np.sin(theta)
         wt = math.pi * weights[:keep]
-        if n_theta % 2:
-            wt[-1] *= 0.5  # theta = pi / 2 is its own mirror
     else:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     xs = np.repeat(x, c.size)
@@ -264,10 +263,7 @@ def _relative_gap(pv, gap) -> float:
     return float(np.max(gap)) / scale if scale > 0.0 else 0.0
 
 
-def estimate_C5(
-    s: float, r: float, sample_count: int, dim: int,
-    theta_nodes: int = _THETA_NODES,
-) -> tuple[float, float]:
+def estimate_C5(s: float, r: float, sample_count: int, dim: int) -> tuple[float, float]:
     """Sampled supremum of the positive part of (operator v) / (v + 16 r^(-2s)),
     and the worst gap of the principal-value rule over the same samples,
     relative to the largest |operator v| among them.
@@ -280,7 +276,7 @@ def estimate_C5(
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     x = r * np.arange(1, sample_count + 1) / sample_count
-    pv, gap = _pv_v(x, r, s, dim, theta_nodes)
+    pv, gap = _pv_v(x, r, s, dim)
     floor = 16.0 * r ** (-2.0 * s)
     c5 = float(np.max(np.maximum(pv, 0.0) / (eval_v(x, r, s) + floor)))
     return c5, _relative_gap(pv, gap)
@@ -377,10 +373,6 @@ class Al1Report:
     worst_ratio: float
     rule_gap: float  # worst gap of the PV rule, relative to the largest |pv|
     violation_histogram: dict
-    passed: bool
-
-    def __bool__(self) -> bool:
-        return self.passed
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -400,14 +392,13 @@ class Al2Report:
         return asdict(self)
 
 
-def verify_al1(
-    spec: BarrierSpec, sample_count: int, slack: float, min_fraction: float
-) -> Al1Report:
+def verify_al1(spec: BarrierSpec, sample_count: int, slack: float) -> Al1Report:
     """Sample operator w against tau (1 + w) on radii spanning B_R.
 
     A sample point passes when the quadrature value stays below the right
-    side inflated by the relative slack.  The report histograms the relative
-    excess of the violating points.
+    side inflated by the relative slack.  The report gives the passing
+    fraction, which the caller judges, and histograms the relative excess
+    of the violating points.
     """
     radii, _, w = profile(spec, sample_count)
     pv, gap = _pv_v(radii / spec.c_o, spec.r, spec.s, spec.dim)
@@ -430,7 +421,6 @@ def verify_al1(
         worst_ratio=float(np.max(ratio)),
         rule_gap=_relative_gap(pv, gap),
         violation_histogram=hist,
-        passed=fraction >= min_fraction,
     )
 
 

@@ -142,7 +142,6 @@ class EnergyModel:
         self.kern = kern
         self.pot = pot
         self.omega = np.ones(lat.shape, dtype=bool) if omega is None else omega.members
-        self.cell_measure = lat.h**lat.dim
 
         # exterior pairing of cell i contributes t0*u_i^2 - 2*t1*u_i + t2,
         # the tails weighted by the exterior value on each side
@@ -201,7 +200,7 @@ class EnergyModel:
     def potential_term(self, u: np.ndarray) -> float:
         if self.pot is None:
             return 0.0
-        return self.cell_measure * float(stable_sum(self.pot.value(u[self.omega])))
+        return self.kern.lattice.cell_volume * float(stable_sum(self.pot.value(u[self.omega])))
 
     def energy(self, u: np.ndarray) -> float:
         return self.seminorm(u) + self.potential_term(u)
@@ -215,7 +214,7 @@ class EnergyModel:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
         g = 2.0 * self._flux(u)
         if self.pot is not None:
-            g = g + self.cell_measure * self.pot.deriv(u)
+            g = g + self.kern.lattice.cell_volume * self.pot.deriv(u)
         return np.where(self.omega, g, 0.0)
 
     # -- the segment u + t*d ------------------------------------------------
@@ -244,7 +243,8 @@ class EnergyModel:
         def delta(t: float) -> float:
             de = t * slope + (t * t) * curv
             if w0 is not None:
-                de += self.cell_measure * (self.pot.value(np.clip(um + t * dm, -1.0, 1.0)) - w0)
+                w = self.pot.value(np.clip(um + t * dm, -1.0, 1.0))
+                de += self.kern.lattice.cell_volume * (w - w0)
             return float(stable_sum(de))
 
         delta.metric = float(stable_sum(2.0 * curv + self.sigma * (dm * dm)))
@@ -275,7 +275,8 @@ class EnergyModel:
         without a well."""
         if self.pot is None:
             return 0.0
-        return self.cell_measure * max(float(np.max(self.pot.second(np.array([-1.0, 1.0])))), 0.0)
+        curvature = float(np.max(self.pot.second(np.array([-1.0, 1.0]))))
+        return self.kern.lattice.cell_volume * max(curvature, 0.0)
 
     @cached_property
     def _inverse(self):

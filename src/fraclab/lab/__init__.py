@@ -10,7 +10,7 @@ from .experiments import (
     run_levelset_convergence,
     run_sobolev_suite,
 )
-from .iterate import IterationReport, check_iteration_lemma
+from .iterate import IterationReport, check_iteration_lemma, doubling_quotients
 from .report import Criterion, ExperimentReport
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "IterationReport",
     "check_iteration_lemma",
     "config_from_sources",
+    "doubling_quotients",
     "read_config_file",
     "run_barrier",
     "run_density",

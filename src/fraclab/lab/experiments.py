@@ -28,7 +28,7 @@ from ..lattice import (
 from ..minimize import initial_field, minimize_energy
 from ..potential import Quartic, Tabulated, check_wcond
 from .config import ExperimentConfig, read_pairs_csv
-from .iterate import check_iteration_lemma
+from .iterate import check_iteration_lemma, doubling_quotients
 from .report import Criterion, ExperimentReport
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "run_sobolev_suite",
 ]
 
-_SNAP = 1e-9  # relative tolerance for matching swept radii
 _LOG_BAND = 0.25  # s = 1/2: largest move of E/(R^(n-1) log R) across the top radii
 
 
@@ -118,6 +117,9 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if len(cfg.radii) < 4:
         raise ValueError(f"need at least 4 radii, got {len(cfg.radii)}")
+    if cfg.s == 0.5 and cfg.radii[1] <= 1.0:
+        raise ValueError(f"at s = 1/2 every radius after the first must exceed 1, "
+                         f"where log R > 0; got {cfg.radii[1]}")
     t0 = time.perf_counter()
     pot = _potential(cfg)
     ext = _exterior(cfg)
@@ -275,59 +277,38 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
         "density-floor", min_ratio > cfg.density_floor,
         f"min V(R)/R^{cfg.dim} = {min_ratio:.6g} vs floor {cfg.density_floor}"))
 
-    radii = np.asarray(cfg.radii, dtype=float)
-    vols = np.asarray(trace_star["volumes"], dtype=float)
-    doubling = []
-    for i, r in enumerate(radii):
-        j = np.nonzero(np.abs(radii - 2.0 * r) <= 2.0 * r * _SNAP)[0]
-        if j.size and vols[i] > 0:
-            lhs = r ** (2.0 * cfg.s) * vols[i] ** ((cfg.dim - 2.0 * cfg.s) / cfg.dim)
-            doubling.append((float(r), float(vols[i]), lhs, float(vols[j[0]])))
+    vol_at = dict(zip(cfg.radii, trace_star["volumes"]))
+    doubling = [r ** (2.0 * cfg.s) * v ** ((cfg.dim - 2.0 * cfg.s) / cfg.dim)
+                / vol_at[2.0 * r] for r, v in vol_at.items()
+                if v > 0 and 2.0 * r in vol_at]
+    c_emp = max(doubling, default=None)
     if doubling:
-        positive = all(v2 > 0 for _, _, _, v2 in doubling)
-        c_emp = max(lhs / v2 for _, _, lhs, v2 in doubling) if positive else math.inf
         criteria.append(Criterion(
-            "doubling", positive and math.isfinite(c_emp),
+            "doubling", math.isfinite(c_emp),
             f"empirical constant {c_emp:.6g} over {len(doubling)} pairs"))
-        results_doubling = c_emp
-    else:
-        results_doubling = None
 
+    # the iteration starts at the first radius above 1, with mu = V(r_o)
+    samples = list(vol_at.items())
+    r_o, mu = next((p for p in samples if p[0] > 1.0), samples[-1])
+    r_o, sigma, nu = float(r_o), _sigma(cfg.s), float(cfg.dim)
+    try:
+        quotients = doubling_quotients(samples, sigma, nu, 2.0, r_o)
+        note = None if quotients else "no doubling pairs in the radii sweep"
+    except ValueError as exc:
+        quotients, note = [], str(exc)
     iteration = None
-    note = None
-    sigma = _sigma(cfg.s)
-    nu = float(cfg.dim)
-    if nu <= sigma:
-        note = f"exponent order needs nu > sigma, got nu={nu} sigma={sigma}"
-    elif np.any(vols <= 0):
-        note = "zero superlevel volume in the trace"
-    else:
-        second = [r for r in radii if r > 1.0]
-        if not second:
-            note = "no radius above 1"
-        else:
-            r_o = float(second[0])
-            mu = float(vols[np.nonzero(radii == r_o)[0][0]])
-            ratios = []
-            for r, vr, _, v2 in doubling:
-                alpha = min(1.0, math.log(vr) / math.log(r)) if r > 1 else 1.0
-                lhs = r ** sigma * alpha * vr ** ((nu - sigma) / nu)
-                ratios.append(lhs / v2)
-            if not ratios:
-                note = "no doubling pairs in the radii sweep"
-            else:
-                growth_c = max(1.0 + 1e-6, max(ratios) * (1.0 + 1e-6))
-                iteration = check_iteration_lemma(
-                    list(zip(radii, vols)), sigma, nu, 2.0, growth_c, r_o, mu)
-                detail = (
-                    f"c={iteration.c:.4g} r_star={iteration.r_star:.4g} "
-                    f"tested {iteration.conclusion_count}"
-                    if iteration.hypotheses_hold else
-                    f"{iteration.failed_hypothesis} at r={iteration.violating_r}")
-                criteria.append(Criterion(
-                    "growth-iteration", iteration.passed, detail,
-                    vacuous=iteration.hypotheses_hold
-                    and not iteration.conclusion_tested))
+    if quotients:
+        growth_c = max(1.0 + 1e-6, max(q for _, q in quotients) * (1.0 + 1e-6))
+        iteration = check_iteration_lemma(samples, sigma, nu, 2.0, growth_c, r_o, mu)
+        detail = (
+            f"c={iteration.c:.4g} r_star={iteration.r_star:.4g} "
+            f"tested {iteration.conclusion_count}"
+            if iteration.hypotheses_hold else
+            f"{iteration.failed_hypothesis} at r={iteration.violating_r}")
+        criteria.append(Criterion(
+            "growth-iteration", iteration.passed, detail,
+            vacuous=iteration.hypotheses_hold
+            and not iteration.conclusion_tested))
 
     columns = ["R", "volume_theta2", "ratio_theta2",
                "volume_theta_star", "ratio_theta_star"]
@@ -339,9 +320,9 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
         "u_center": u0,
         "trace_theta2": trace2,
         "trace_theta_star": trace_star,
-        "doubling_constant": results_doubling,
+        "doubling_constant": c_emp,
         "min_ratio": min_ratio,
-        "iteration": iteration.to_json() if iteration else None,
+        "iteration": None if iteration is None else iteration.to_json(),
         "iteration_note": note,
     }
     return ExperimentReport(
@@ -545,7 +526,7 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
     # in 1D both sides are 1 and nothing is tested
     shadows = [setgeom.check_loomis_whitney(cells) for _, a_set, b_set in pairs
                for cells in (a_set, b_set) if cells.count]
-    holding = sum(1 for rep in shadows if rep)
+    holding = sum(1 for rep in shadows if rep.product_holds and rep.axis_bound_holds)
     criteria.append(Criterion(
         "projection-inequality", holding == len(shadows),
         f"{holding}/{len(shadows)} nonempty corpus sets meet count^(n-1) <= "
@@ -661,9 +642,7 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     c5, rule_gap = bar.estimate_C5(cfg.s, cfg.barrier_r, cfg.barrier_samples, cfg.dim)
     spec = bar.BarrierSpec(cfg.s, cfg.tau, cfg.barrier_r, c5, cfg.dim)
-    al1 = bar.verify_al1(spec, sample_count=cfg.check_samples,
-                         slack=cfg.al1_slack,
-                         min_fraction=cfg.al1_min_fraction)
+    al1 = bar.verify_al1(spec, sample_count=cfg.check_samples, slack=cfg.al1_slack)
     al2 = bar.verify_al2(spec, sample_count=cfg.check_samples)
     c5_lattice = _c5_lattice(spec, cfg.h)
 
@@ -672,7 +651,8 @@ def run_barrier(cfg: ExperimentConfig) -> ExperimentReport:
     exact_one = bool(np.all(w_out == 1.0))
 
     criteria = [
-        Criterion("subsolution-fraction", al1.passed,
+        Criterion("subsolution-fraction",
+                  al1.fraction_passing >= cfg.al1_min_fraction,
                   f"{al1.fraction_passing:.4%} of {al1.sample_count} radii "
                   f"within slack {al1.slack}, worst ratio {al1.worst_ratio:.6g}"),
         Criterion("comparability-ratio", al2.ratio < cfg.al2_ratio_max,

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-__all__ = ["IterationReport", "check_iteration_lemma"]
+__all__ = ["IterationReport", "check_iteration_lemma", "doubling_quotients"]
 
 # comparisons between measured floats allow one part in 1e9 for rounding
 _REL_GUARD = 1e-9
@@ -69,9 +69,6 @@ class IterationReport:
     def passed(self) -> bool:
         return self.hypotheses_hold and self.conclusion_holds is not False
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def to_json(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
@@ -99,6 +96,37 @@ def _value_at(r: np.ndarray, v: np.ndarray, rho: float) -> float | None:
     return float(v[k])
 
 
+def doubling_quotients(v_samples, sigma: float, nu: float, gamma: float,
+                       r_o: float) -> list[tuple[float, float]]:
+    """The pairs (r, gamma r) the doubling hypothesis tests, each as
+    (r, quotient) with quotient r^sigma alpha(r) V(r)^((nu-sigma)/nu) /
+    V(gamma r): every sample r >= r_o whose gamma r lies within the
+    samples, V(gamma r) read off the step function.  The hypothesis holds
+    with constant C when no quotient exceeds C.
+
+    Raises ValueError outside nu > sigma > 0, gamma > 1, r_o > 1, or for
+    samples that are not strictly increasing positive radii with positive
+    values.
+    """
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not nu > sigma:
+        raise ValueError(f"nu must exceed sigma, got nu={nu} sigma={sigma}")
+    if not gamma > 1:
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    if not r_o > 1:
+        raise ValueError(f"r_o must exceed 1, got {r_o}")
+    r, v = _as_series(v_samples)
+    power = (nu - sigma) / nu
+    out = []
+    for rk, vk in zip(r, v):
+        if rk >= r_o * (1.0 - _REL_GUARD) and gamma * rk <= r[-1] * (1.0 + _REL_GUARD):
+            alpha = min(1.0, math.log(vk) / math.log(rk))
+            q = rk ** sigma * alpha * vk ** power / _value_at(r, v, gamma * rk)
+            out.append((float(rk), float(q)))
+    return out
+
+
 def check_iteration_lemma(
     v_samples,
     sigma: float,
@@ -116,16 +144,9 @@ def check_iteration_lemma(
     growth_c > 1, r_o > 1, mu > 0, and the samples must reach down to
     r_o so the initial mass is checkable.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not nu > sigma:
-        raise ValueError(f"nu must exceed sigma, got nu={nu} sigma={sigma}")
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    quotients = doubling_quotients(v_samples, sigma, nu, gamma, r_o)
     if not growth_c > 1:
         raise ValueError(f"growth_c must exceed 1, got {growth_c}")
-    if not r_o > 1:
-        raise ValueError(f"r_o must exceed 1, got {r_o}")
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     r, v = _as_series(v_samples)
@@ -148,19 +169,9 @@ def check_iteration_lemma(
     if _value_at(r, v, r_o) < mu * (1.0 - _REL_GUARD):
         return fail("initial-mass", float(r_o), 0)
 
-    pairs = 0
-    power = (nu - sigma) / nu
-    for rk, vk in zip(r, v):
-        if rk < r_o * (1.0 - _REL_GUARD):
-            continue
-        v_next = _value_at(r, v, gamma * rk)
-        if v_next is None or gamma * rk > r[-1] * (1.0 + _REL_GUARD):
-            continue
-        pairs += 1
-        alpha = min(1.0, math.log(vk) / math.log(rk))
-        lhs = rk ** sigma * alpha * vk ** power
-        if lhs > growth_c * v_next * (1.0 + _REL_GUARD):
-            return fail("doubling", float(rk), pairs)
+    for k, (rk, q) in enumerate(quotients):
+        if q > growth_c * (1.0 + _REL_GUARD):
+            return fail("doubling", rk, k + 1)
 
     j1 = 1
     while gamma ** j1 < r_o:
@@ -187,7 +198,7 @@ def check_iteration_lemma(
     return IterationReport(
         sigma=sigma, nu=nu, gamma=gamma, growth_c=growth_c, r_o=r_o, mu=mu,
         hypotheses_hold=True, failed_hypothesis=None, violating_r=None,
-        doubling_pairs=pairs, j1=j1, j2=j2, c=c, r_star=r_star,
+        doubling_pairs=len(quotients), j1=j1, j2=j2, c=c, r_star=r_star,
         conclusion_tested=bool(tested), conclusion_count=tested,
         conclusion_holds=holds, conclusion_violating_r=bad_r,
     )

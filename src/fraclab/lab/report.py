@@ -56,9 +56,6 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.criteria)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
     def to_json_dict(self) -> dict:
         return {
             "experiment": self.experiment,

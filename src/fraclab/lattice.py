@@ -39,8 +39,12 @@ def _as_tuple(val, dim: int) -> tuple[int, ...]:
 
 
 def _center(center, dim: int) -> np.ndarray:
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    return np.full(dim, c[0]) if c.size == 1 and dim > 1 else c
+    c = np.asarray(center, dtype=float)
+    if c.ndim == 0:
+        return np.full(dim, float(c))
+    if c.shape != (dim,):
+        raise ValueError(f"center must be a scalar or have {dim} entries, got {c.size}")
+    return c
 
 
 def _ball_box(dim: int, h: float, c: np.ndarray, radius: float):

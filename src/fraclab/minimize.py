@@ -74,10 +74,6 @@ class MinimizeResult:
         return self.grad_norm < self.grad_tol
 
     @property
-    def energy(self) -> float:
-        return float(self.trace[-1, 1])
-
-    @property
     def energy_trace(self) -> np.ndarray:
         return self.trace[:, 1]
 
@@ -144,7 +140,7 @@ def minimize_energy(
     # the plain projected-gradient step: 1 / max diagonal of the Hessian
     diag = 2.0 * model.diag
     if pot is not None:
-        diag = diag + model.cell_measure * np.abs(pot.second(x))
+        diag = diag + kern.lattice.cell_volume * np.abs(pot.second(x))
     plain = 1.0 / float(np.max(diag[mask])) if mask.any() else 1.0
 
     alpha = 1.0

@@ -119,9 +119,6 @@ class LoomisWhitneyReport:
     max_axis: int
     axis_bound_holds: bool
 
-    def __bool__(self) -> bool:
-        return self.product_holds and self.axis_bound_holds
-
 
 def check_loomis_whitney(cells: CellSet) -> LoomisWhitneyReport:
     """Exact integer check of the projection inequality.

@@ -14,6 +14,7 @@ from fraclab.lab import (
     ExperimentReport,
     check_iteration_lemma,
     config_from_sources,
+    doubling_quotients,
     read_config_file,
     run_barrier,
     run_density,
@@ -90,6 +91,21 @@ def test_decreasing_value_names_first_drop():
                                 growth_c=1.1, r_o=2.0, mu=4.0)
     assert rep.failed_hypothesis == "nondecreasing"
     assert rep.violating_r == 8.0
+
+
+def test_lemma_judges_doubling_by_its_quotients():
+    # V = r^2: each quotient is r^1.5 * 1 * (r^2)^0.25 / (2r)^2 = 1/4, on
+    # every sample from r_o whose double is sampled
+    pairs = doubling_quotients(DYADIC, 1.5, 2.0, 2.0, 2.0)
+    assert [r for r, _ in pairs] == [2.0 ** k for k in range(1, 7)]
+    assert [q for _, q in pairs] == pytest.approx([0.25] * 6, rel=1e-15)
+    const = [(r, 4.0) for r, _ in DYADIC]
+    pairs = doubling_quotients(const, 0.5, 2.0, 2.0, 2.0)
+    first = next(r for r, q in pairs if q > 1.5)
+    rep = check_iteration_lemma(const, sigma=0.5, nu=2.0, gamma=2.0,
+                                growth_c=1.5, r_o=2.0, mu=4.0)
+    assert rep.failed_hypothesis == "doubling" and rep.violating_r == first
+    assert rep.doubling_pairs == [r for r, _ in pairs].index(first) + 1
 
 
 def test_parameter_domain_enforced():
@@ -222,6 +238,19 @@ def test_cli_rejects_tabulated_non_well(tmp_path, capsys):
     assert "not a double well" in err and "W(+-1) = 0" in err
 
 
+@pytest.mark.parametrize("radii, bad", [("0.5,1,2,4", "1.0"),
+                                        ("0.25,0.5,2,4", "0.5")])
+def test_cli_energy_growth_half_needs_log_r_positive(tmp_path, capsys, radii, bad):
+    # at s = 1/2 every radius after the first enters E / (R^(n-1) log R)
+    code = main(["--out", str(tmp_path / "out"), "energy-growth",
+                 "--set", "s=0.5", "--set", f"radii={radii}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"got {bad}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_amplitude_scales_tabulated_well(tmp_path):
     well = tmp_path / "well.csv"
     well.write_text("t,W\n-1,0\n-0.5,0.5625\n0,1\n0.5,0.5625\n1,0\n")
@@ -234,7 +263,7 @@ def test_amplitude_scales_tabulated_well(tmp_path):
 
 # each run setting the config owns, where the library takes it
 CONFIG_OWNED = [
-    (barrier.verify_al1, ("sample_count", "slack", "min_fraction")),
+    (barrier.verify_al1, ("sample_count", "slack")),
     (barrier.verify_al2, ("sample_count",)),
     (barrier.estimate_C5, ("sample_count", "dim")),
     (barrier.BarrierSpec, ("dim",)),
@@ -391,6 +420,38 @@ def test_density_halfline_ratio_near_one():
     assert rep.results["doubling_constant"] > 0.0
 
 
+@pytest.mark.parametrize("s, radii, note", [
+    (0.75, (2.0, 4.0, 8.0), "nu must exceed sigma, got nu=1.0 sigma=1.0"),
+    (0.25, (0.25, 0.5, 1.0), "r_o must exceed 1, got 1.0"),
+    (0.25, (2.0, 3.0), "no doubling pairs in the radii sweep"),
+])
+def test_density_iteration_note_is_the_lemma_verdict(s, radii, note):
+    # the lemma rejects what it cannot iterate, and its message is the note
+    cfg = ExperimentConfig(experiment="density", s=s, dim=1, h=0.5, radii=radii,
+                           exterior_above=1.0, exterior_below=1.0,
+                           density_floor=1.5, max_iters=2000)
+    rep = run_density(cfg)
+    assert rep.results["iteration_note"] == note
+    assert rep.results["iteration"] is None
+    assert "growth-iteration" not in {c.name for c in rep.criteria}
+
+
+def test_density_growth_c_is_the_largest_lemma_quotient():
+    cfg = ExperimentConfig(experiment="density", s=0.25, dim=1, h=0.5,
+                           radii=(0.5, 2.0, 3.0, 4.0, 6.0), max_iters=3000)
+    rep = run_density(cfg)
+    trace = rep.results["trace_theta_star"]
+    samples = list(zip(trace["radii"], trace["volumes"]))
+    quotients = doubling_quotients(samples, 0.5, 1.0, 2.0, 2.0)
+    assert [r for r, _ in quotients] == [2.0, 3.0]  # V(6) read at 2 * 3
+    it = rep.results["iteration"]
+    assert it["r_o"] == 2.0 and it["mu"] == trace["volumes"][1]
+    assert it["growth_c"] == max(1.0 + 1e-6, max(q for _, q in quotients) * (1.0 + 1e-6))
+    assert it["doubling_pairs"] == 2
+    # the doubling criterion matches 2 * r exactly: (2, 4) and (3, 6)
+    assert "over 2 pairs" in {c.name: c for c in rep.criteria}["doubling"].detail
+
+
 def test_density_saturated_phase():
     cfg = ExperimentConfig(experiment="density", s=0.25, dim=1, h=0.5,
                            radii=(4.0, 8.0, 16.0), exterior_above=1.0,
@@ -498,6 +559,33 @@ def test_gmt_suite_small_corpus():
     manifest = rep.extra_files["corpus_manifest.json"]
     assert manifest["seed"] == 11
     assert len(manifest["cases"]) == 6
+
+
+@pytest.mark.parametrize("broken", ["product_holds", "axis_bound_holds"])
+def test_gmt_projection_criterion_reads_both_bounds(monkeypatch, broken):
+    # a report object is truthy whatever it holds: the runner must read the
+    # fields, so one failing bound fails the criterion
+    real = setgeom.check_loomis_whitney
+    monkeypatch.setattr(setgeom, "check_loomis_whitney", lambda cells: (
+        dataclasses.replace(real(cells), **{broken: False})))
+    rep = run_gmt_suite(ExperimentConfig(experiment="gmt", dim=2, h=1.0,
+                                         corpus_size=2, box_cells=8, seed=5))
+    shadows = next(c for c in rep.criteria if c.name == "projection-inequality")
+    assert not shadows.passed and shadows.detail.startswith("0/")
+
+
+def test_barrier_runner_judges_al1_by_the_config_fraction():
+    # slack -0.3 leaves 31 of 32 radii passing; the report carries the
+    # fraction and the runner alone holds it against al1_min_fraction
+    base = dict(experiment="barrier", s=0.5, dim=1, h=1.0, tau=0.1,
+                barrier_r=100.0, barrier_samples=32, check_samples=32,
+                al1_slack=-0.3)
+    for floor, passed in ((0.99, False), (31 / 32, True)):
+        rep = run_barrier(ExperimentConfig(**base, al1_min_fraction=floor))
+        assert rep.results["al1"]["fraction_passing"] == 31 / 32
+        assert "passed" not in rep.results["al1"]
+        crit = {c.name: c for c in rep.criteria}["subsolution-fraction"]
+        assert crit.passed is passed
 
 
 def test_sobolev_suite_ball_identity():

@@ -129,6 +129,16 @@ def test_ball_mask_requires_containment():
         ball_mask(lat, 2.0, -1.0)
 
 
+@pytest.mark.parametrize("dim, center", [
+    (1, (0.5, 0.5)), (2, (0.5,)), (2, (0.5, 0.5, 99.0)), (2, [[0.5, 0.5]])])
+def test_center_needs_a_scalar_or_dim_entries(dim, center):
+    lat = Lattice(dim, 1.0, (-5,) * dim, (5,) * dim)
+    with pytest.raises(ValueError, match=f"center must be a scalar or have {dim} entries"):
+        ball_mask(lat, center, 2.0)
+    with pytest.raises(ValueError, match=f"center must be a scalar or have {dim} entries"):
+        Lattice.covering_ball(dim, 1.0, center, 2.0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     r1=st.floats(min_value=0.1, max_value=2.0),

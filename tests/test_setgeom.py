@@ -200,7 +200,7 @@ def test_loomis_whitney_box_equality():
     assert rep.product_holds and 6 ** 1 == rep.shadow_product
     assert rep.max_axis == 0
     assert rep.axis_bound_holds
-    assert bool(rep)
+    assert rep.product_holds and rep.axis_bound_holds
 
 
 def test_loomis_whitney_l_shape():
