@@ -1,4 +1,4 @@
-"""Run artifacts: report.json, series.csv, optional extra files.
+"""Run artifacts: report.json and series.csv.
 
 The json layout keeps everything that must reproduce bit-exactly from a
 config (config echo, results, criteria, series) apart from the "meta"
@@ -39,8 +39,9 @@ class ExperimentReport:
     """Everything a run emits.
 
     ``series_rows`` are the raw measurements; every number quoted in
-    ``results`` is derived from them.  ``extra_files`` maps a file name
-    to a jsonable object written alongside the report.
+    ``results`` is derived from them.  report.json is the run's only
+    record besides series.csv: a corpus is reproduced from the seed and
+    sizes in the config echo.
     """
 
     experiment: str
@@ -50,7 +51,6 @@ class ExperimentReport:
     series_columns: list[str]
     series_rows: list[list]
     meta: dict = field(default_factory=dict)
-    extra_files: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -69,7 +69,7 @@ class ExperimentReport:
         }
 
     def write(self, out_dir) -> dict:
-        """Write report.json, series.csv and extras; returns the paths."""
+        """Write report.json and series.csv; returns their paths."""
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
         report_path = os.path.join(out_dir, "report.json")
@@ -82,10 +82,6 @@ class ExperimentReport:
             for row in self.series_rows:
                 writer.writerow([_cell(x) for x in row])
         paths["series"] = series_path
-        for name, payload in self.extra_files.items():
-            path = os.path.join(out_dir, name)
-            _write_json(path, payload)
-            paths[name] = path
         return paths
 
 

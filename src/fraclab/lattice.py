@@ -115,6 +115,10 @@ class Lattice:
             outs.append(c.reshape(sh))
         return outs
 
+    def center_radii(self) -> np.ndarray:
+        """Distance of every cell center from the origin, shaped ``shape``."""
+        return np.sqrt(sum(g * g for g in self.center_grids()))
+
     def point_to_index(self, points: np.ndarray) -> np.ndarray:
         """Integer cell index containing each point; shape ``(..., dim)``."""
         pts = np.asarray(points, dtype=float)
@@ -280,6 +284,6 @@ def psi_field(lattice: Lattice, R: float) -> ScalarField:
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     _check_room(lattice, np.zeros(lattice.dim), R + 2.0)
-    rad = np.sqrt(sum(g * g for g in lattice.center_grids()))
+    rad = lattice.center_radii()
     vals = -1.0 + 2.0 * np.minimum(np.maximum(rad - R - 1.0, 0.0), 1.0)
     return ScalarField(lattice, vals, Exterior(1.0, 1.0))

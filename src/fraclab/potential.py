@@ -11,7 +11,6 @@ them, and returns the names of those that fail, none for an admissible well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -19,7 +18,6 @@ from scipy.interpolate import CubicSpline
 __all__ = [
     "Quartic",
     "Tabulated",
-    "DoubleWell",
     "check_wcond",
 ]
 
@@ -90,14 +88,11 @@ class Tabulated:
         return self._d2(_check_domain(t))
 
 
-DoubleWell = Union[Quartic, Tabulated]
-
-
 _WELL_SAMPLES = 1000  # interior points where check_wcond tests W > 0
 _WELL_TOL = 1e-9  # largest |W(+-1)| and |W'(+-1)| that count as zero
 
 
-def check_wcond(pot: DoubleWell) -> tuple[str, ...]:
+def check_wcond(pot: Quartic | Tabulated) -> tuple[str, ...]:
     """Names of the sampled conditions W(+-1)=0, W'(+-1)=0, W''(+-1)>0 and
     W>0 on (-1,1) that fail; empty for an admissible well."""
     ends = (float(pot.value(-1.0)), float(pot.value(1.0)))

@@ -28,6 +28,7 @@ from fraclab import barrier, minimize, setgeom
 from fraclab.lab import experiments
 from fraclab.lab.cli import main
 from fraclab.lab.config import read_pairs_csv
+from fraclab.lattice import Lattice
 from fraclab.minimize import initial_field
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -304,8 +305,7 @@ def test_report_write_and_roundtrip(tmp_path):
         criteria=[Criterion("one", True, "fine"),
                   Criterion("two", False, "broken")],
         series_columns=["r", "V"],
-        series_rows=[[2.0, 0.1], [4.0, 0.30000000000000004]],
-        extra_files={"manifest.json": {"seed": 5}})
+        series_rows=[[2.0, 0.1], [4.0, 0.30000000000000004]])
     assert not rep.passed
     paths = rep.write(tmp_path)
     data = json.loads(open(paths["report"]).read())
@@ -315,7 +315,10 @@ def test_report_write_and_roundtrip(tmp_path):
     lines = open(paths["series"]).read().splitlines()
     assert lines[0] == "r,V"
     assert float(lines[2].split(",")[1]) == 0.30000000000000004
-    assert json.loads(open(paths["manifest.json"]).read()) == {"seed": 5}
+    # the config echo is the run's record: no file besides these two
+    assert data["config"] == {"s": 0.25}
+    assert sorted(paths) == ["report", "series"]
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "series.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +419,9 @@ def test_density_halfline_ratio_near_one():
         assert ratio == pytest.approx(1.0, abs=0.15)
     names = {c.name: c for c in rep.criteria}
     assert names["density-floor"].passed
-    assert names["doubling"].passed
-    assert rep.results["doubling_constant"] > 0.0
+    samples = list(zip(cfg.radii, rep.results["trace_theta_star"]["volumes"]))
+    quotients = doubling_quotients(samples, 0.5, 1.0, 2.0, 4.0)
+    assert rep.results["doubling_constant"] == max(q for _, q in quotients) > 0.0
 
 
 @pytest.mark.parametrize("s, radii, note", [
@@ -448,8 +452,45 @@ def test_density_growth_c_is_the_largest_lemma_quotient():
     assert it["r_o"] == 2.0 and it["mu"] == trace["volumes"][1]
     assert it["growth_c"] == max(1.0 + 1e-6, max(q for _, q in quotients) * (1.0 + 1e-6))
     assert it["doubling_pairs"] == 2
-    # the doubling criterion matches 2 * r exactly: (2, 4) and (3, 6)
-    assert "over 2 pairs" in {c.name: c for c in rep.criteria}["doubling"].detail
+    # the reported constant is the largest of the lemma's own quotients
+    assert rep.results["doubling_constant"] == max(q for _, q in quotients)
+
+
+def test_density_doubling_constant_uses_the_lemma_sigma():
+    # at s = 3/4 the lemma's doubling step takes sigma = min(2s, 1) = 1, not
+    # 2s = 3/2; the reported constant is its largest quotient
+    cfg = ExperimentConfig(experiment="density", s=0.75, dim=2, h=1.0,
+                           radii=(4.0, 8.0, 16.0), max_iters=3000)
+    rep = run_density(cfg)
+    trace = rep.results["trace_theta_star"]
+    samples = list(zip(trace["radii"], trace["volumes"]))
+    quotients = doubling_quotients(samples, 1.0, 2.0, 2.0, 4.0)
+    assert [r for r, _ in quotients] == [4.0, 8.0]
+    assert rep.results["doubling_constant"] == max(q for _, q in quotients)
+    assert rep.results["iteration"]["sigma"] == 1.0
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_density_doubling_constant_is_none_where_the_lemma_rejects(s):
+    # in 1D sigma = nu = 1 from s = 1/2 on: the lemma cannot iterate, so
+    # there is no doubling constant
+    cfg = ExperimentConfig(experiment="density", s=s, dim=1, h=0.5,
+                           radii=(2.0, 4.0, 8.0), max_iters=3000)
+    rep = run_density(cfg)
+    assert rep.results["iteration_note"] == "nu must exceed sigma, got nu=1.0 sigma=1.0"
+    assert rep.results["doubling_constant"] is None
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(s=0.25, dim=1, h=0.5, radii=(4.0, 8.0, 16.0)),
+    dict(s=0.75, dim=2, h=1.0, radii=(4.0, 8.0, 16.0)),
+    dict(s=0.75, dim=1, h=0.5, radii=(2.0, 4.0, 8.0)),
+])
+def test_density_reports_no_criterion_that_holds_by_construction(kwargs):
+    # nested balls over one superlevel set make the trace monotone, and
+    # V(2R) >= V(R) > 0 makes every doubling constant finite: neither is judged
+    rep = run_density(ExperimentConfig(experiment="density", max_iters=3000, **kwargs))
+    assert not {c.name for c in rep.criteria} & {"trace-monotone", "doubling"}
 
 
 def test_density_saturated_phase():
@@ -511,6 +552,30 @@ def test_levelset_constant_exterior_is_vacuous():
     assert names["band-empty"].passed
 
 
+def test_levelset_empty_band_fails_band_present():
+    # no cell of a converged layer sits within 1e-9 of u = 0, so the band
+    # is empty while an interface is declared
+    cfg = ExperimentConfig(experiment="levelset", s=0.75, dim=1, h=1.0,
+                           eps=(0.25, 0.125), levelset_theta=1e-9,
+                           max_iters=3000)
+    rep = run_levelset_convergence(cfg)
+    assert [(c.name, c.passed) for c in rep.criteria] == [("band-present", False)]
+    assert rep.criteria[0].detail == "empty level band at eps=[0.25, 0.125]"
+    assert rep.results["excluded_eps"] == []
+
+
+def test_levelset_unconverged_eps_are_excluded():
+    # one iteration converges nowhere: every eps is excluded and the
+    # distance series is too short to judge
+    cfg = ExperimentConfig(experiment="levelset", s=0.75, dim=1, h=1.0,
+                           eps=(0.25, 0.125), max_iters=1)
+    rep = run_levelset_convergence(cfg)
+    assert not any(row[3] for row in rep.series_rows)
+    assert rep.results["excluded_eps"] == [0.25, 0.125]
+    assert [(c.name, c.passed) for c in rep.criteria] == [("usable-points", False)]
+    assert rep.criteria[0].detail == "0 converged eps of 2, need 2"
+
+
 @pytest.mark.parametrize("threshold, constant", [
     ("inf", "exterior_above=-1"),
     ("-inf", "exterior_below=1"),
@@ -556,9 +621,35 @@ def test_gmt_suite_small_corpus():
     assert rep.results["min_ratio"] > 0.0
     shadows = next(c for c in rep.criteria if c.name == "projection-inequality")
     assert shadows.passed and not shadows.vacuous
-    manifest = rep.extra_files["corpus_manifest.json"]
-    assert manifest["seed"] == 11
-    assert len(manifest["cases"]) == 6
+    # the config echo and the rows rebuild the corpus: each case's counts
+    # are its measures over h^n, its B fraction cycles through b_fractions
+    echo = config_from_sources("gmt", rep.config)
+    assert echo == cfg
+    lat = Lattice(echo.dim, echo.h, 0, echo.box_cells)
+    rng = np.random.default_rng(echo.seed)
+    for i in range(echo.corpus_size):
+        a_set, b_set = setgeom.random_disjoint_pair(
+            lat, rng, b_fraction=echo.b_fractions[i % len(echo.b_fractions)],
+            max_rects=echo.max_rects)
+        rows = [r for r in rep.series_rows if r[0] == i]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[5] / lat.cell_volume == a_set.count
+            assert row[6] / lat.cell_volume == b_set.count
+
+
+@pytest.mark.parametrize("runner, cfg", [
+    (run_gmt_suite, ExperimentConfig(experiment="gmt", dim=2, h=1.0, s=0.25,
+                                     s_list=(0.25,), corpus_size=2, box_cells=8,
+                                     refine=False, seed=5)),
+    (run_sobolev_suite, ExperimentConfig(experiment="sobolev", dim=1, h=0.4,
+                                         s=0.25, sobolev_count=3, seed=5)),
+])
+def test_corpus_runners_write_only_report_and_series(tmp_path, runner, cfg):
+    # the config echo holds the seed and sizes that rebuild the corpus
+    paths = runner(cfg).write(tmp_path)
+    assert sorted(paths) == ["report", "series"]
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "series.csv"]
 
 
 @pytest.mark.parametrize("broken", ["product_holds", "axis_bound_holds"])
@@ -872,7 +963,8 @@ def test_vacuous_criteria_are_flagged():
                            radii=(4.0, 8.0, 16.0), max_iters=3000)
     rep = run_density(cfg)
     flags = {c["name"]: c["vacuous"] for c in rep.to_json_dict()["criteria"]}
-    assert flags["trace-monotone"] is True
+    assert set(flags) == {"minimized", "interior-datum", "density-floor",
+                          "growth-iteration"}
     assert flags["density-floor"] is False
     # r_star lies past every radius: the iteration passes, having tested nothing
     it = rep.results["iteration"]

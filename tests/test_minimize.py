@@ -3,6 +3,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+from fraclab import minimize
 from fraclab.energies import EnergyModel, energy_E
 from fraclab.kernels import KernelTable, build_kernel
 from fraclab.lab import ExperimentConfig
@@ -226,6 +227,19 @@ def test_max_iters_exhausted_no_exception(kern):
     assert not res.converged
     assert res.iterations == 3
     assert "max_iters" in res.message
+
+
+def test_line_search_failure_no_exception(monkeypatch):
+    # an Armijo constant no decrease can meet: the first search halves 40
+    # times and fails, and the run stops unconverged with a message
+    monkeypatch.setattr(minimize, "ARMIJO", 1e300)
+    seed = initial_field(LAT, EXT)
+    res = minimize_energy(build_kernel(LAT, 0.25), Quartic(0.25), seed,
+                          ball_mask(LAT, 0.0, 40.0), max_iters=100, grad_tol=1e-7)
+    assert not res.converged
+    assert res.iterations == 0
+    assert res.message == "line search failed after 40 halvings"
+    assert np.array_equal(res.field.values, seed.values)
 
 
 def test_non_finite_start_raises(kern):
