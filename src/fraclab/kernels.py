@@ -13,6 +13,9 @@ three-way rule:
   2D a second difference of the unit-cell integrals of the quadrant tail
   (below), whose mixed derivative is the kernel, and on an axis the whole
   strip, a 1D weight, minus the two quadrants beyond the cell's sides.
+  One pass computes the offsets 0..4 per axis, each sorted offset once
+  (in 2D from one batch of unit-cell integrals), and the block is their
+  mirror.
 * touching offsets whose exact integral diverges (1D offset 1 and 2D
   edge-neighbours, when s >= 1/2): the single-layer collocation value
   h^n * integral over C_j of |c_i - y|^(-(n+2s)) dy, which is finite,
@@ -46,8 +49,6 @@ from .lattice import Lattice
 __all__ = [
     "KernelTable",
     "build_kernel",
-    "pair_weight_exact",
-    "pair_weight_collocation",
     "cell_tail_halfspace",
     "quadrant_tail",
     "stable_sum",
@@ -91,99 +92,6 @@ def fftconvolve(x: np.ndarray, spec: np.ndarray, fshape) -> np.ndarray:
     convolutions of fields are ``energies.convolve``.
     """
     return irfftn(rfftn(x, fshape) * spec, fshape)
-
-
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"kernel exponent s must lie in (0, 1), got {s}")
-    return s
-
-
-# ---------------------------------------------------------------------------
-# exact pair integrals
-# ---------------------------------------------------------------------------
-
-
-def _antider2_1d(t: float, s: float) -> float:
-    """Double antiderivative of t^(-(1+2s)), normalized to vanish at 0 when
-    integrable there (s < 1/2)."""
-    if t == 0.0:
-        if s < 0.5:
-            return 0.0
-        raise ValueError("divergent endpoint")
-    if s == 0.5:
-        return -math.log(t)
-    return t ** (1.0 - 2.0 * s) / ((2.0 * s) * (2.0 * s - 1.0))
-
-
-def _pair_exact_1d(h: float, s: float, d: int) -> float:
-    """Exact cell-pair integral in 1D at offset d >= 1; diverges iff
-    d == 1 and s >= 1/2 (raises)."""
-    a = d * h
-    if d == 1 and s >= 0.5:
-        raise ValueError("touching-cell integral diverges for s >= 1/2")
-    F = _antider2_1d
-    return F(a + h, s) - 2.0 * F(a, s) + F(a - h, s)
-
-
-def _pair_exact_2d(h: float, s: float, d1: int, d2: int) -> float:
-    """Exact cell-pair integral in 2D at canonical offset 0 <= d1 <= d2,
-    (d1, d2) != (0, 0), from unit-cell integrals q of the quadrant tail.
-
-    The mixed second derivative of Q is the kernel, so the kernel's
-    integral over C_d - x is a second difference of Q, and averaging it
-    over x in C_0 turns each Q into its integral over a unit cell:
-
-        w = h^(2-2s) ((q[d1-1, d2-1] - q[d1, d2-1]) - (q[d1-1, d2] - q[d1, d2])).
-
-    At d1 = 0 the difference straddles the axis: the whole strip,
-    B(s+1/2, 1/2) times the 1D weight, minus the quadrants beyond either
-    side, 2 (q[0, d2-1] - q[0, d2]).  Edge-touching diverges iff s >= 1/2
-    (raises).
-    """
-    if (d1, d2) == (0, 1) and s >= 0.5:
-        raise ValueError("edge-touching integral diverges for s >= 1/2")
-    rows = [d1 - 1.0, d1] if d1 else [0.0]
-    m = np.repeat(rows, 2)
-    k = np.tile([d2 - 1.0, d2], len(rows))
-    q = _rect_integrals(m, m + 1.0, k, k + 1.0, s).reshape(-1, 2)
-    if d1 == 0:
-        w = _b_full(s) * _pair_exact_1d(1.0, s, d2) - 2.0 * (q[0, 0] - q[0, 1])
-    else:
-        w = (q[0, 0] - q[1, 0]) - (q[0, 1] - q[1, 1])
-    return h ** (2.0 - 2.0 * s) * float(w)
-
-
-def pair_weight_exact(dim: int, h: float, s: float, offset) -> float:
-    """Exact cell-pair double integral at the given offset (raises where it
-    diverges; see module docstring)."""
-    s = _check_s(s)
-    d = sorted(abs(int(v)) for v in np.atleast_1d(offset))
-    if not any(d):
-        return 0.0
-    return _pair_exact_1d(h, s, *d) if dim == 1 else _pair_exact_2d(h, s, *d)
-
-
-def pair_weight_collocation(dim: int, h: float, s: float, offset) -> float:
-    """Single-layer stand-in h^n * int_{C_j} |c_i - y|^(-(n+2s)) dy; zero at
-    the zero offset, as the exact weight is."""
-    s = _check_s(s)
-    d = [abs(int(v)) for v in np.atleast_1d(offset)]
-    if not any(d):
-        return 0.0
-    if dim == 1:
-        a = d[0] * h
-        lo, hi = a - 0.5 * h, a + 0.5 * h
-        return h * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
-    # a rectangle of the kernel in the first quadrant is a second difference
-    # of the quadrant tail; one that straddles an axis is twice its half
-    d1, d2 = d
-    u = np.array([max(d1 - 0.5, 0.0), d1 + 0.5]) * h
-    v = np.array([max(d2 - 0.5, 0.0), d2 + 0.5]) * h
-    q = quadrant_tail(u[:, None], v[None, :], s)
-    fold = (1 + (d1 == 0)) * (1 + (d2 == 0))
-    return h * h * fold * float((q[0, 0] - q[1, 0]) - (q[0, 1] - q[1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +375,63 @@ def cell_tail_halfspace(lat: Lattice, s: float, axis: int, thr: float):
 _NEAR_RADIUS = 4
 
 
+def _near_quadrant(dim: int, h: float, s: float) -> np.ndarray:
+    """Pair weights at the offsets 0..R per axis, R = ``_NEAR_RADIUS``: the
+    exact double integral, collocated on the touching offset at s >= 1/2.
+
+    In 1D, F(a + h) - 2 F(a) + F(a - h) at a = d h, with F the double
+    antiderivative of t^(-(1+2s)) (zero at 0 for s < 1/2), in Python
+    floats, as numpy's power can differ from ``pow`` in the last bit.  In
+    2D, with q the unit-cell integrals of Q over the (R+1)^2 square,
+
+        w = h^(2-2s) ((q[d1-1, d2-1] - q[d1, d2-1]) - (q[d1-1, d2] - q[d1, d2])),
+
+    the cell average over C_0 of the second difference of Q that
+    integrates the kernel over C_d - x.  At d1 = 0 it straddles the axis:
+    the whole strip, B(s+1/2, 1/2) times the 1D weight, minus the
+    quadrants beyond either side, 2 (q[0, d2-1] - q[0, d2]).  Each
+    d1 <= d2 is differenced once and mirrored.  The square is integrated
+    cell by cell, not mirrored as in ``_corner_table``: the diagonal
+    weights difference q[d, d-1] and q[d-1, d], whose quadratures round
+    differently.
+    """
+    R = _NEAR_RADIUS
+    coll = s >= 0.5
+
+    def F(t):
+        if t == 0.0:
+            return 0.0
+        if s == 0.5:
+            return -math.log(t)
+        return t ** (1.0 - 2.0 * s) / ((2.0 * s) * (2.0 * s - 1.0))
+
+    def line(g):
+        # 1D weights at spacing g, offsets 1..R; nan where collocated
+        return np.array([math.nan if coll and d == 1 else
+                         F(d * g + g) - 2.0 * F(d * g) + F(d * g - g)
+                         for d in range(1, R + 1)])
+
+    if dim == 1:
+        w = np.concatenate([[0.0], line(h)])
+        if coll:
+            w[1] = h * ((0.5 * h) ** (-2.0 * s) - (1.5 * h) ** (-2.0 * s)) / (2.0 * s)
+        return w
+    m, k = np.indices((R + 1, R + 1), dtype=float).reshape(2, -1)
+    q = _rect_integrals(m, m + 1.0, k, k + 1.0, s).reshape(R + 1, R + 1)
+    w = np.zeros((R + 1, R + 1))
+    w[1:, 1:] = (q[:-1, :-1] - q[1:, :-1]) - (q[:-1, 1:] - q[1:, 1:])
+    w[0, 1:] = _b_full(s) * line(1.0) - 2.0 * (q[0, :-1] - q[0, 1:])
+    w *= h ** (2.0 - 2.0 * s)
+    if coll:
+        # twice the kernel from the centre of C_0 over the edge neighbour's
+        # half on one side of the axis, a second difference of Q
+        c = quadrant_tail((np.array([0.0, 0.5]) * h)[:, None], np.array([0.5, 1.5]) * h, s)
+        w[0, 1] = h * h * 2.0 * float((c[0, 0] - c[1, 0]) - (c[0, 1] - c[1, 1]))
+    i, j = np.tril_indices(R + 1, -1)
+    w[i, j] = w[j, i]
+    return w
+
+
 @dataclass(eq=False)
 class KernelTable:
     """Reusable pairwise weights plus exterior tails for one lattice.
@@ -563,7 +528,9 @@ class KernelTable:
 def build_kernel(lattice: Lattice, s: float) -> KernelTable:
     """Compute the weight table for a lattice: the midpoint rule at every
     offset, then the exact weights patched into the near block."""
-    s = _check_s(s)
+    s = float(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"kernel exponent s must lie in (0, 1), got {s}")
     dim, h, shape = lattice.dim, lattice.h, lattice.shape
     o = np.ix_(*(np.arange(1 - n, n, dtype=float) for n in shape))
     with np.errstate(divide="ignore"):
@@ -571,19 +538,9 @@ def build_kernel(lattice: Lattice, s: float) -> KernelTable:
             table = h ** 2 * (np.abs(o[0]) * h) ** (-(1.0 + 2.0 * s))
         else:
             table = h ** 4 * ((o[0] * h) ** 2 + (o[1] * h) ** 2) ** (-(1.0 + s))
-    # one quadrant of the near block: the exact weight, collocated where the
-    # touching integral diverges, each canonical (sorted) offset computed
-    # once, before its permutations; the block is even in every axis, so
-    # reflecting the quadrant fills it
-    R = _NEAR_RADIUS
-    quad = np.empty((R + 1,) * dim)
-    for d in np.ndindex(quad.shape):
-        canon = tuple(sorted(d))
-        rule = pair_weight_collocation if sum(d) == 1 and s >= 0.5 else pair_weight_exact
-        quad[d] = quad[canon] if canon != d else rule(dim, h, s, d)
-    near = np.pad(quad, R, mode="reflect")
-    r = [min(R, n - 1) for n in shape]
-    table[tuple(slice(n - 1 - k, n + k) for n, k in zip(shape, r))] = \
-        near[tuple(slice(R - k, R + k + 1) for k in r)]
+    # the near block is even in every axis: offset d reads the quadrant at |d|
+    offs = [np.arange(-r, r + 1) for r in (min(_NEAR_RADIUS, n - 1) for n in shape)]
+    table[np.ix_(*(n - 1 + d for n, d in zip(shape, offs)))] = \
+        _near_quadrant(dim, h, s)[np.ix_(*map(np.abs, offs))]
     table.setflags(write=False)
     return KernelTable(lattice=lattice, s=s, table=table)

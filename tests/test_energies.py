@@ -58,6 +58,14 @@ def _frac_laplacian(kern, u):
     return 0.5 * model.gradient(u.values)
 
 
+def test_model_without_a_well_is_the_seminorm(kern1):
+    u = random_field(LAT1, 3, Exterior(1.0, -1.0, 0, 0.0))
+    model = EnergyModel(kern1, None, u)
+    assert model.potential_term(u.values) == 0.0
+    assert model.energy(u.values) == model.seminorm(u.values) > 0.0
+    assert model.sigma == 0.0
+
+
 def random_field(lat, seed, exterior=None):
     rng = np.random.default_rng(seed)
     ext = Exterior(-1.0, -1.0) if exterior is None else exterior

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -9,12 +10,7 @@ from scipy.integrate import quad
 
 import fraclab.kernels as K
 from cellsets import box_bounds
-from fraclab.kernels import (
-    build_kernel,
-    pair_weight_collocation,
-    pair_weight_exact,
-    stable_sum,
-)
+from fraclab.kernels import build_kernel, stable_sum
 from fraclab.lattice import Lattice
 
 # brute-force double integrals (mpmath, 30 digits), frozen
@@ -38,6 +34,7 @@ QUADRANT_12 = {0.25: 1.468254433374356, 0.5: 0.38196601125010466,
 STRIP_073 = {0.25: 1.2898417130441294, 0.5: 1.0774337054423759,
              0.75: 0.9637136783533125}
 BFULL = {0.25: 2.3962804694711844, 0.5: 2.0, 0.75: 1.7480383695280799}
+R = K._NEAR_RADIUS
 
 
 def far_weight(dim: int, h: float, s: float, offset) -> float:
@@ -49,11 +46,82 @@ def far_weight(dim: int, h: float, s: float, offset) -> float:
     return h ** (2 * dim) * r ** (-(dim + 2.0 * s))
 
 
+def pair_1d(h: float, s: float, d: int) -> float:
+    """Exact 1D cell-pair integral at offset d >= 1 (d >= 2 at s >= 1/2):
+    the second difference F(a + h) - 2 F(a) + F(a - h), a = d h, of the
+    double antiderivative F of t^(-(1+2s)), zero at 0 for s < 1/2."""
+    def F(t):
+        if t == 0.0:
+            return 0.0
+        if s == 0.5:
+            return -math.log(t)
+        return t ** (1.0 - 2.0 * s) / ((2.0 * s) * (2.0 * s - 1.0))
+
+    a = d * h
+    return F(a + h) - 2.0 * F(a) + F(a - h)
+
+
+def pair_2d(h: float, s: float, d1: int, d2: int) -> float:
+    """Exact 2D cell-pair integral at 0 <= d1 <= d2, away from the
+    touching offset at s >= 1/2: the second difference of the quadrant
+    tail's unit-cell integrals, one offset at a time; on the axis the
+    strip, B(s+1/2, 1/2) times the 1D weight, minus two quadrants."""
+    rows = [d1 - 1.0, d1] if d1 else [0.0]
+    m = np.repeat(rows, 2)
+    k = np.tile([d2 - 1.0, d2], len(rows))
+    q = K._rect_integrals(m, m + 1.0, k, k + 1.0, s).reshape(-1, 2)
+    if d1 == 0:
+        w = K._b_full(s) * pair_1d(1.0, s, d2) - 2.0 * (q[0, 0] - q[0, 1])
+    else:
+        w = (q[0, 0] - q[1, 0]) - (q[0, 1] - q[1, 1])
+    return h ** (2.0 - 2.0 * s) * float(w)
+
+
+def pair_collocation(dim: int, h: float, s: float) -> float:
+    """Single-layer stand-in h^n * int_{C_j} |c_i - y|^(-(n+2s)) dy at the
+    touching offset; in 2D twice the half on one side of the axis, a
+    second difference of the quadrant tail."""
+    if dim == 1:
+        lo, hi = h - 0.5 * h, h + 0.5 * h
+        return h * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
+    u, v = np.array([0.0, 0.5]) * h, np.array([0.5, 1.5]) * h
+    q = K.quadrant_tail(u[:, None], v[None, :], s)
+    return h * h * 2 * float((q[0, 0] - q[1, 0]) - (q[0, 1] - q[1, 1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _near_weight(dim: int, h: float, s: float, canon: tuple) -> float:
+    if sum(canon) == 1 and s >= 0.5:
+        return pair_collocation(dim, h, s)
+    return pair_1d(h, s, *canon) if dim == 1 else pair_2d(h, s, *canon)
+
+
+def _weight(kern, offset) -> float:
+    """Oracle: pair weight at an integer index offset, from the per-offset
+    rules above (collocated where the touching integral diverges) or the
+    far rule, without the dense table."""
+    dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
+    off = tuple(int(v) for v in np.atleast_1d(offset))
+    canon = tuple(sorted(abs(v) for v in off))
+    if all(v == 0 for v in canon):
+        return 0.0
+    if max(canon) > R:
+        return far_weight(dim, h, s, off)
+    return _near_weight(dim, h, s, canon)
+
+
+def table_weight(dim: int, h: float, s: float, offset) -> float:
+    """The table entry at an index offset, on a box of 2R + 1 cells per
+    axis."""
+    n = 2 * R + 1
+    kern = build_kernel(Lattice(dim, h, (0,) * dim, (n,) * dim), s)
+    return float(kern.table[tuple(n - 1 + d for d in offset)])
+
+
 def switch_gap(kern) -> float:
     """Relative near/far mismatch at the switch radius (far-rule
     truncation error; decays like the radius^-2)."""
     dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
-    R = K._NEAR_RADIUS
     worst = 0.0
     for canon in [(R,)] if dim == 1 else [(d1, R) for d1 in range(R + 1)]:
         f = far_weight(dim, h, s, canon)
@@ -61,61 +129,39 @@ def switch_gap(kern) -> float:
     return worst
 
 
-def _weight(kern, offset) -> float:
-    """Oracle: pair weight at an integer index offset, from the scalar pair
-    weights (collocated where the touching integral diverges) or the far
-    rule, without the dense table."""
-    dim, h, s = kern.lattice.dim, kern.lattice.h, kern.s
-    off = tuple(int(v) for v in np.atleast_1d(offset))
-    canon = tuple(sorted(abs(v) for v in off))
-    if all(v == 0 for v in canon):
-        return 0.0
-    if max(canon) > K._NEAR_RADIUS:
-        return far_weight(dim, h, s, off)
-    if sum(canon) == 1 and s >= 0.5:
-        return pair_weight_collocation(dim, h, s, canon)
-    return pair_weight_exact(dim, h, s, canon)
-
-
 # ------------------------------------------------------------- pair weights
 
 
 def test_pair_1d_closed_forms():
     # int_0^1 int_1^2 |x-y|^(-3/2): double antiderivative gives 8 - 4 sqrt(2)
-    assert pair_weight_exact(1, 1.0, 0.25, (1,)) \
+    assert table_weight(1, 1.0, 0.25, (1,)) \
         == pytest.approx(8.0 - 4.0 * math.sqrt(2.0), rel=1e-15)
     # s = 1/2, offset 2: log form, int = ln(4/3)
-    assert pair_weight_exact(1, 1.0, 0.5, (2,)) \
+    assert table_weight(1, 1.0, 0.5, (2,)) \
         == pytest.approx(math.log(4.0 / 3.0), rel=1e-14)
-    assert pair_weight_exact(1, 1.0, 0.3, (0,)) == 0.0
+    assert table_weight(1, 1.0, 0.3, (0,)) == 0.0
 
 
 def test_pair_scaling_in_h():
     # w(h) = h^(dim - 2s) w(1) at fixed index offset
     s = 0.3
-    w1 = pair_weight_exact(1, 1.0, s, (3,))
-    w2 = pair_weight_exact(1, 0.5, s, (3,))
+    w1 = table_weight(1, 1.0, s, (3,))
+    w2 = table_weight(1, 0.5, s, (3,))
     assert w2 == pytest.approx(0.5 ** (1 - 2 * s) * w1, rel=1e-13)
-    v1 = pair_weight_exact(2, 1.0, s, (1, 2))
-    v2 = pair_weight_exact(2, 0.5, s, (1, 2))
+    v1 = table_weight(2, 1.0, s, (1, 2))
+    v2 = table_weight(2, 0.5, s, (1, 2))
     assert v2 == pytest.approx(0.5 ** (2 - 2 * s) * v1, rel=1e-13)
-
-
-def test_pair_1d_divergent_raises():
-    for s in (0.5, 0.75):
-        with pytest.raises(ValueError, match="diverges"):
-            pair_weight_exact(1, 1.0, s, (1,))
 
 
 @pytest.mark.parametrize("key", sorted(PAIR_2D))
 def test_pair_2d_matches_brute_force(key):
     s, off = key
-    got = pair_weight_exact(2, 1.0, s, off)
+    got = table_weight(2, 1.0, s, off)
     assert got == pytest.approx(PAIR_2D[key], rel=1e-12)
 
 
 def test_pair_2d_edge_touching_closed_half_matches_brute_force():
-    got = pair_weight_exact(2, 1.0, 0.25, (0, 1))
+    got = table_weight(2, 1.0, 0.25, (0, 1))
     assert got == pytest.approx(PAIR_2D[(0.25, (0, 1))], rel=1e-12)
 
 
@@ -124,47 +170,13 @@ def test_pair_2d_edge_touching_just_below_half():
     # term, so just below it the weight stays exact to round-off
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pair_weight_exact(2, 0.7, 0.45, (0, 1))
+        got = table_weight(2, 0.7, 0.45, (0, 1))
     assert got == pytest.approx(13.090341733874158, rel=1e-12)
-
-
-def test_pair_2d_offset_canonicalization():
-    s = 0.25
-    ref = pair_weight_exact(2, 1.0, s, (1, 2))
-    for off in ((2, 1), (-1, 2), (1, -2), (-2, -1)):
-        assert pair_weight_exact(2, 1.0, s, off) == pytest.approx(ref, rel=1e-12)
-
-
-def test_pair_2d_divergent_raises():
-    with pytest.raises(ValueError, match="diverges"):
-        pair_weight_exact(2, 1.0, 0.5, (0, 1))
-    # corner-touching converges for every s
-    assert pair_weight_exact(2, 1.0, 0.9, (1, 1)) > 0
 
 
 def test_collocation_values():
     # 1D, s=1/2, offset 1: h * [(h/2)^-1 - (3h/2)^-1] / 1 = 4/3 at h=1
-    assert pair_weight_collocation(1, 1.0, 0.5, (1,)) \
-        == pytest.approx(4.0 / 3.0, rel=1e-14)
-    # agrees with the exact integral far away (1D, 2D)
-    for dim, off in ((1, (9,)), (2, (6, 7))):
-        w_sl = pair_weight_collocation(dim, 0.5, 0.35, off)
-        w_ex = pair_weight_exact(dim, 0.5, 0.35, off)
-        assert w_sl == pytest.approx(w_ex, rel=5e-3)
-
-
-def test_pair_weights_zero_at_zero_offset():
-    for dim, off in ((1, (0,)), (2, (0, 0))):
-        assert pair_weight_exact(dim, 1.0, 0.5, off) == 0.0
-        assert pair_weight_collocation(dim, 1.0, 0.5, off) == 0.0
-
-
-def test_pair_weights_reject_s_outside_unit_interval():
-    for weight in (pair_weight_exact, pair_weight_collocation):
-        for dim, off in ((1, (2,)), (2, (1, 2))):
-            for bad_s in (0.0, 1.0, -0.2):
-                with pytest.raises(ValueError, match="exponent"):
-                    weight(dim, 1.0, bad_s, off)
+    assert table_weight(1, 1.0, 0.5, (1,)) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def _hat_gauss(s, d1, d2, n=24):
@@ -183,9 +195,9 @@ def _hat_gauss(s, d1, d2, n=24):
 def test_near_pair_weights_match_hat_reduction(s):
     # the near weights and the tails share the unit-cell integrals of the
     # quadrant tail; this oracle shares no code with them
-    for d2 in range(2, K._NEAR_RADIUS + 1):
+    for d2 in range(2, R + 1):
         for d1 in range(d2 + 1):
-            got = pair_weight_exact(2, 1.0, s, (d1, d2))
+            got = table_weight(2, 1.0, s, (d1, d2))
             assert got == pytest.approx(_hat_gauss(s, d1, d2), rel=1e-12), (d1, d2)
 
 
@@ -210,10 +222,10 @@ def kern2d():
 
 
 def test_build_kernel_validation():
-    lat = Lattice(1, 1.0, (0,), (4,))
-    for bad_s in (0.0, 1.0, -0.2, 2.0):
-        with pytest.raises(ValueError, match="exponent"):
-            build_kernel(lat, bad_s)
+    for lat in (Lattice(1, 1.0, (0,), (4,)), Lattice(2, 1.0, (0, 0), (4, 3))):
+        for bad_s in (0.0, 1.0, -0.2, 2.0):
+            with pytest.raises(ValueError, match="exponent"):
+                build_kernel(lat, bad_s)
 
 
 def test_weight_lookup_consistency(kern1d, kern2d):
@@ -221,8 +233,7 @@ def test_weight_lookup_consistency(kern1d, kern2d):
     e0 = kern1d.lattice.shape[0]
     for d in (-7, -3, -1, 0, 2, 5):
         assert kern1d.table[e0 - 1 + d] == _weight(kern1d, (d,))
-    assert _weight(kern1d, (2,)) == pytest.approx(
-        pair_weight_exact(1, 0.5, 0.25, (2,)), rel=1e-12)
+    assert _weight(kern1d, (2,)) == pytest.approx(pair_1d(0.5, 0.25, 2), rel=1e-12)
     assert _weight(kern1d, (7,)) == far_weight(1, 0.5, 0.25, (7,))
 
     e0, e1 = kern2d.lattice.shape
@@ -230,9 +241,21 @@ def test_weight_lookup_consistency(kern1d, kern2d):
         assert kern2d.table[e0 - 1 + off[0], e1 - 1 + off[1]] \
             == _weight(kern2d, off)
     assert _weight(kern2d, (0, 1)) == pytest.approx(
-        pair_weight_collocation(2, 1.0, 0.75, (0, 1)), rel=1e-12)
+        pair_collocation(2, 1.0, 0.75), rel=1e-12)
     assert _weight(kern2d, (1, 1)) == pytest.approx(
         1.2531596633298185, rel=1e-10)
+
+    # the whole near block, built in one pass, is the per-offset rules bit
+    # for bit
+    n = 2 * R + 1
+    for dim in (1, 2):
+        for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+            for h in (1.0, 0.3):
+                kern = build_kernel(Lattice(dim, h, (0,) * dim, (n,) * dim), s)
+                for i in np.ndindex((n,) * dim):
+                    d = tuple(v - R for v in i)
+                    assert kern.table[tuple(n - 1 + v for v in d)] \
+                        == _weight(kern, d), (dim, s, h, d)
 
 
 def test_weights_positive_and_zero_diagonal(kern1d, kern2d):
@@ -242,22 +265,34 @@ def test_weights_positive_and_zero_diagonal(kern1d, kern2d):
         off_diag = kern.table.copy()
         off_diag[tuple(e)] = np.inf
         assert np.all(off_diag > 0)
+    # corner-touching converges for every s
+    assert 0 < table_weight(2, 1.0, 0.9, (1, 1)) < np.inf
 
 
 @settings(deadline=None, max_examples=60)
 @given(d0=st.integers(min_value=-7, max_value=7),
        d1=st.integers(min_value=-7, max_value=7))
 def test_weight_symmetry_2d(d0, d1):
+    # the table is even in each axis and symmetric under transposition,
+    # and every image of an offset reads the weight of its sorted form
     kern = _SYM_KERN
-    w = _weight(kern, (d0, d1))
-    assert _weight(kern, (-d0, -d1)) == w
-    assert _weight(kern, (d1, d0)) == w
-    assert _weight(kern, (-d0, d1)) == w
+    n = kern.lattice.shape[0]
+
+    def at(a, b):
+        return kern.table[n - 1 + a, n - 1 + b]
+
+    w = at(d0, d1)
+    assert at(-d0, -d1) == w
+    assert at(d1, d0) == w
+    assert at(-d0, d1) == w
+    assert w == pytest.approx(_weight(kern, (d0, d1)), rel=1e-15, abs=0.0)
+    if max(abs(d0), abs(d1)) <= R:
+        assert w == _weight(kern, (d0, d1))
     if (d0, d1) != (0, 0):
         assert w > 0
 
 
-_SYM_KERN = build_kernel(Lattice(2, 0.7, (0, 0), (8, 8)), 0.45)
+_SYM_KERN = build_kernel(Lattice(2, 0.7, (0, 0), (2 * R + 1, 2 * R + 1)), 0.45)
 
 
 def test_table_for_extents_matches_and_memoizes(kern1d, kern2d):
@@ -287,10 +322,11 @@ def test_table_for_extents_matches_and_memoizes(kern1d, kern2d):
 
 
 def test_switch_gap_decays_quadratically():
+    # the 1D closed form, as r = 8 lies beyond the near block
     gaps = {}
     for r in (2, 4, 8):
         f = far_weight(1, 1.0, 0.5, (r,))
-        gaps[r] = abs(pair_weight_exact(1, 1.0, 0.5, (r,)) - f) / f
+        gaps[r] = abs(pair_1d(1.0, 0.5, r) - f) / f
     assert gaps[2] == pytest.approx(0.1507, rel=1e-2)
     # midpoint-rule truncation: halving resolution quarters the gap
     assert gaps[2] / gaps[4] == pytest.approx(4.0, rel=0.2)

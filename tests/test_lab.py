@@ -800,6 +800,49 @@ def test_cli_iterate_pass_and_fail(tmp_path):
     assert code2 == 1
 
 
+@pytest.mark.parametrize("command, override, message", [
+    ("iterate", "dim=3", "dim must be 1 or 2, got 3"),
+    ("iterate", "h=0", "h must be positive, got 0.0"),
+    ("gmt", "refine=maybe", "config key 'refine': not a boolean: 'maybe'"),
+    ("energy-growth", "max_iters=x", "config key 'max_iters': invalid literal for int()"),
+    ("density", "radii=", "radii must be nonempty"),
+    ("gmt", "corpus_size=0", "corpus_size must be >= 1, got 0"),
+    ("sobolev", "sobolev_count=0", "sobolev_count must be >= 1, got 0"),
+    ("iterate", "v_form=cubic", "unknown v_form 'cubic'"),
+    ("iterate", "v_csv={nan_csv}", "v_samples must be finite"),
+])
+def test_cli_bad_setting_exits_2_with_its_message(tmp_path, capsys, command,
+                                                  override, message):
+    nan_csv = tmp_path / "v.csv"
+    nan_csv.write_text("2,1000\n4,nan\n")
+    code = main(["--out", str(tmp_path / "out"), command,
+                 "--set", override.format(nan_csv=nan_csv)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_iterate_conclusion_fails_past_r_star(tmp_path, capsys):
+    # both hypotheses hold at the samples (C = 1.1), but V stays at 1000
+    # while c r^nu grows: c = (C gamma^nu)^(-nu/sigma) = 4.4^-4 = 0.002668,
+    # r* = 1024, and V < c r^2 at 10^6
+    trace = tmp_path / "v.csv"
+    trace.write_text("2,1000\n4,1000\n1000000,1000\n")
+    out = tmp_path / "out"
+    code = main(["--out", str(out), "iterate", "--set", f"v_csv={trace}",
+                 "--set", "sigma=0.5", "--set", "nu=2", "--set", "gamma=2",
+                 "--set", "growth_c=1.1", "--set", "r_o=2", "--set", "mu=4"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[PASS] iterate:hypotheses  2 doubling pairs checked" in lines
+    assert "[FAIL] iterate:conclusion  fails at r = 1000000.0" in lines
+    rep = json.loads((out / "report.json").read_text())["results"]["report"]
+    assert rep["c"] == pytest.approx(4.4 ** -4, rel=1e-12)
+    assert rep["r_star"] == 1024.0
+    assert rep["conclusion_tested"] and rep["conclusion_holds"] is False
+
+
 def test_cli_rejects_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 1\n")

@@ -102,6 +102,12 @@ def test_cellset_from_indices_validates():
         from_indices(lat, [(4,)])
 
 
+def test_cellset_rejects_members_of_another_shape():
+    lat = Lattice(2, 1.0, (0, 0), (3, 4))
+    with pytest.raises(ValueError, match=re.escape("member shape (4, 3) != box shape (3, 4)")):
+        CellSet(lat, np.zeros((4, 3), dtype=bool))
+
+
 # ---------------------------------------------------------------- ball masks
 
 

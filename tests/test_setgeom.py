@@ -413,6 +413,13 @@ def test_sobolev_interval_analytic(sob):
     assert rep.constant == pytest.approx(rep.lhs * 2.0 ** 0.5, rel=1e-12)
 
 
+def test_sobolev_set_bound_rejects_a_cell_index_of_another_length(sob):
+    lat, kern = sob
+    E = ball_mask(lat, (0.2,), 1.0)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        sobolev_set_bound(kern, E, (0, 0))
+
+
 def test_sobolev_complement_monotone(sob):
     lat, kern = sob
     E = ball_mask(lat, (0.2,), 1.0)
