@@ -11,10 +11,12 @@ The in-box pairs form a quadratic form whose matrix T, the offset table,
 is block-Toeplitz and symmetric.  Split a field as u = o + f, with o its
 free part on omega and f the fixed rest; then the interaction needs only
 T(o) beyond T(f) and T(1 off omega), which stay put while a minimizer
-moves o.  A new point costs one convolution, of its free part, and its
-gradient reuses it.  On a segment u + t*d the seminorm is a quadratic in
-t, so one convolution, of d, prices every trial point on it, and moving
-to one updates T(o) by t*T(d) with none.  Every convolution
+moves o.  A model holds one point, the field it was built on, and
+convolves its free part once; the point's energy and gradient read that.
+Another field takes another model (``energy_E``).  On a segment u + t*d
+from the point the seminorm is a quadratic in t, so one convolution, of
+d, prices every trial point on it, and moving the point to one updates
+T(o) by t*T(d) with none.  Every convolution
 (``convolve``) splits the field into parity classes about the box centre
 and multiplies each class's DCT/DST by its window of the one spectrum the
 kernel caches, so reflecting a field reflects T of it bit-for-bit.  The
@@ -118,16 +120,16 @@ def _by_class(x, Ns, W):
 
 
 class EnergyModel:
-    """Workspace for repeated energy and gradient evaluation.
+    """Workspace for energy and gradient evaluation at one moving point.
 
     Fixes the kernel, the potential, the exterior data and the free region
-    once.  An energy at a new point then costs one convolution, of the
-    point's free part, and the gradient at the point last evaluated costs
-    none.  A point whose fixed cells differ from the model's field pays
-    one more.  ``segment`` and ``move`` walk the model's point along a
-    segment at one convolution per segment, and ``precondition`` applies
-    the inverse of a Toeplitz approximation of the Hessian at one
-    transform pass.  ``omega`` defaults to every cell in the box.  Data
+    once, and holds one point, ``point``: the field's values, read-only.
+    Building the model convolves the point's free part; its energy and
+    gradient then cost no more convolutions.  ``segment`` and ``move``
+    walk the point along a segment at one convolution per segment, and
+    ``precondition`` applies the inverse of a Toeplitz approximation of
+    the Hessian at one transform pass.  Another field takes another model
+    (``energy_E``).  ``omega`` defaults to every cell in the box.  Data
     held fixed are the box cells outside ``omega`` and, beyond the box,
     the field's exterior descriptor.
     """
@@ -161,9 +163,10 @@ class EnergyModel:
         # the fixed part of u (off omega) and T of it
         self._f = np.where(self.omega, 0.0, u.values)
         self._tf = self._conv(self._f)
-        # the free part of the last point evaluated, and T of it
-        self._o = self._to = None
-        # the last segment: its start u, direction d, T(o) at u and T(d)
+        # the point (ScalarField values are read-only) and T of its free part
+        self.point = u.values
+        self._to = self._conv(np.where(self.omega, self.point, 0.0))
+        # the last segment: its direction d and T(d)
         self._seg = None
 
     # -- plumbing -------------------------------------------------------------
@@ -171,56 +174,44 @@ class EnergyModel:
     def _conv(self, x: np.ndarray) -> np.ndarray:
         return convolve(self.kern, x)
 
-    def _split(self, u: np.ndarray):
-        """(f, T(o), T(f)) for u = o + f, o its free part and f the rest.
+    # -- evaluation at the point ------------------------------------------------
 
-        T(o) is kept for the next call with the same free part, and T(f)
-        comes from the model unless u changes a fixed cell.
-        """
-        o = np.where(self.omega, u, 0.0)
-        if self._o is None or not np.array_equal(o, self._o):
-            self._o, self._to = o, self._conv(o)
-        f = np.where(self.omega, 0.0, u)
-        tf = self._tf if np.array_equal(f, self._f) else self._conv(f)
-        return f, self._to, tf
-
-    # -- evaluation -----------------------------------------------------------
-
-    def seminorm(self, u: np.ndarray) -> float:
-        f, to, tf = self._split(u)
+    def seminorm(self) -> float:
+        u, f, to = self.point, self._f, self._to
         # free cells: pairs within omega (each once, as u_i (u_i - u_j)
         # summed both ways), pairs with fixed cells, pairs with the exterior;
         # fixed cells: the other half of their pairs with omega.  Each
         # bracket is exactly zero on a constant +-1 field.
-        free = (u * (u * self._c_omega - to) + u * (u * self._c_fixed - tf)
+        free = (u * (u * self._c_omega - to) + u * (u * self._c_fixed - self._tf)
                 + (self.t0 * u * u - 2.0 * self.t1 * u + self.t2))
         fixed = f * (f * self._c_omega - to)
         return float(stable_sum(np.where(self.omega, free, fixed)))
 
-    def potential_term(self, u: np.ndarray) -> float:
+    def potential_term(self) -> float:
         if self.pot is None:
             return 0.0
-        return self.kern.lattice.cell_volume * float(stable_sum(self.pot.value(u[self.omega])))
+        w = self.pot.value(self.point[self.omega])
+        return self.kern.lattice.cell_volume * float(stable_sum(w))
 
-    def energy(self, u: np.ndarray) -> float:
-        return self.seminorm(u) + self.potential_term(u)
+    def energy(self) -> float:
+        return self.seminorm() + self.potential_term()
 
-    def _flux(self, u: np.ndarray) -> np.ndarray:
+    def _flux(self) -> np.ndarray:
         # half the seminorm's gradient, on every cell
-        _, to, tf = self._split(u)
-        return u * self._c_box - to - tf + self.t0 * u - self.t1
+        u = self.point
+        return u * self._c_box - self._to - self._tf + self.t0 * u - self.t1
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
+    def gradient(self) -> np.ndarray:
         """d(energy)/d(u_i) on the free cells, zero elsewhere."""
-        g = 2.0 * self._flux(u)
+        g = 2.0 * self._flux()
         if self.pot is not None:
-            g = g + self.kern.lattice.cell_volume * self.pot.deriv(u)
+            g = g + self.kern.lattice.cell_volume * self.pot.deriv(self.point)
         return np.where(self.omega, g, 0.0)
 
-    # -- the segment u + t*d ------------------------------------------------
+    # -- the segment u + t*d from the point ---------------------------------
 
-    def segment(self, u: np.ndarray, d: np.ndarray):
-        """Energy change along u + t*d, for a d that is zero off omega.
+    def segment(self, d: np.ndarray):
+        """Energy change along u + t*d, u the point and d zero off omega.
 
         Costs one convolution, of d.  The seminorm is quadratic in t: per
         free cell, slope 2*fl*d at u and curvature d*(diag*d - T(d)).
@@ -234,11 +225,11 @@ class EnergyModel:
         """
         m = self.omega
         td = self._conv(d)
-        um, dm = u[m], d[m]
-        slope = 2.0 * self._flux(u)[m] * dm
+        um, dm = self.point[m], d[m]
+        slope = 2.0 * self._flux()[m] * dm
         curv = dm * (self.diag[m] * dm - td[m])
         w0 = None if self.pot is None else self.pot.value(um)
-        self._seg = (u, d, self._to, td)
+        self._seg = (d, td)
 
         def delta(t: float) -> float:
             de = t * slope + (t * t) * curv
@@ -251,21 +242,22 @@ class EnergyModel:
         return delta
 
     def move(self, t: float) -> np.ndarray:
-        """Make u + t*d on the last segment the model's point and return it.
+        """Move the point to u + t*d on the last segment and return it.
 
-        T of its free part becomes T(o) + t*T(d): no convolution, but the
+        The new point is read-only.  T of its free part becomes T(o) + t*T(d): no convolution, but the
         round-off of each move stays in T(o) until ``refresh``.
         """
-        u, d, to, td = self._seg
-        x = np.clip(u + t * d, -1.0, 1.0)
-        self._o = np.where(self.omega, x, 0.0)
-        self._to = to + t * td
+        d, td = self._seg
+        x = np.clip(self.point + t * d, -1.0, 1.0)
+        x.setflags(write=False)
+        self.point = x
+        self._to = self._to + t * td
         self._seg = None
         return x
 
     def refresh(self) -> None:
-        """Convolve the free part of the model's point afresh."""
-        self._to = self._conv(self._o)
+        """Convolve the free part of the point afresh."""
+        self._to = self._conv(np.where(self.omega, self.point, 0.0))
 
     # -- preconditioning ------------------------------------------------------
 
@@ -307,5 +299,4 @@ class EnergyModel:
 
 def energy_E(kern: KernelTable, pot, u: ScalarField, omega: CellSet | None = None) -> float:
     """Interaction plus the cell-measure-weighted double-well term."""
-    model = EnergyModel(kern, pot, u, omega)
-    return model.energy(u.values)
+    return EnergyModel(kern, pot, u, omega).energy()

@@ -606,7 +606,7 @@ def _c5_lattice(spec: bar.BarrierSpec, h: float) -> float:
     v = bar.eval_v(lat.center_radii(), spec.r, spec.s)
     model = EnergyModel(build_kernel(lat, spec.s), None,
                         ScalarField(lat, v, Exterior(1.0, 1.0)))
-    pv = -0.5 * model.gradient(v) / lat.cell_volume
+    pv = -0.5 * model.gradient() / lat.cell_volume
     floor = 16.0 * spec.r ** (-2.0 * spec.s)
     return float(np.max(np.maximum(pv, 0.0) / (v + floor)))
 

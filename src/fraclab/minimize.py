@@ -105,15 +105,16 @@ def minimize_energy(
 
     Runs preconditioned spectral projected gradient with a monotone
     Armijo search on the segment from x to its projected step, at one
-    convolution and one preconditioner solve per iteration: the energy is
-    evaluated once, at u0, and then carried forward by the segment's
-    exact energy changes.  Converged means the
-    projected-gradient sup-norm is below grad_tol.  When the carried
-    gradient passes, or the run is about to stop for any reason, the free
-    part is convolved afresh and grad_norm comes from that gradient; a
-    fresh gradient that misses grad_tol sends the run on unless it is
-    stopping.  Exhausting max_iters, or 40 failed halvings in one line
-    search, ends the run unconverged with a message instead of an
+    convolution and one preconditioner solve per iteration.  The iterate
+    x is the one point of the run's ``EnergyModel``, built on u0 and moved
+    along each accepted segment: the energy is evaluated once, at u0, and
+    then carried forward by the segment's exact energy changes.
+    Converged means the projected-gradient sup-norm is below grad_tol.
+    When the carried gradient passes, or the run is about to stop for any
+    reason, the free part is convolved afresh and grad_norm comes from
+    that gradient; a fresh gradient that misses grad_tol sends the run on
+    unless it is stopping.  Exhausting max_iters, or 40 failed halvings in
+    one line search, ends the run unconverged with a message instead of an
     exception.
     """
     if max_iters < 1:
@@ -128,12 +129,12 @@ def minimize_energy(
     def pg_norm(x, g) -> float:
         return float(np.max(np.abs(_projected_grad(x, g, mask)))) if mask.any() else 0.0
 
-    x = u0.values
-    e = model.energy(x)
+    x = model.point
+    e = model.energy()
     if not math.isfinite(e):
         raise ValueError(f"initial field has non-finite energy {e}")
 
-    g = model.gradient(x)
+    g = model.gradient()
     pg_sup = pg_norm(x, g)
     rows = [[0, e, pg_sup, 0.0]]
 
@@ -156,7 +157,7 @@ def minimize_energy(
             step = plain
             d = np.where(mask, np.clip(x - step * g, -1.0, 1.0) - x, 0.0)
             slope = float(stable_sum((g * d)[mask]))
-        delta = model.segment(x, d)
+        delta = model.segment(d)
         t = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             de = delta(t)
@@ -168,7 +169,7 @@ def minimize_energy(
 
         if not failed:
             x_new = model.move(t)
-            g_new = model.gradient(x_new)
+            g_new = model.gradient()
             # spectral step in the metric H0 of the segment, s = t*d; along
             # negative curvature just push harder
             sy = t * float(stable_sum((d * (g_new - g))[mask]))
@@ -183,7 +184,7 @@ def minimize_energy(
             # confirm on a fresh convolution of the free part; the last row
             # keeps its energy, and a miss that is not stopping runs on
             model.refresh()
-            g = model.gradient(x)
+            g = model.gradient()
             pg_sup = rows[-1][2] = pg_norm(x, g)
             if stopping:
                 break

@@ -47,22 +47,20 @@ def sign_field():
 
 
 def _seminorm(kern, u, omega=None):
-    model = EnergyModel(kern, None, u, omega)
-    return model.seminorm(u.values)
+    return EnergyModel(kern, None, u, omega).seminorm()
 
 
 def _frac_laplacian(kern, u):
     """fl_i = sum_j w_ij (u_i - u_j), exterior included, on the box cells:
     half the seminorm's gradient over the full box."""
-    model = EnergyModel(kern, None, u)
-    return 0.5 * model.gradient(u.values)
+    return 0.5 * EnergyModel(kern, None, u).gradient()
 
 
 def test_model_without_a_well_is_the_seminorm(kern1):
     u = random_field(LAT1, 3, Exterior(1.0, -1.0, 0, 0.0))
     model = EnergyModel(kern1, None, u)
-    assert model.potential_term(u.values) == 0.0
-    assert model.energy(u.values) == model.seminorm(u.values) > 0.0
+    assert model.potential_term() == 0.0
+    assert model.energy() == model.seminorm() > 0.0
     assert model.sigma == 0.0
 
 
@@ -158,11 +156,10 @@ def test_energy_E_dominates_each_term(kern1):
     u = random_field(LAT1, 5)
     om = ball_mask(LAT1, 0.0, 3.0)
     model = EnergyModel(kern1, pot, u, om)
-    x = u.values
     e = energy_E(kern1, pot, u, om)
-    assert e == pytest.approx(model.seminorm(x) + model.potential_term(x))
-    assert e >= model.seminorm(x)
-    assert e >= model.potential_term(x)
+    assert e == pytest.approx(model.seminorm() + model.potential_term())
+    assert e >= model.seminorm()
+    assert e >= model.potential_term()
     assert e >= 0.0
 
 
@@ -627,15 +624,16 @@ def test_quadratic_form_matches_pair_sums(kern1, kern2, dim, kind):
     model = EnergyModel(kern, pot, u, om)
     x, omega = u.values, om.members
     k, e, grad = _pair_sum_oracle(kern, pot, x, omega, t0, t1, t2)
-    assert model.seminorm(x) == pytest.approx(k, rel=1e-12)
-    assert model.energy(x) == pytest.approx(e, rel=1e-12)
-    np.testing.assert_allclose(model.gradient(x), grad, rtol=1e-12,
+    assert model.seminorm() == pytest.approx(k, rel=1e-12)
+    assert model.energy() == pytest.approx(e, rel=1e-12)
+    np.testing.assert_allclose(model.gradient(), grad, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(grad)))
-    # a point that also moves fixed cells is still evaluated exactly
+    # a field that also moves fixed cells takes its own model, also exact
     y = np.where(omega, x, 0.9 * x)
     k_y, _, grad_y = _pair_sum_oracle(kern, pot, y, omega, t0, t1, t2)
-    assert model.seminorm(y) == pytest.approx(k_y, rel=1e-12)
-    np.testing.assert_allclose(model.gradient(y), grad_y, rtol=1e-12,
+    moved = EnergyModel(kern, pot, ScalarField(lat, y, ext), om)
+    assert moved.seminorm() == pytest.approx(k_y, rel=1e-12)
+    np.testing.assert_allclose(moved.gradient(), grad_y, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(grad_y)))
 
 
@@ -646,27 +644,43 @@ TAB = Tabulated(tuple(np.linspace(-1.0, 1.0, 9)),
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("pot", [Quartic(0.25), TAB], ids=["quartic", "tabulated"])
 def test_segment_change_matches_energy_difference(kern1, kern2, dim, pot):
-    # the segment's small difference against two full evaluations, and
-    # the moved T(o) against a fresh model's gradient
+    # the segment's small difference against full evaluations, and the
+    # moved T(o) against a fresh model's gradient
     kern, lat = (kern1, LAT1) if dim == 1 else (kern2, LAT2)
     rng = np.random.default_rng(31)
     om = CellSet(lat, rng.random(lat.shape) < 0.6)
     x = rng.uniform(-0.9, 0.9, lat.shape)
     u = ScalarField(lat, x, Exterior(1.0, -1.0, dim - 1, 0.2))
     model = EnergyModel(kern, pot, u, om)
-    e0 = model.energy(x)
+    e0 = model.energy()
     target = np.clip(x + rng.normal(0.0, 0.5, lat.shape), -1.0, 1.0)
     d = np.where(om.members, target - x, 0.0)
-    delta = model.segment(x, d)
+    delta = model.segment(d)
     for t in (1.0, 0.5, 0.125):
-        ref = EnergyModel(kern, pot, u, om)
-        diff = ref.energy(x + t * d) - ref.energy(x)
+        diff = energy_E(kern, pot, ScalarField(lat, x + t * d, u.exterior), om) - e0
         assert abs(delta(t) - diff) <= 4e-15 * abs(e0)
     y = model.move(0.125)
     assert np.array_equal(y, np.clip(x + 0.125 * d, -1.0, 1.0))
-    grad = EnergyModel(kern, pot, u, om).gradient(y)
-    np.testing.assert_allclose(model.gradient(y), grad, rtol=0,
+    grad = EnergyModel(kern, pot, ScalarField(lat, y, u.exterior), om).gradient()
+    np.testing.assert_allclose(model.gradient(), grad, rtol=0,
                                atol=4e-15 * np.max(np.abs(grad)))
+
+
+def test_move_returns_the_read_only_point(kern1):
+    # the model's one point is read-only from construction and after each
+    # move, so no caller can change it behind T(o)
+    rng = np.random.default_rng(37)
+    u = ScalarField(LAT1, rng.uniform(-0.9, 0.9, LAT1.shape), Exterior(1.0, 1.0))
+    model = EnergyModel(kern1, Quartic(0.25), u)
+    assert model.point is u.values
+    with pytest.raises(ValueError, match="read-only"):
+        model.point[0] = 0.0
+    for t in (0.5, 0.25):
+        model.segment(-0.1 * model.gradient())
+        y = model.move(t)
+        assert y is model.point
+        with pytest.raises(ValueError, match="read-only"):
+            y[0] = 0.0
 
 
 def test_constant_sign_field_is_exactly_zero(kern1, kern2):

@@ -183,7 +183,7 @@ def test_config_invariants():
 
 def test_readme_names_only_config_keys():
     # keys in --set examples, the config-file example and backticked
-    # key=value text; energy_tol is the documented unknown key
+    # key=value text
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     named = set(re.findall(r"--set\s+([a-z_][a-z0-9_]*)=", text))
     named |= set(re.findall(r"`([a-z_][a-z0-9_]*)=[^`]*`", text))
@@ -191,7 +191,7 @@ def test_readme_names_only_config_keys():
         named |= set(re.findall(r"^\s*([a-z_][a-z0-9_]*)\s*=", block, re.M))
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert {"s", "radii", "max_iters", "potential_csv"} <= named
-    assert named - fields <= {"energy_tol"}
+    assert named <= fields
 
 
 def test_config_bad_line_reports_location(tmp_path):
