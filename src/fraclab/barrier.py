@@ -84,15 +84,13 @@ def eval_h(t, r: float, s: float):
     with np.errstate(over="ignore"):
         gap = pos ** (-2.0 * s) - a - b * (pos - r / 2.0)
     out = np.where(arr >= r / 2.0, 0.0, np.minimum(1.0, gap))
-    out = np.where(arr <= 0.0, 1.0, out)
-    return float(out) if np.isscalar(t) else out
+    return np.where(arr <= 0.0, 1.0, out)
 
 
 def eval_v(x, r: float, s: float):
     """Radial barrier core: v = h(r - |x|) inside B_r, 1 outside."""
     rho = np.abs(np.asarray(x, dtype=float))
-    out = np.where(rho >= r, 1.0, eval_h(r - rho, r, s))
-    return float(out) if np.isscalar(x) else out
+    return np.where(rho >= r, 1.0, eval_h(r - rho, r, s))
 
 
 def clamp_radius(r: float, s: float) -> float:
@@ -271,8 +269,8 @@ def estimate_C5(s: float, r: float, sample_count: int, dim: int) -> tuple[float,
     Samples the radii k r / N, k = 1..N, so doubling the count refines the
     same grid and the estimate is monotone nondecreasing in sample_count.
     """
-    if r < R_MIN:
-        raise ValueError(f"r must be >= {R_MIN}, got {r}")
+    if not R_MIN <= r < math.inf:
+        raise ValueError(f"r must be finite and >= {R_MIN}, got {r}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     x = r * np.arange(1, sample_count + 1) / sample_count
@@ -303,15 +301,15 @@ class BarrierSpec:
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.c5 <= 0.0:
-            raise ValueError(f"c5 must be positive, got {self.c5}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 < self.c5 < math.inf:
+            raise ValueError(f"c5 must be positive and finite, got {self.c5}")
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.r < R_MIN:
+        if not R_MIN <= self.r < math.inf:
             raise ValueError(
-                f"inner scale r = {self.r} is below the minimum {R_MIN}"
+                f"inner scale r = {self.r} must be finite and not below the minimum {R_MIN}"
             )
         if not 0.0 < self.beta < 1.0:
             raise ValueError(
@@ -339,8 +337,7 @@ class BarrierSpec:
 def eval_w(spec: BarrierSpec, x):
     """The rescaled barrier at radius |x|."""
     rho = np.abs(np.asarray(x, dtype=float))
-    out = _w_of_v(spec, eval_v(rho / spec.c_o, spec.r, spec.s))
-    return float(out) if np.isscalar(x) else out
+    return _w_of_v(spec, eval_v(rho / spec.c_o, spec.r, spec.s))
 
 
 def _w_of_v(spec: BarrierSpec, v):

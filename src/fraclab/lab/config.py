@@ -8,15 +8,23 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 
 __all__ = ["ExperimentConfig", "config_from_sources", "read_config_file",
            "read_pairs_csv"]
 
 
+def _finite(text) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {text!r}")
+    return val
+
+
 def _floats(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 def _bool(text) -> bool:
@@ -150,8 +158,10 @@ for _f in dataclasses.fields(ExperimentConfig):
         _PARSERS[_f.name] = _bool
     elif _f.type == "int":
         _PARSERS[_f.name] = int
+    elif _f.name == "exterior_threshold":
+        _PARSERS[_f.name] = float  # +-inf: constant exterior data
     elif _f.type == "float":
-        _PARSERS[_f.name] = float
+        _PARSERS[_f.name] = _finite
     else:
         _PARSERS[_f.name] = str
 

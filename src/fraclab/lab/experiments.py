@@ -220,8 +220,7 @@ def run_energy_growth(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _volume_trace(values: np.ndarray, lat: Lattice, radii, threshold: float,
-                  dim: int) -> dict:
+def _volume_trace(values: np.ndarray, lat: Lattice, radii, threshold: float) -> dict:
     """Volume of {u > threshold} in each ball B_R, and its ratio to R^dim."""
     above = values > threshold
     vols = []
@@ -230,7 +229,7 @@ def _volume_trace(values: np.ndarray, lat: Lattice, radii, threshold: float,
         mask = ball_mask(lat, 0.0, radius).members & above
         vol = float(np.count_nonzero(mask)) * lat.cell_volume
         vols.append(vol)
-        ratios.append(vol / radius ** dim)
+        ratios.append(vol / radius ** lat.dim)
     return {"threshold": threshold, "radii": list(radii),
             "volumes": vols, "ratios": ratios}
 
@@ -269,8 +268,8 @@ def run_density(cfg: ExperimentConfig) -> ExperimentReport:
         f"u(0) = {u0:.6g} vs theta1 = {cfg.theta1}" +
         ("" if applicable else "; run inapplicable")))
 
-    trace2 = _volume_trace(values, lat, cfg.radii, cfg.theta2, cfg.dim)
-    trace_star = _volume_trace(values, lat, cfg.radii, cfg.theta_star, cfg.dim)
+    trace2 = _volume_trace(values, lat, cfg.radii, cfg.theta2)
+    trace_star = _volume_trace(values, lat, cfg.radii, cfg.theta_star)
 
     min_ratio = min(trace_star["ratios"])
     criteria.append(Criterion(
@@ -473,13 +472,10 @@ def run_gmt_suite(cfg: ExperimentConfig) -> ExperimentReport:
                 key = f"s={s}|probe={probe}|{rep.regime}"
                 minima[key] = min(minima.get(key, math.inf), rep.ratio)
 
-    min_ratio = min(r[10] for r in rows)
-    criteria = [Criterion(
-        "ratios-positive", min_ratio > 0.0,
-        f"min ratio {min_ratio:.6g} over {len(rows)} checks")]
+    criteria: list[Criterion] = []
     results: dict = {
         "per_regime_min": {k: minima[k] for k in sorted(minima)},
-        "min_ratio": min_ratio,
+        "min_ratio": min(r[10] for r in rows),
     }
 
     if cfg.refine:

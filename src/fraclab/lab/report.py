@@ -38,10 +38,11 @@ class Criterion:
 class ExperimentReport:
     """Everything a run emits.
 
-    ``series_rows`` are the raw measurements; every number quoted in
-    ``results`` is derived from them.  report.json is the run's only
-    record besides series.csv: a corpus is reproduced from the seed and
-    sizes in the config echo.
+    ``series_rows`` are the per-point measurements; ``results`` sums them
+    up and adds what is measured beside them (the barrier's spec and al1,
+    sobolev's center value, gmt's refinement drift).  report.json is the
+    run's only record besides series.csv: a corpus is reproduced from the
+    seed and sizes in the config echo.
     """
 
     experiment: str

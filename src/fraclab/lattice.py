@@ -121,10 +121,7 @@ class Lattice:
 
     def point_to_index(self, points: np.ndarray) -> np.ndarray:
         """Integer cell index containing each point; shape ``(..., dim)``."""
-        pts = np.asarray(points, dtype=float)
-        if self.dim == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            pts = pts[..., None]
-        return np.floor(pts / self.h).astype(np.int64)
+        return np.floor(np.asarray(points, dtype=float) / self.h).astype(np.int64)
 
 
 def _check_same_lattice(a: Lattice, b: Lattice) -> None:

@@ -154,8 +154,6 @@ class GmtReport:
     s_branch: str
     measure_a: float
     measure_b: float
-    measure_d: float
-    c_probe: float
     interaction: float
     bound: float
     ratio: float
@@ -194,7 +192,8 @@ def check_gmt(kernels: list[KernelTable], A: CellSet, B: CellSet,
     mass.  The regime splits on measure(B) <= c_probe * measure(A); each
     report's ratio interaction/bound is the empirical constant.  An empty
     B in the branches that divide by it is floored at one cell measure
-    and flagged.  Returns the reports as ``[kernel][probe]``.
+    and flagged; at s = 1/2 a one-cell A then has bound 0, which every
+    constant meets, and ratio inf.  Returns the reports as ``[kernel][probe]``.
 
     The sets are checked and their offset histogram counted once, the
     interaction is weighed once per kernel, and only the bound is worked
@@ -214,7 +213,7 @@ def check_gmt(kernels: list[KernelTable], A: CellSet, B: CellSet,
     counts = _offset_counts(A, D)
 
     n, cell = A.lattice.dim, A.lattice.cell_volume
-    a, b, d = A.measure, B.measure, D.measure
+    a, b = A.measure, B.measure
     out = []
     for kern in kernels:
         tail = stable_sum(kern.tail_weights[A.members])
@@ -227,11 +226,9 @@ def check_gmt(kernels: list[KernelTable], A: CellSet, B: CellSet,
                 s_branch=_s_branch(kern.s),
                 measure_a=a,
                 measure_b=b,
-                measure_d=d,
-                c_probe=c_probe,
                 interaction=interaction,
                 bound=bound,
-                ratio=interaction / bound,
+                ratio=interaction / bound if bound else math.inf,
                 b_floored=floored,
             ))
         out.append(reports)
@@ -245,7 +242,6 @@ def check_gmt(kernels: list[KernelTable], A: CellSet, B: CellSet,
 class SobolevReport:
     lhs: float
     constant: float
-    measure_e: float
     cell: tuple
 
 
@@ -282,8 +278,7 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
     consts = lhs * E.measure ** (2.0 * kern.s / lat.dim)
     i = int(np.argmin(consts))
     cell = tuple(int(p[i]) + lo for p, lo in zip(pos, lat.lo))
-    return SobolevReport(lhs=float(lhs[i]), constant=float(consts[i]),
-                         measure_e=E.measure, cell=cell)
+    return SobolevReport(lhs=float(lhs[i]), constant=float(consts[i]), cell=cell)
 
 
 # -- random corpora -------------------------------------------------------------
@@ -291,6 +286,8 @@ def sobolev_set_bound(kern: KernelTable, E: CellSet, x=None) -> SobolevReport:
 
 def random_cellset(lattice: Lattice, rng, max_rects: int) -> CellSet:
     """Union of 1..max_rects random axis-aligned boxes, never empty."""
+    if max_rects < 1:
+        raise ValueError(f"max_rects must be >= 1, got {max_rects}")
     mask = np.zeros(lattice.shape, dtype=bool)
     k = int(rng.integers(1, max_rects + 1))
     for _ in range(k):

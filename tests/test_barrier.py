@@ -316,6 +316,17 @@ def test_spec_refusals():
         BarrierSpec(s=0.5, tau=0.1, r=100.0, c5=1.0, dim=3)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_parameters_are_refused(bad):
+    # an infinite or NaN tau, c5 or r has no barrier; each is refused by name
+    for key, match in (("tau", "tau"), ("c5", "c5"), ("r", "inner scale")):
+        kwargs = {"s": 0.5, "tau": 0.1, "r": 100.0, "c5": 1.0, "dim": 1, key: bad}
+        with pytest.raises(ValueError, match=match):
+            BarrierSpec(**kwargs)
+    with pytest.raises(ValueError, match="r must be finite"):
+        estimate_C5(0.5, bad, 4, dim=1)
+
+
 def test_w_range_and_plateaus(small_spec):
     spec = small_spec
     big_r = spec.big_r

@@ -810,6 +810,15 @@ def test_cli_iterate_pass_and_fail(tmp_path):
     ("sobolev", "sobolev_count=0", "sobolev_count must be >= 1, got 0"),
     ("iterate", "v_form=cubic", "unknown v_form 'cubic'"),
     ("iterate", "v_csv={nan_csv}", "v_samples must be finite"),
+    ("energy-growth", "radii=8,16,32,inf", "config key 'radii': not a finite number: 'inf'"),
+    ("density", "radii=8,inf", "config key 'radii': not a finite number: 'inf'"),
+    ("levelset", "levelset_radius=inf",
+     "config key 'levelset_radius': not a finite number: 'inf'"),
+    ("sobolev", "sobolev_extent=inf", "config key 'sobolev_extent': not a finite number: 'inf'"),
+    ("barrier", "tau=inf", "config key 'tau': not a finite number: 'inf'"),
+    ("barrier", "tau=nan", "config key 'tau': not a finite number: 'nan'"),
+    ("barrier", "barrier_r=inf", "config key 'barrier_r': not a finite number: 'inf'"),
+    ("gmt", "max_rects=0", "max_rects must be >= 1, got 0"),
 ])
 def test_cli_bad_setting_exits_2_with_its_message(tmp_path, capsys, command,
                                                   override, message):

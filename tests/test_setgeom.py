@@ -241,7 +241,7 @@ def test_gmt_empty_b_subhalf(kern2):
     assert rep.bound == pytest.approx(64.0 ** 0.75, rel=1e-12)
     assert rep.ratio == pytest.approx(27.15996153238592, rel=1e-9)
     assert rep.ratio > 0.0
-    assert rep.measure_a == 64.0 and rep.measure_d == 960.0
+    assert rep.measure_a == 64.0
 
 
 def test_gmt_refinement_stable(kern2):
@@ -285,6 +285,16 @@ def test_gmt_floored_branches(qkern50, qkern75):
     assert half.ratio > 0.0 and sup.ratio > 0.0
 
 
+def test_gmt_zero_bound_has_infinite_ratio(qkern50):
+    # s = 1/2, B empty floored at one cell, A one cell: the bound
+    # a^((n-1)/n) log(a / cell) is 0, which every constant satisfies
+    A = from_indices(QLAT, [(7, 7)])
+    [[rep]] = check_gmt([qkern50], A, CellSet.empty(QLAT), [0.05])
+    assert rep.s_branch == "half" and rep.regime == "small_b" and rep.b_floored
+    assert rep.bound == 0.0
+    assert rep.ratio == math.inf and rep.interaction > 0.0
+
+
 def _one_gmt(kern, A, B, c_probe):
     """Oracle: the check of one kernel at one probe, its pair mass the
     ``math.fsum`` of the count-times-half products as a list."""
@@ -324,8 +334,8 @@ def _one_gmt(kern, A, B, c_probe):
         bound = a ** ((n - 2.0 * s) / n) * (b / a) ** (-2.0 * s / n)
     return GmtReport(
         regime=regime, s_branch=setgeom._s_branch(s), measure_a=a, measure_b=b,
-        measure_d=D.measure, c_probe=c_probe, interaction=interaction,
-        bound=bound, ratio=interaction / bound, b_floored=floored)
+        interaction=interaction, bound=bound, ratio=interaction / bound,
+        b_floored=floored)
 
 
 def test_batched_gmt_is_the_one_kernel_one_probe_check(qkern50, qkern75):
@@ -342,11 +352,12 @@ def test_batched_gmt_is_the_one_kernel_one_probe_check(qkern50, qkern75):
     for A, B in pairs:
         got = check_gmt(kernels, A, B, probes)
         assert len(got) == len(kernels)
+        d_empty = A.union(B).complement().count == 0
         for kern, reports in zip(kernels, got):
-            assert [rep.c_probe for rep in reports] == list(probes)
+            assert len(reports) == len(probes)
             for probe, rep in zip(probes, reports):
                 assert rep == _one_gmt(kern, A, B, probe)
-                seen.add((rep.regime, rep.b_floored, rep.measure_d == 0.0))
+                seen.add((rep.regime, rep.b_floored, d_empty))
     assert {("small_b", True, False), ("small_b", False, False),
             ("large_b", False, False), ("large_b", False, True)} <= seen
 
